@@ -25,6 +25,7 @@ from .autodiff import Tensor
 from .nn import ForwardRecord, one_hot
 
 MECHANISMS = ("grad-cam", "a-ch")
+LAYERS = ("inner", "last")
 
 
 @dataclass
@@ -44,32 +45,24 @@ class AttentionMap:
         return self.values.data
 
 
-def logit_sum_for_classes(record: ForwardRecord, class_ids: np.ndarray) -> Tensor:
-    """Scalar sum over samples of each sample's selected logit.
+def class_gradients(record: ForwardRecord, selector, layers,
+                    create_graph: bool = False) -> dict[str, Tensor]:
+    """Per-sample gradients of the selected logits w.r.t. tracked layers.
 
-    Because the forward pass has no batch-coupling ops, the gradient of this
-    sum w.r.t. a feature map equals the stack of per-sample single-logit
-    gradients, so one backward pass serves the whole batch.
+    ``selector`` is class ids (N,) or an (N, C) selection matrix whose zero
+    rows select nothing.  Because the forward pass has no batch-coupling
+    ops, the gradient of the summed selected logits equals the stack of
+    per-sample single-logit gradients, so one backward pass serves the whole
+    batch and every layer.
     """
-    n, c = record.logits.shape
-    hot = one_hot(np.asarray(class_ids), c)
-    return ad.reduce_sum(ad.mul(record.logits, Tensor(hot)))
-
-
-def class_gradients(record: ForwardRecord, class_ids, layer: str,
-                    create_graph: bool = False) -> Tensor:
-    """Per-sample gradient of the selected logits w.r.t. one tracked layer."""
-    return class_gradients_multi(record, class_ids, (layer,), create_graph)[layer]
-
-
-def class_gradients_multi(record: ForwardRecord, class_ids, layers,
-                          create_graph: bool = False) -> dict[str, Tensor]:
-    """Same as :func:`class_gradients` for several layers in one backward."""
     for layer in layers:
         if layer not in record.feats:
             raise KeyError(f"layer '{layer}' is not tracked in this record")
+    hot = np.asarray(selector)
+    if hot.ndim == 1:
+        hot = one_hot(hot, record.logits.shape[1])
+    root = ad.reduce_sum(ad.mul(record.logits, Tensor(hot)))
     feats = [record.feats[layer] for layer in layers]
-    root = logit_sum_for_classes(record, np.asarray(class_ids))
     grads = ad.backward(root, feats, create_graph=create_graph)
     return {layer: grads[f.node] for layer, f in zip(layers, feats)}
 
@@ -117,3 +110,23 @@ def compute_attention(mechanism: str, features: Tensor, gradients: Tensor,
         return a_ch(features, gradients, class_ids, layer)
     raise ValueError(f"unknown attention mechanism '{mechanism}' "
                      f"(expected one of {MECHANISMS})")
+
+
+def class_attention(record: ForwardRecord, selector, mechanism: str,
+                    create_graph: bool) -> dict[str, AttentionMap]:
+    """Attention maps of the selected classes at both tracked layers.
+
+    With ``create_graph`` the maps stay on the tape, so a loss built from
+    them is differentiable; without it the features are detached and the
+    maps are plain values.
+    """
+    grads = class_gradients(record, selector, LAYERS, create_graph)
+    hot = np.asarray(selector)
+    ids = hot if hot.ndim == 1 else np.argmax(hot, axis=1)
+    maps = {}
+    for layer in LAYERS:
+        feats = record.feats[layer]
+        maps[layer] = compute_attention(
+            mechanism, feats if create_graph else feats.detach(),
+            grads[layer], ids, layer)
+    return maps

@@ -39,6 +39,7 @@ __all__ = [
     "minimum",
     "relu",
     "sigmoid",
+    "sigmoid_array",
     "exp",
     "log",
     "softplus",
@@ -383,15 +384,19 @@ def relu(x) -> Tensor:
     return _emit("relu", (x,), np.where(mask, x.data, 0.0), {"mask": mask})
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array, stable in both tails."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def sigmoid(x) -> Tensor:
     x = _lift(x)
-    # stable in both tails
-    out = np.empty_like(x.data)
-    pos = x.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return _emit("sigmoid", (x,), out)
+    return _emit("sigmoid", (x,), sigmoid_array(x.data))
 
 
 def exp(x) -> Tensor:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
@@ -18,13 +17,11 @@ import numpy as np
 
 from . import data as dio
 from . import metrics as mx
-from .attention import MECHANISMS, compute_attention
+from .attention import LAYERS, MECHANISMS, class_gradients, compute_attention
 from .autodiff import Tape
-from .losses import IcascConfig, confusing_class, parse_kv_file, _grads_for_hot
+from .losses import IcascConfig, parse_kv_file
 from .nn import ConfigError, NumericalError, load_checkpoint
 from .training import TrainConfig, train
-
-THREADS_ENV = "SHARPEN_FOCUS_THREADS"
 
 
 class UsageError(Exception):
@@ -34,16 +31,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _worker_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, got '{raw}'")
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -176,14 +163,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    probs_all, labels_all = [], []
-    for _, images, labels in dio.batch_iter(dataset, 64, seed=0, shuffle=False,
-                                            flip=False, multi_label=multi):
-        record = model.forward(images, tape=None, multi_label=multi)
-        probs_all.append(record.probabilities)
-        labels_all.append(labels)
-    probs = np.concatenate(probs_all)
-    labels = np.concatenate(labels_all)
+    probs, labels = mx.predict(model, dataset, multi)
 
     rows: list[tuple[str, str, float]] = []
     if multi:
@@ -203,9 +183,8 @@ def cmd_eval(args) -> int:
                          mx.topk_accuracy(probs, labels, k)))
 
     if args.attention:
-        report = mx.attention_overlap_report(
-            model, dataset, _resolved_icasc(args),
-            threads=_worker_threads())
+        report = mx.attention_overlap_report(model, dataset,
+                                             _resolved_icasc(args))
         mx.write_overlap_csv(out / "attention_overlap.csv", report)
         rows.append(("mean_l_as_last", "all", report.mean_l_as_last))
         rows.append(("mean_l_ac", "all", report.mean_l_ac))
@@ -245,11 +224,9 @@ def cmd_attend(args) -> int:
         record = model.forward(images, tape=tape)
         top = np.argsort(-record.probabilities[0], kind="stable")[:args.classes]
         for class_id in top:
-            hot = np.zeros((1, model.config.n_classes))
-            hot[0, class_id] = 1.0
-            grads = _grads_for_hot(record, hot, ("inner", "last"),
-                                   create_graph=False)
-            for layer in ("inner", "last"):
+            # one backward serves both mechanisms
+            grads = class_gradients(record, [class_id], LAYERS)
+            for layer in LAYERS:
                 for mech in MECHANISMS:
                     amap = compute_attention(mech, record.feats[layer].detach(),
                                              grads[layer], [class_id], layer)
@@ -277,16 +254,7 @@ def cmd_ks(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    target_probs, conf_probs = [], []
-    for _, images, labels in dio.batch_iter(dataset, 64, seed=0, shuffle=False,
-                                            flip=False):
-        record = model.forward(images, tape=None)
-        conf = confusing_class(record.probabilities, labels)
-        n = len(labels)
-        target_probs.append(record.probabilities[np.arange(n), labels])
-        conf_probs.append(record.probabilities[np.arange(n), conf])
-    curve = mx.ks_chart(np.concatenate(target_probs),
-                        np.concatenate(conf_probs), args.grid)
+    curve = mx.model_ks_chart(model, dataset, args.grid)
     mx.write_ks_csv(out / "ks_curve.csv", curve)
     _echo(out, f"checkpoint = {args.checkpoint}\ndata = {args.data}\n"
                f"grid = {args.grid}\n")

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 
-class DataError(Exception):
-    """Dataset file is missing, corrupt, or inconsistent."""
+class DataError(ValueError):
+    """Dataset, image or checkpoint file is missing, corrupt, or inconsistent."""
 
 
 # --------------------------------------------------------------------------
@@ -53,13 +53,13 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         fh.write(rgb.tobytes())
 
 
-def _read_header_tokens(fh, count: int) -> list[int]:
+def _read_header_tokens(fh, count: int, path) -> list[int]:
     """Read whitespace-separated header ints, skipping # comments."""
     tokens: list[int] = []
     while len(tokens) < count:
         ch = fh.read(1)
         if not ch:
-            raise DataError("truncated Netpbm header")
+            raise DataError(f"{path}: truncated Netpbm header")
         if ch.isspace():
             continue
         if ch == b"#":
@@ -72,6 +72,8 @@ def _read_header_tokens(fh, count: int) -> list[int]:
             if not ch or ch.isspace():
                 break
             tok += ch
+        if not tok.isdigit():
+            raise DataError(f"{path}: non-numeric Netpbm header token {tok!r}")
         tokens.append(int(tok))
     return tokens
 
@@ -82,7 +84,9 @@ def read_image(path) -> np.ndarray:
         magic = fh.read(2)
         if magic not in (b"P5", b"P6"):
             raise DataError(f"{path}: unsupported image magic {magic!r}")
-        w, h, maxval = _read_header_tokens(fh, 3)
+        w, h, maxval = _read_header_tokens(fh, 3, path)
+        if w < 1 or h < 1:
+            raise DataError(f"{path}: non-positive image size {w}x{h}")
         if maxval != 255:
             raise DataError(f"{path}: maxval {maxval} unsupported (need 255)")
         channels = 1 if magic == b"P5" else 3
@@ -155,6 +159,10 @@ def load_dataset(path, n_classes: int | None = None) -> Dataset:
                 image = read_image(img_path)
             except (OSError, DataError) as e:
                 raise DataError(f"sample '{sid}': {e}") from None
+            if samples and image.shape != samples[0].image.shape:
+                raise DataError(f"sample '{sid}': image shape {image.shape} "
+                                f"differs from {samples[0].image.shape} of "
+                                f"sample '{samples[0].id}'")
             max_label = max(max_label, max(labels))
             samples.append(Sample(sid, image, labels))
     inferred = max_label + 1

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import data as dio
 from . import metrics as mx
-from .losses import IcascConfig, confusing_class
-from .metrics import attention_overlap_report, ks_chart
+from .losses import IcascConfig
 from .nn import Model
 from .training import TrainConfig, train
 
@@ -73,28 +72,12 @@ def make_datasets(work_dir, n_train: int = 200, n_test: int = 100,
     return train_dir, test_dir
 
 
-def ks_on_dataset(model: Model, dataset: dio.Dataset) -> float:
-    """Exact KS statistic between target and confusing probabilities."""
-    target, conf = [], []
-    for _, images, labels in dio.batch_iter(dataset, 64, seed=0, shuffle=False):
-        record = model.forward(images)
-        cids = confusing_class(record.probabilities, labels)
-        n = len(labels)
-        target.append(record.probabilities[np.arange(n), labels])
-        conf.append(record.probabilities[np.arange(n), cids])
-    return ks_chart(np.concatenate(target), np.concatenate(conf)).ks_exact
-
-
 def evaluate_model(model: Model, test_set: dio.Dataset, seed: int, variant: str,
                    icasc_cfg: IcascConfig, batch_size: int = 50) -> VariantMetrics:
-    probs, labels_all = [], []
-    for _, images, labels in dio.batch_iter(test_set, batch_size, seed=0,
-                                            shuffle=False):
-        probs.append(model.forward(images).probabilities)
-        labels_all.append(labels)
-    acc = mx.topk_accuracy(np.concatenate(probs), np.concatenate(labels_all), 1)
-    overlap = attention_overlap_report(model, test_set, icasc_cfg, batch_size)
-    ks = ks_on_dataset(model, test_set)
+    probs, labels = mx.predict(model, test_set)
+    acc = mx.topk_accuracy(probs, labels, 1)
+    overlap = mx.attention_overlap_report(model, test_set, icasc_cfg, batch_size)
+    ks = mx.model_ks_chart(model, test_set).ks_exact
     return VariantMetrics(seed, variant, icasc_cfg.mechanism, acc,
                           overlap.mean_l_as_last, overlap.skip_rate, ks)
 

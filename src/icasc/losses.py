@@ -26,9 +26,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .attention import AttentionMap, MECHANISMS, compute_attention
+from .attention import AttentionMap, MECHANISMS, class_attention
 from .nn import (ForwardRecord, NumericalError, cross_entropy,
-                 multilabel_soft_margin)
+                 multilabel_soft_margin, one_hot)
 
 
 @dataclass(frozen=True)
@@ -180,12 +180,7 @@ def mask_from_values(values: np.ndarray, config: IcascConfig) -> tuple[np.ndarra
     peak = values.max(axis=(1, 2))
     sigma = config.sigma_factor * peak
     z = config.omega * (values - sigma[:, None, None])
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out, peak <= 0.0
+    return ad.sigmoid_array(z), peak <= 0.0
 
 
 def region_mask(target_attention: AttentionMap, config: IcascConfig,
@@ -234,33 +229,38 @@ def consistency_per_sample(inner_target: Tensor, mask: np.ndarray,
     return ad.relu(out) if clamp else out
 
 
-def attention_separation(target: AttentionMap, confusing: AttentionMap,
-                         mask: RegionMask, config: IcascConfig) -> Tensor:
-    """Batch-mean separation loss (scalar tensor)."""
-    vec = separation_per_sample(target.values, confusing.values,
-                                mask.values, config.epsilon)
-    return ad.reduce_mean(vec)
+def per_sample_terms(a_tgt: dict[str, AttentionMap], a_conf: dict[str, AttentionMap],
+                     active: np.ndarray, config: IcascConfig,
+                     round_context: Optional[RoundContext] = None
+                     ) -> tuple[Tensor, Tensor, Tensor, RoundContext]:
+    """Last- and inner-layer separation and consistency, one value per sample.
 
-
-def attention_consistency(inner_target: AttentionMap, mask_at_inner_res: RegionMask,
-                          config: IcascConfig) -> Tensor:
-    """Batch-mean consistency loss (scalar tensor)."""
-    vec = consistency_per_sample(inner_target.values, mask_at_inner_res.values,
+    The region masks come from the last-layer target attention, and a
+    sample is kept when it is ``active`` and that attention carries at least
+    ``skip_threshold`` mass.  With ``round_context`` those detached
+    quantities are reused instead.  The terms are not yet multiplied by the
+    keep selector: ``(L_AS_last, L_AS_inner, L_AC, context)``.
+    """
+    rc = round_context
+    if rc is None:
+        mask_last = region_mask(a_tgt["last"], config)
+        mask_inner = region_mask(a_tgt["last"], config,
+                                 at_hw=a_tgt["inner"].shape[1:])
+        keep = (active & (mask_last.source_mass >=
+                          config.skip_threshold)).astype(np.float64)
+        rc = RoundContext(mask_last.values, mask_inner.values, keep)
+    las_la = separation_per_sample(a_tgt["last"].values, a_conf["last"].values,
+                                   rc.mask_last, config.epsilon)
+    las_in = separation_per_sample(a_tgt["inner"].values, a_conf["inner"].values,
+                                   rc.mask_inner, config.epsilon)
+    lac = consistency_per_sample(a_tgt["inner"].values, rc.mask_inner,
                                  config.theta, config.epsilon, config.clamp_lac)
-    return ad.reduce_mean(vec)
+    return las_la, las_in, lac, rc
 
 
 # --------------------------------------------------------------------------
 # the full objective
 # --------------------------------------------------------------------------
-
-
-def _grads_for_hot(record: ForwardRecord, hot: np.ndarray, layers,
-                   create_graph: bool) -> dict[str, Tensor]:
-    root = ad.reduce_sum(ad.mul(record.logits, Tensor(hot)))
-    feats = [record.feats[layer] for layer in layers]
-    grads = ad.backward(root, feats, create_graph=create_graph)
-    return {layer: grads[f.node] for layer, f in zip(layers, feats)}
 
 
 def _masked_mean(vec: Tensor, keep: np.ndarray) -> Tensor:
@@ -272,7 +272,7 @@ def _masked_mean(vec: Tensor, keep: np.ndarray) -> Tensor:
     return ad.scale(picked, 1.0 / count)
 
 
-def _label_rounds(labels: np.ndarray, n_classes: int) -> list[np.ndarray]:
+def label_rounds(labels: np.ndarray, n_classes: int) -> list[np.ndarray]:
     """Per-round one-hot selectors covering every ground-truth class.
 
     Single-label input (1-D ids) yields one round.  Multi-label input
@@ -282,9 +282,7 @@ def _label_rounds(labels: np.ndarray, n_classes: int) -> list[np.ndarray]:
     labels = np.asarray(labels)
     n = labels.shape[0]
     if labels.ndim == 1:
-        hot = np.zeros((n, n_classes))
-        hot[np.arange(n), labels] = 1.0
-        return [hot]
+        return [one_hot(labels, n_classes)]
     rounds = []
     per_sample = [np.flatnonzero(row) for row in labels]
     max_pos = max((len(p) for p in per_sample), default=0)
@@ -298,7 +296,6 @@ def _label_rounds(labels: np.ndarray, n_classes: int) -> list[np.ndarray]:
 
 
 def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
-                    create_graph: bool = True,
                     context: Optional[ObjectiveContext] = None) -> LossBreakdown:
     """Classification loss plus the three attention terms.
 
@@ -323,17 +320,9 @@ def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
     else:
         l_c = cross_entropy(record.logits, labels)
 
-    layers = ("inner", "last")
-    inner_hw = record.feats["inner"].shape[2:]
-
     conf = context.conf if context else confusing_class(record.probabilities,
                                                         labels)
-    conf_hot = np.zeros((n, n_classes))
-    conf_hot[np.arange(n), conf] = 1.0
-    g_conf = _grads_for_hot(record, conf_hot, layers, create_graph)
-    a_conf = {layer: compute_attention(config.mechanism, record.feats[layer],
-                                       g_conf[layer], conf, layer)
-              for layer in layers}
+    a_conf = class_attention(record, conf, config.mechanism, create_graph=True)
 
     acc_las_in = None
     acc_las_la = None
@@ -341,30 +330,12 @@ def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
     counts = np.zeros(n)
     rounds_out: list[RoundContext] = []
 
-    for round_no, hot in enumerate(_label_rounds(labels, n_classes)):
-        active = hot.sum(axis=1) > 0
-        target_ids = np.argmax(hot, axis=1)
-        g_tgt = _grads_for_hot(record, hot, layers, create_graph)
-        a_tgt = {layer: compute_attention(config.mechanism, record.feats[layer],
-                                          g_tgt[layer], target_ids, layer)
-                 for layer in layers}
-
-        if context:
-            rc = context.rounds[round_no]
-        else:
-            mask_last = region_mask(a_tgt["last"], config)
-            mask_inner = region_mask(a_tgt["last"], config, at_hw=inner_hw)
-            keep = (active & (mask_last.source_mass >=
-                              config.skip_threshold)).astype(np.float64)
-            rc = RoundContext(mask_last.values, mask_inner.values, keep)
+    for round_no, hot in enumerate(label_rounds(labels, n_classes)):
+        a_tgt = class_attention(record, hot, config.mechanism, create_graph=True)
+        las_la, las_in, lac, rc = per_sample_terms(
+            a_tgt, a_conf, hot.sum(axis=1) > 0, config,
+            context.rounds[round_no] if context else None)
         rounds_out.append(rc)
-
-        las_la = separation_per_sample(a_tgt["last"].values, a_conf["last"].values,
-                                       rc.mask_last, config.epsilon)
-        las_in = separation_per_sample(a_tgt["inner"].values, a_conf["inner"].values,
-                                       rc.mask_inner, config.epsilon)
-        lac = consistency_per_sample(a_tgt["inner"].values, rc.mask_inner,
-                                     config.theta, config.epsilon, config.clamp_lac)
 
         keep_t = Tensor(rc.keep)
         las_la = ad.mul(las_la, keep_t)

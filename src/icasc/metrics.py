@@ -5,19 +5,36 @@ heatmap export."""
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import data as dio
-from .attention import compute_attention
+from .attention import class_attention
 from .autodiff import Tape, Tensor
-from .losses import (IcascConfig, confusing_class, consistency_per_sample,
-                     region_mask, separation_per_sample, _grads_for_hot)
+from .losses import IcascConfig, confusing_class, label_rounds, per_sample_terms
 from .nn import Model
+
+
+# --------------------------------------------------------------------------
+# predictions
+# --------------------------------------------------------------------------
+
+
+def predict(model: Model, dataset: dio.Dataset, multi_label: bool = False,
+            batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Untaped forward passes over the dataset in order, ``batch_size``
+    samples at a time; returns (probabilities, labels).
+
+    The chunk size sets the peak memory of the pass, which is why the
+    training loop's test pass keeps its own batch size.
+    """
+    probs = [model.forward(images, tape=None, multi_label=multi_label).probabilities
+             for _, images, _ in dio.batch_iter(dataset, batch_size, seed=0,
+                                                shuffle=False,
+                                                multi_label=multi_label)]
+    return np.concatenate(probs), dataset.label_array(multi_label)
 
 
 # --------------------------------------------------------------------------
@@ -152,6 +169,16 @@ def ks_chart(target_probs, confusing_probs, grid_size: int = 101) -> KsCurve:
                    float(exact_gaps[ei]), float(points[ei]))
 
 
+def model_ks_chart(model: Model, dataset: dio.Dataset,
+                   grid_size: int = 101) -> KsCurve:
+    """KS chart between each sample's target-class probability and its
+    confusing-class probability, on a single-label dataset."""
+    probs, labels = predict(model, dataset)
+    rows = np.arange(len(labels))
+    conf = confusing_class(probs, labels)
+    return ks_chart(probs[rows, labels], probs[rows, conf], grid_size)
+
+
 def write_ks_csv(path, curve: KsCurve) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -184,63 +211,33 @@ class OverlapReport:
 
 def _overlap_batch(model: Model, ids, images, labels,
                    config: IcascConfig) -> list[OverlapRow]:
-    tape = Tape()
-    record = model.forward(images, tape=tape,
-                           multi_label=np.asarray(labels).ndim == 2)
     labels = np.asarray(labels)
-    n, n_classes = record.logits.shape
+    record = model.forward(images, tape=Tape(), multi_label=labels.ndim == 2)
+    target = label_rounds(labels, record.logits.shape[1])[0]
     conf = confusing_class(record.probabilities, labels)
-    conf_hot = np.zeros((n, n_classes))
-    conf_hot[np.arange(n), conf] = 1.0
-    if labels.ndim == 2:
-        tgt_hot = np.zeros((n, n_classes))
-        for i in range(n):
-            pos = np.flatnonzero(labels[i])
-            tgt_hot[i, pos[0]] = 1.0          # report uses the first gt class
-        target_ids = np.argmax(tgt_hot, axis=1)
-    else:
-        tgt_hot = np.zeros((n, n_classes))
-        tgt_hot[np.arange(n), labels] = 1.0
-        target_ids = labels
-    layers = ("inner", "last")
-    g_t = _grads_for_hot(record, tgt_hot, layers, create_graph=False)
-    g_c = _grads_for_hot(record, conf_hot, layers, create_graph=False)
-    a_t = {l: compute_attention(config.mechanism, record.feats[l].detach(),
-                                g_t[l], target_ids, l) for l in layers}
-    a_c = {l: compute_attention(config.mechanism, record.feats[l].detach(),
-                                g_c[l], conf, l) for l in layers}
-    mask_last = region_mask(a_t["last"], config)
-    inner_hw = record.feats["inner"].shape[2:]
-    mask_inner = region_mask(a_t["last"], config, at_hw=inner_hw)
-    las = separation_per_sample(a_t["last"].values, a_c["last"].values,
-                                mask_last.values, config.epsilon).data
-    lac = consistency_per_sample(a_t["inner"].values, mask_inner.values,
-                                 config.theta, config.epsilon,
-                                 config.clamp_lac).data
-    skipped = mask_last.source_mass < config.skip_threshold
-    return [OverlapRow(sid, float(las[i]), float(lac[i]), bool(skipped[i]))
+    a_tgt = class_attention(record, target, config.mechanism, create_graph=False)
+    a_conf = class_attention(record, conf, config.mechanism, create_graph=False)
+    las, _, lac, rc = per_sample_terms(a_tgt, a_conf, np.ones(len(ids), bool),
+                                       config)
+    return [OverlapRow(sid, float(las.data[i]), float(lac.data[i]),
+                       not rc.keep[i])
             for i, sid in enumerate(ids)]
 
 
 def attention_overlap_report(model: Model, dataset: dio.Dataset,
-                             config: IcascConfig, batch_size: int = 32,
-                             threads: int = 1) -> OverlapReport:
+                             config: IcascConfig,
+                             batch_size: int = 32) -> OverlapReport:
     """Per-sample last-layer separation and consistency on frozen weights.
 
-    Skipped samples (degenerate target attention) are excluded from the
-    means but counted in the skip rate.
+    Each sample is scored with the training objective's terms for its first
+    ground-truth class (its only one when single-label).  Skipped samples
+    (degenerate target attention) are excluded from the means but counted
+    in the skip rate.
     """
-    batches = list(dio.batch_iter(dataset, batch_size, seed=0, shuffle=False,
-                                  flip=False, multi_label=dataset.multi_label))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(
-                lambda b: _overlap_batch(model, b[0], b[1], b[2], config),
-                batches))
-    else:
-        chunks = [_overlap_batch(model, ids, images, labels, config)
-                  for ids, images, labels in batches]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for ids, images, labels in
+            dio.batch_iter(dataset, batch_size, seed=0, shuffle=False,
+                           multi_label=dataset.multi_label)
+            for row in _overlap_batch(model, ids, images, labels, config)]
     kept = [r for r in rows if not r.skipped]
     mean_las = float(np.mean([r.l_as_last for r in kept])) if kept else 0.0
     mean_lac = float(np.mean([r.l_ac for r in kept])) if kept else 0.0

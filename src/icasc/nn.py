@@ -8,9 +8,9 @@ attention-gradient trick in :mod:`icasc.attention` valid.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
+from .data import DataError
 
 MAGIC = b"ICASCKPT"
 CHECKPOINT_VERSION = 1
@@ -104,15 +105,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def sigmoid_probs(logits: np.ndarray) -> np.ndarray:
-    out = np.empty_like(logits)
-    pos = logits >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
-    e = np.exp(logits[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 class Model:
     """Parameter container plus the forward pass."""
 
@@ -173,7 +165,7 @@ class Model:
                 feats["last"] = x
         pooled = ad.global_avg_pool(x)
         logits = ad.affine(pooled, leaves["head.w"], leaves["head.b"])
-        probs = sigmoid_probs(logits.data) if multi_label else softmax(logits.data)
+        probs = ad.sigmoid_array(logits.data) if multi_label else softmax(logits.data)
         return ForwardRecord(logits=logits, probabilities=probs, feats=feats,
                              param_leaves=leaves if tape is not None else {},
                              multi_label=multi_label)
@@ -322,21 +314,34 @@ def save_checkpoint(path, model: Model, extra: Optional[dict] = None) -> None:
             _write_array(fh, name, arr)
 
 
+@contextmanager
+def _reading(path, magic: bytes, kind: str):
+    """Open a versioned binary file past its magic and version.
+
+    Bad magic, an unknown version, and truncated or garbled content all
+    raise :class:`DataError` naming the file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(magic)) != magic:
+                raise DataError(f"{path}: not a {kind} file")
+            (version,) = struct.unpack("<I", fh.read(4))
+            if version != CHECKPOINT_VERSION:
+                raise DataError(f"{path}: unsupported {kind} version {version}")
+            yield fh
+    except DataError:
+        raise
+    except (struct.error, ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{path}: corrupt {kind} file ({e})") from None
+
+
 def load_checkpoint(path) -> tuple[Model, dict]:
-    with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    with _reading(path, MAGIC, "checkpoint") as fh:
         (hlen,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(hlen).decode("utf-8"))
         (count,) = struct.unpack("<I", fh.read(4))
-        params = {}
-        for _ in range(count):
-            name, arr = _read_array(fh)
-            params[name] = arr
-    config = ModelConfig.from_dict(header["config"])
+        params = dict(_read_array(fh) for _ in range(count))
+        config = ModelConfig.from_dict(header["config"])
     return Model(config, params), header
 
 
@@ -353,16 +358,8 @@ def save_train_state(path, epoch_next: int, optimizer: SgdOptimizer) -> None:
 
 
 def load_train_state(path) -> tuple[int, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        if fh.read(8) != b"ICASCOPT":
-            raise ValueError(f"{path}: not a training-state file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
+    with _reading(path, b"ICASCOPT", "training-state") as fh:
         (epoch_next,) = struct.unpack("<I", fh.read(4))
         (count,) = struct.unpack("<I", fh.read(4))
-        vel = {}
-        for _ in range(count):
-            name, arr = _read_array(fh)
-            vel[name] = arr
+        vel = dict(_read_array(fh) for _ in range(count))
     return epoch_next, vel

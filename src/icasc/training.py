@@ -14,7 +14,7 @@ from . import autodiff as ad
 from . import data as dio
 from .autodiff import Tape
 from .losses import IcascConfig, icasc_objective
-from .metrics import topk_accuracy
+from .metrics import predict, topk_accuracy
 from .nn import (Model, ModelConfig, SgdOptimizer, cross_entropy, lr_schedule,
                  load_checkpoint, load_train_state, multilabel_soft_margin,
                  save_checkpoint, save_train_state)
@@ -100,14 +100,8 @@ def _accuracy(probs: np.ndarray, labels: np.ndarray, multi_label: bool) -> float
 
 def evaluate_accuracy(model: Model, dataset: dio.Dataset, batch_size: int,
                       multi_label: bool) -> float:
-    total, weight = 0.0, 0
-    for _, images, labels in dio.batch_iter(dataset, batch_size, seed=0,
-                                            shuffle=False, flip=False,
-                                            multi_label=multi_label):
-        record = model.forward(images, tape=None, multi_label=multi_label)
-        total += _accuracy(record.probabilities, labels, multi_label) * len(images)
-        weight += len(images)
-    return total / weight if weight else 0.0
+    probs, labels = predict(model, dataset, multi_label, batch_size)
+    return _accuracy(probs, labels, multi_label)
 
 
 def train(cfg: TrainConfig) -> TrainResult:

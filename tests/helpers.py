@@ -6,7 +6,7 @@ import numpy as np
 
 from icasc import autodiff as ad
 from icasc.autodiff import Tape, Tensor
-from icasc.nn import ForwardRecord, Model, ModelConfig, sigmoid_probs, softmax
+from icasc.nn import ForwardRecord, Model, ModelConfig, softmax
 
 
 def linear_record(tape: Tape, feat_arrays: dict, weights: dict,
@@ -26,7 +26,7 @@ def linear_record(tape: Tape, feat_arrays: dict, weights: dict,
         flat = ad.reshape(f, (n, arr[0].size))
         piece = ad.matmul(flat, Tensor(weights[layer]))
         logits = piece if logits is None else ad.add(logits, piece)
-    probs = sigmoid_probs(logits.data) if multi_label else softmax(logits.data)
+    probs = ad.sigmoid_array(logits.data) if multi_label else softmax(logits.data)
     return ForwardRecord(logits=logits, probabilities=probs, feats=feats,
                          param_leaves={}, multi_label=multi_label)
 

@@ -1,36 +1,13 @@
 import numpy as np
 import pytest
 
-from icasc import attention as att
 from icasc import autodiff as ad
 from icasc.attention import a_ch, class_gradients, compute_attention, grad_cam
 from icasc.autodiff import Tape, Tensor, backward
-from icasc.nn import ForwardRecord, Model, ModelConfig, softmax
+from icasc.nn import Model
 
 import oracles
-
-
-def linear_record(tape, feat_arrays, weights):
-    """A toy record whose logits are w . flatten(F) per class and layer."""
-    feats = {}
-    pieces = []
-    n = next(iter(feat_arrays.values())).shape[0]
-    for layer, arr in feat_arrays.items():
-        f = tape.leaf(arr)
-        feats[layer] = f
-        flat = ad.reshape(f, (n, arr[0].size))
-        pieces.append(ad.matmul(flat, Tensor(weights[layer])))
-    logits = pieces[0]
-    for extra in pieces[1:]:
-        logits = ad.add(logits, extra)
-    return ForwardRecord(logits=logits, probabilities=softmax(logits.data),
-                         feats=feats, param_leaves={})
-
-
-def tiny_model(seed=0):
-    cfg = ModelConfig(channels=(4, 8), input_size=8, input_channels=1,
-                      n_classes=3)
-    return Model.build(cfg, seed)
+from helpers import linear_record, tiny_model
 
 
 # --------------------------------------------------------------------------
@@ -45,7 +22,7 @@ def test_linear_toy_gradient_equals_weights():
         tape = Tape()
         feats = {"last": rng.random((1, 2, 2, 2))}
         record = linear_record(tape, feats, {"last": w})
-        g = class_gradients(record, [1], "last")
+        g = class_gradients(record, [1], ("last",))["last"]
         assert np.allclose(g.data.reshape(-1), w[:, 1], atol=1e-12)
 
 
@@ -57,12 +34,12 @@ def test_batched_gradients_match_per_sample():
 
     tape = Tape()
     record = model.forward(images, tape=tape)
-    batched = class_gradients(record, classes, "last").data
+    batched = class_gradients(record, classes, ("last",))["last"].data
 
     for i in range(2):
         t = Tape()
         r = model.forward(images[i:i + 1], tape=t)
-        single = class_gradients(r, classes[i:i + 1], "last").data
+        single = class_gradients(r, classes[i:i + 1], ("last",))["last"].data
         assert np.allclose(batched[i], single[0], atol=1e-12)
 
 
@@ -73,7 +50,7 @@ def test_zero_head_row_zero_gradient():
     tape = Tape()
     record = model.forward(np.random.default_rng(3).random((1, 1, 8, 8)),
                            tape=tape)
-    g = class_gradients(record, [1], "last")
+    g = class_gradients(record, [1], ("last",))["last"]
     assert np.allclose(g.data, 0.0, atol=0)
 
 
@@ -82,7 +59,7 @@ def test_untracked_layer_rejected():
     tape = Tape()
     record = model.forward(np.zeros((1, 1, 8, 8)), tape=tape)
     with pytest.raises(KeyError):
-        class_gradients(record, [0], "conv7")
+        class_gradients(record, [0], ("conv7",))
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +161,7 @@ def test_positive_homogeneity_in_logit():
         m.params["head.b"][0] *= scale
         tape = Tape()
         record = m.forward(images, tape=tape)
-        g = class_gradients(record, [0], "last")
+        g = class_gradients(record, [0], ("last",))["last"]
         return a_ch(record.feats["last"], g).values.data
 
     base = map_for(1.0)
@@ -221,7 +198,7 @@ def test_map_sum_differentiable_wrt_parameters():
         m = Model(model.config, params)
         t = Tape()
         r = m.forward(images, tape=t)
-        g = class_gradients(r, [0], "last", create_graph=True)
+        g = class_gradients(r, [0], ("last",), create_graph=True)["last"]
         s = ad.reduce_sum(a_ch(r.feats["last"], g).values)
         return (s, r, t) if not want_sig else (s.item(), t.kink_signature())
 

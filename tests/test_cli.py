@@ -236,6 +236,64 @@ def test_ks_deterministic(trained, dataset, tmp_path):
     assert digest(out1 / "ks_curve.csv") == digest(out2 / "ks_curve.csv")
 
 
+# --------------------------------------------------------------------------
+# malformed inputs exit 2 and name what is wrong
+# --------------------------------------------------------------------------
+
+
+def test_mixed_image_sizes_is_data_error(trained, tmp_path, capsys):
+    d = tmp_path / "mixed"
+    d.mkdir()
+    dio.write_pgm(d / "a.pgm", np.zeros((16, 16), dtype=np.uint8))
+    dio.write_pgm(d / "b.pgm", np.zeros((8, 8), dtype=np.uint8))
+    (d / "labels.csv").write_text("id,filename,label\nfirst,a.pgm,0\n"
+                                  "odd_size,b.pgm,1\n", encoding="utf-8")
+    rc = run("eval", "--checkpoint", str(trained), "--data", str(d),
+             "--out", str(tmp_path / "e"))
+    assert rc == 2
+    assert "odd_size" in capsys.readouterr().err
+
+
+def test_non_numeric_pgm_header_is_data_error(trained, tmp_path, capsys):
+    d = tmp_path / "badheader"
+    d.mkdir()
+    (d / "garbled.pgm").write_bytes(b"P5\nxx 8\n255\n" + bytes(64))
+    (d / "labels.csv").write_text("id,filename,label\ns1,garbled.pgm,0\n",
+                                  encoding="utf-8")
+    rc = run("eval", "--checkpoint", str(trained), "--data", str(d),
+             "--out", str(tmp_path / "e"))
+    assert rc == 2
+    assert "garbled.pgm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "bad_magic", "bad_json"])
+def test_damaged_checkpoint_is_data_error(trained, dataset, tmp_path, capsys,
+                                          damage):
+    blob = trained.read_bytes()
+    if damage == "truncated":
+        blob = blob[:len(blob) // 2]
+    elif damage == "bad_magic":
+        blob = b"NOTACKPT" + blob[8:]
+    else:
+        blob = blob[:16] + b"#" + blob[17:]        # first JSON byte
+    ckpt = tmp_path / f"{damage}.ckpt"
+    ckpt.write_bytes(blob)
+    rc = run("eval", "--checkpoint", str(ckpt), "--data",
+             str(dataset / "test"), "--out", str(tmp_path / "e"))
+    assert rc == 2
+    assert f"{damage}.ckpt" in capsys.readouterr().err
+
+
+def test_truncated_train_state_is_data_error(dataset, tmp_path, capsys):
+    common = ["--data", str(dataset / "train"), "--batch-size", "8",
+              "--channels", "4,8", "--baseline", "--out", str(tmp_path / "r")]
+    assert run("train", *common, "--epochs", "1") == 0
+    state = tmp_path / "r" / "train_state.bin"
+    state.write_bytes(state.read_bytes()[:-5])
+    assert run("train", *common, "--epochs", "2", "--resume") == 2
+    assert "train_state.bin" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     assert run("train") == 1          # missing required flags
     assert run("frobnicate") == 1     # unknown command

@@ -59,6 +59,15 @@ def test_read_image_truncated(tmp_path):
         read_image(path)
 
 
+@pytest.mark.parametrize("header", [b"P5\nxx 8\n255\n", b"P5\n0 8\n255\n",
+                                    b"P5\n4 -2\n255\n"])
+def test_read_image_bad_dimensions_name_file(tmp_path, header):
+    path = tmp_path / "dims.pgm"
+    path.write_bytes(header + bytes(64))
+    with pytest.raises(DataError, match="dims.pgm"):
+        read_image(path)
+
+
 def test_read_image_bad_magic(tmp_path):
     path = tmp_path / "b.pgm"
     path.write_bytes(b"P3\n1 1\n255\n0")

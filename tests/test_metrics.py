@@ -3,7 +3,8 @@ import pytest
 
 from icasc import data as dio
 from icasc import metrics as mx
-from icasc.losses import IcascConfig
+from icasc.autodiff import Tape
+from icasc.losses import IcascConfig, icasc_objective
 from icasc.metrics import (auc_score, average_precision, export_heatmap,
                            ks_chart, macro_auc, mean_average_precision,
                            topk_accuracy)
@@ -210,14 +211,37 @@ def test_overlap_report_deterministic(tmp_path):
            (r2.mean_l_as_last, r2.mean_l_ac, r2.skip_rate)
 
 
-def test_overlap_report_threaded_matches_serial(tmp_path):
-    ds = synth_dataset(tmp_path, per_class=5)
-    model = helpers.tiny_model(2, channels=(4, 8), size=16, n_classes=3)
-    serial = mx.attention_overlap_report(model, ds, IcascConfig(), batch_size=4)
-    threaded = mx.attention_overlap_report(model, ds, IcascConfig(),
-                                           batch_size=4, threads=3)
-    assert [(a.sample_id, a.l_as_last) for a in serial.rows] == \
-           [(a.sample_id, a.l_as_last) for a in threaded.rows]
+@pytest.mark.parametrize("multi_label", [False, True])
+def test_overlap_report_matches_objective_per_sample(tmp_path, multi_label):
+    """The report scores each sample with the training objective's terms.
+
+    In the multi-label case one sample gets a second positive, which puts
+    the whole batch in multi-label mode; every other sample keeps one
+    positive, so its first ground-truth class is its only one.
+    """
+    ds = synth_dataset(tmp_path, per_class=2)
+    if multi_label:
+        last = ds.samples[-1]
+        last.labels += ((last.labels[0] + 1) % ds.n_classes,)
+    assert ds.multi_label == multi_label
+    model = helpers.tiny_model(4, channels=(4, 8), size=16, n_classes=3)
+    cfg = IcascConfig()
+    report = mx.attention_overlap_report(model, ds, cfg)
+    labels = ds.label_array(multi_label)
+    assert len(report.rows) == len(ds) <= 32        # one report batch
+    assert not all(row.skipped for row in report.rows)
+    for i, row in enumerate(report.rows):
+        assert row.sample_id == ds.samples[i].id
+        if len(ds.samples[i].labels) > 1:
+            continue
+        record = model.forward(ds.samples[i].image[None], tape=Tape(),
+                               multi_label=multi_label)
+        terms = icasc_objective(record, labels[i:i + 1], cfg)
+        assert row.skipped == bool(terms.skip_flags[0])
+        if not row.skipped:
+            assert row.l_as_last == pytest.approx(terms.l_as_last,
+                                                  rel=1e-9, abs=1e-12)
+            assert row.l_ac == pytest.approx(terms.l_ac, rel=1e-9, abs=1e-12)
 
 
 def test_overlap_values_in_bounds(tmp_path):
