@@ -10,8 +10,8 @@ any special casing.
 
 Deterministic subgradient conventions (needed so gradient checks are
 reproducible): ReLU derivative at exactly 0 is 0, elementwise ``minimum``
-routes ties to the first argument, and max reductions / max pooling route
-ties to the lowest flat index.
+routes ties to the first argument, and max pooling routes ties to the lowest
+flat index.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "scale",
     "reduce_sum",
     "reduce_mean",
-    "reduce_max",
     "broadcast_axes",
     "reshape",
     "transpose2d",
@@ -55,7 +54,6 @@ __all__ = [
     "conv2d",
     "maxpool2d",
     "global_avg_pool",
-    "bilinear_upsample",
     "bilinear_resize_array",
 ]
 
@@ -113,7 +111,6 @@ class Tape:
 
     def __init__(self) -> None:
         self.nodes: list[TapeNode] = []
-        self.parameters: list[int] = []
         self._recording = True
 
     def __len__(self) -> int:
@@ -123,12 +120,10 @@ class Tape:
         self.nodes.append(TapeNode(kind, tuple(inputs), value, meta or {}))
         return len(self.nodes) - 1
 
-    def leaf(self, data, parameter: bool = True) -> "Tensor":
-        """Register a watched leaf (trainable parameter by default)."""
+    def leaf(self, data) -> "Tensor":
+        """Register a watched leaf."""
         arr = _as_array(data)
         handle = self._record("leaf", (), arr)
-        if parameter:
-            self.parameters.append(handle)
         return Tensor(arr, self, handle, _own=True)
 
     def constant_node(self, data) -> "Tensor":
@@ -151,13 +146,13 @@ class Tape:
         """Hash of every routing decision recorded on the tape.
 
         Two evaluations of the same function at nearby points have equal
-        signatures iff no ReLU/min/max/pool routing flipped between them,
+        signatures iff no ReLU/min/pool routing flipped between them,
         which makes finite-difference checks able to detect and skip
         kink-adjacent coordinates exactly.
         """
         h = hashlib.blake2b(digest_size=16)
         for i, node in enumerate(self.nodes):
-            for key in ("mask", "mask_first", "argmax", "indices"):
+            for key in ("mask", "mask_first", "indices"):
                 if key in node.meta:
                     h.update(node.kind.encode())
                     h.update(i.to_bytes(4, "little"))
@@ -216,62 +211,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f", node={self.node}" if self.node is not None else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-    # -- operator sugar ------------------------------------------------------
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    # -- method forms --------------------------------------------------------
-    def sum(self, axes=None):
-        return reduce_sum(self, axes)
-
-    def mean(self, axes=None):
-        return reduce_mean(self, axes)
-
-    def max(self, axes=None):
-        return reduce_max(self, axes)
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def _lift(x) -> Tensor:
@@ -530,25 +469,6 @@ def reduce_mean(x, axes=None) -> Tensor:
                  {"axes": axes, "in_shape": x.shape, "n": n})
 
 
-def reduce_max(x, axes=None) -> Tensor:
-    """Max over axes; ties route the gradient to the lowest flat index."""
-    x = _lift(x)
-    axes = _norm_axes(axes, x.ndim)
-    _check_extent(x, axes)
-    value = np.max(x.data, axis=axes)
-    kept = tuple(a for a in range(x.ndim) if a not in axes)
-    moved = np.transpose(x.data, kept + axes)
-    outer = int(np.prod([x.shape[a] for a in kept])) if kept else 1
-    flat = moved.reshape(outer, -1)
-    argmax = np.argmax(flat, axis=1)  # first occurrence = lowest index
-    mask = np.zeros_like(flat)
-    mask[np.arange(outer), argmax] = 1.0
-    mask = np.transpose(mask.reshape(moved.shape), np.argsort(kept + axes))
-    return _emit("reduce_max", (x,), value,
-                 {"axes": axes, "in_shape": x.shape, "mask": mask,
-                  "argmax": argmax})
-
-
 def broadcast_axes(x, target_shape, axes) -> Tensor:
     """Expand ``x`` to ``target_shape`` by repeating along ``axes``.
 
@@ -593,12 +513,6 @@ def _reduce_sum_rule(node, g, inputs, out):
 def _reduce_mean_rule(node, g, inputs, out):
     spread = broadcast_axes(g, node.meta["in_shape"], node.meta["axes"])
     return [scale(spread, 1.0 / node.meta["n"])]
-
-
-@_rule("reduce_max")
-def _reduce_max_rule(node, g, inputs, out):
-    spread = broadcast_axes(g, node.meta["in_shape"], node.meta["axes"])
-    return [mul(spread, Tensor(node.meta["mask"]))]
 
 
 @_rule("broadcast_axes")
@@ -858,7 +772,7 @@ def global_avg_pool(x) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# bilinear upsampling (align-corners) and its adjoint
+# bilinear resize of detached arrays (align-corners)
 # --------------------------------------------------------------------------
 
 
@@ -884,63 +798,9 @@ def bilinear_resize_array(x: np.ndarray, oh: int, ow: int) -> np.ndarray:
     return np.take(rows, xlo, axis=-1) * (1.0 - wx) + np.take(rows, xhi, axis=-1) * wx
 
 
-def _axis_scatter_add(g: np.ndarray, idx: np.ndarray, weights: np.ndarray,
-                      size: int, axis: int) -> np.ndarray:
-    gm = np.moveaxis(g, axis, 0)
-    out = np.zeros((size,) + gm.shape[1:])
-    np.add.at(out, idx, gm * weights.reshape((-1,) + (1,) * (gm.ndim - 1)))
-    return np.moveaxis(out, 0, axis)
-
-
-def _bilinear_adjoint_array(g: np.ndarray, h: int, w: int) -> np.ndarray:
-    oh, ow = g.shape[-2], g.shape[-1]
-    ylo, yhi, wy = _lin_coeffs(h, oh)
-    xlo, xhi, wx = _lin_coeffs(w, ow)
-    cols = (_axis_scatter_add(g, xlo, 1.0 - wx, w, -1) +
-            _axis_scatter_add(g, xhi, wx, w, -1))
-    return (_axis_scatter_add(cols, ylo, 1.0 - wy, h, -2) +
-            _axis_scatter_add(cols, yhi, wy, h, -2))
-
-
-def bilinear_upsample(x, out_h: int, out_w: int) -> Tensor:
-    """Align-corners bilinear upsampling of the last two axes (no downscaling)."""
-    x = _lift(x)
-    if x.ndim < 2:
-        raise ShapeError(f"bilinear_upsample expects >= 2-D input, got {x.shape}")
-    h, w = x.shape[-2], x.shape[-1]
-    if out_h < h or out_w < w:
-        raise ShapeError(f"bilinear_upsample: target {out_h}x{out_w} smaller "
-                         f"than source {h}x{w}")
-    value = bilinear_resize_array(x.data, out_h, out_w)
-    return _emit("bilinear_upsample", (x,), value,
-                 {"in_hw": (h, w), "out_hw": (out_h, out_w)})
-
-
-def _upsample_adjoint_op(g, in_hw, out_hw) -> Tensor:
-    g = _lift(g)
-    value = _bilinear_adjoint_array(g.data, in_hw[0], in_hw[1])
-    return _emit("upsample_adjoint", (g,), value,
-                 {"in_hw": tuple(in_hw), "out_hw": tuple(out_hw)})
-
-
-@_rule("bilinear_upsample")
-def _bilinear_upsample_rule(node, g, inputs, out):
-    return [_upsample_adjoint_op(g, node.meta["in_hw"], node.meta["out_hw"])]
-
-
-@_rule("upsample_adjoint")
-def _upsample_adjoint_rule(node, g_hat, inputs, out):
-    oh, ow = node.meta["out_hw"]
-    return [bilinear_upsample(g_hat, oh, ow)]
-
-
 # --------------------------------------------------------------------------
 # backward
 # --------------------------------------------------------------------------
-
-# Every registered kind has an exact derivative rule built from registered
-# ops, so the set below is closed under repeated differentiation.
-_HIGHER_ORDER_KINDS = frozenset(_RULES) | {"leaf", "constant"}
 
 
 def _ancestors(tape: Tape, root: int) -> set[int]:
@@ -954,9 +814,9 @@ def _ancestors(tape: Tape, root: int) -> set[int]:
     return seen
 
 
-def backward(root: Tensor, wrt: Iterable[Union[int, Tensor]],
+def backward(root: Tensor, wrt: Iterable[Tensor],
              create_graph: bool = False) -> dict[int, Tensor]:
-    """Gradients of a scalar ``root`` with respect to tape handles.
+    """Gradients of a scalar ``root`` with respect to tensors on its tape.
 
     Returns a mapping handle -> gradient tensor shaped like that node's
     value.  Handles unreachable from ``root`` get zero gradients.  With
@@ -971,20 +831,11 @@ def backward(root: Tensor, wrt: Iterable[Union[int, Tensor]],
 
     handles = []
     for w in wrt:
-        if isinstance(w, Tensor):
-            if w.node is None or w.tape is not tape:
-                raise AutodiffError("wrt tensor is not on the root's tape")
-            handles.append(w.node)
-        else:
-            handles.append(int(w))
+        if w.node is None or w.tape is not tape:
+            raise AutodiffError("wrt tensor is not on the root's tape")
+        handles.append(w.node)
 
     reach = _ancestors(tape, root.node)
-    if create_graph:
-        for h in reach:
-            kind = tape.nodes[h].kind
-            if kind not in _HIGHER_ORDER_KINDS:
-                raise UnsupportedOpError(
-                    f"op '{kind}' has no registered higher-order rule")
 
     def run():
         seed_arr = np.ones_like(root.data)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -104,9 +105,9 @@ def build_parser() -> _Parser:
 def _resolved_icasc(args) -> IcascConfig:
     cfg = IcascConfig()
     if getattr(args, "config", None):
-        cfg = cfg.apply_kv(parse_kv_file(args.config))
+        cfg = replace(cfg, **parse_kv_file(args.config))
     if getattr(args, "mechanism", None):
-        cfg = cfg.apply_kv({"mechanism": args.mechanism})
+        cfg = replace(cfg, mechanism=args.mechanism)
     return cfg
 
 
@@ -132,22 +133,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# train flags whose defaults live in TrainConfig; only given ones are passed
+_TRAIN_FIELDS = ("epochs", "batch_size", "lr", "momentum", "weight_decay",
+                 "schedule", "milestones", "seed", "channels")
+
+
 def cmd_train(args) -> int:
-    icasc_cfg = _resolved_icasc(args)
-
-    def pick(flag, default):
-        return flag if flag is not None else default
-
+    given = {key: getattr(args, key) for key in _TRAIN_FIELDS
+             if getattr(args, key) is not None}
     cfg = TrainConfig(
         data_dir=args.data, test_dir=args.test_data, out_dir=args.out,
-        epochs=pick(args.epochs, 10), batch_size=pick(args.batch_size, 32),
-        lr=pick(args.lr, 0.05), momentum=pick(args.momentum, 0.9),
-        weight_decay=pick(args.weight_decay, 5e-4),
-        schedule=pick(args.schedule, "cosine"),
-        milestones=tuple(args.milestones) if args.milestones else (),
-        seed=pick(args.seed, 0), channels=tuple(pick(args.channels, (8, 16))),
         baseline=args.baseline, multi_label=args.multi_label,
-        flip=args.flip, resume=args.resume, icasc=icasc_cfg)
+        flip=args.flip, resume=args.resume, icasc=_resolved_icasc(args),
+        **given)
     result = train(cfg)
     last = result.log[-1]
     print(f"trained {cfg.epochs} epochs; final total={last.total:.4f} "

@@ -19,7 +19,7 @@ attention terms average over the remaining samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,9 +64,6 @@ class IcascConfig:
     @staticmethod
     def from_file(path) -> "IcascConfig":
         return IcascConfig(**parse_kv_file(path))
-
-    def apply_kv(self, kv: dict) -> "IcascConfig":
-        return replace(self, **kv)
 
     def to_text(self) -> str:
         lines = [f"mechanism = {self.mechanism}"]

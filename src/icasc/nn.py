@@ -9,6 +9,8 @@ attention-gradient trick in :mod:`icasc.attention` valid.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -69,10 +71,6 @@ class ModelConfig:
     @property
     def n_blocks(self) -> int:
         return len(self.channels)
-
-    def block_spatial(self, block: int) -> int:
-        """Spatial size of the given block's output (0-based)."""
-        return self.input_size // (2 ** (block + 1))
 
     def to_dict(self) -> dict:
         return {"channels": list(self.channels), "input_size": self.input_size,
@@ -288,14 +286,27 @@ def _write_array(fh, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _read(fh, n: int) -> bytes:
+    """Read ``n`` bytes, or raise DataError if fewer are left in the file.
+
+    Every length read from a file goes through here, so a damaged length
+    field is reported before it can ask for a huge buffer.
+    """
+    pos = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - pos
+    if n > left:
+        raise DataError(f"{fh.name}: corrupt file ({n} bytes needed at "
+                        f"offset {pos}, {left} left)")
+    return fh.read(n)
+
+
 def _read_array(fh) -> tuple[str, np.ndarray]:
-    (nlen,) = struct.unpack("<I", fh.read(4))
-    name = fh.read(nlen).decode("utf-8")
-    (ndim,) = struct.unpack("<I", fh.read(4))
-    shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if ndim else ()
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
-    return name, data.astype(np.float64)
+    (nlen,) = struct.unpack("<I", _read(fh, 4))
+    name = _read(fh, nlen).decode("utf-8")
+    (ndim,) = struct.unpack("<I", _read(fh, 4))
+    shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim))
+    data = np.frombuffer(_read(fh, 8 * math.prod(shape)), dtype="<f8")
+    return name, data.reshape(shape).astype(np.float64)
 
 
 def save_checkpoint(path, model: Model, extra: Optional[dict] = None) -> None:
@@ -325,7 +336,7 @@ def _reading(path, magic: bytes, kind: str):
         with open(path, "rb") as fh:
             if fh.read(len(magic)) != magic:
                 raise DataError(f"{path}: not a {kind} file")
-            (version,) = struct.unpack("<I", fh.read(4))
+            (version,) = struct.unpack("<I", _read(fh, 4))
             if version != CHECKPOINT_VERSION:
                 raise DataError(f"{path}: unsupported {kind} version {version}")
             yield fh
@@ -337,9 +348,9 @@ def _reading(path, magic: bytes, kind: str):
 
 def load_checkpoint(path) -> tuple[Model, dict]:
     with _reading(path, MAGIC, "checkpoint") as fh:
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
+        (hlen,) = struct.unpack("<I", _read(fh, 4))
+        header = json.loads(_read(fh, hlen).decode("utf-8"))
+        (count,) = struct.unpack("<I", _read(fh, 4))
         params = dict(_read_array(fh) for _ in range(count))
         config = ModelConfig.from_dict(header["config"])
     return Model(config, params), header
@@ -359,7 +370,7 @@ def save_train_state(path, epoch_next: int, optimizer: SgdOptimizer) -> None:
 
 def load_train_state(path) -> tuple[int, dict[str, np.ndarray]]:
     with _reading(path, b"ICASCOPT", "training-state") as fh:
-        (epoch_next,) = struct.unpack("<I", fh.read(4))
-        (count,) = struct.unpack("<I", fh.read(4))
+        (epoch_next,) = struct.unpack("<I", _read(fh, 4))
+        (count,) = struct.unpack("<I", _read(fh, 4))
         vel = dict(_read_array(fh) for _ in range(count))
     return epoch_next, vel

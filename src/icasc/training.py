@@ -15,9 +15,9 @@ from . import data as dio
 from .autodiff import Tape
 from .losses import IcascConfig, icasc_objective
 from .metrics import predict, topk_accuracy
-from .nn import (Model, ModelConfig, SgdOptimizer, cross_entropy, lr_schedule,
-                 load_checkpoint, load_train_state, multilabel_soft_margin,
-                 save_checkpoint, save_train_state)
+from .nn import (ConfigError, Model, ModelConfig, SgdOptimizer, cross_entropy,
+                 load_checkpoint, load_train_state, lr_schedule,
+                 multilabel_soft_margin, save_checkpoint, save_train_state)
 
 LOG_COLUMNS = ("epoch", "lr", "l_c", "l_as_in", "l_as_la", "l_ac", "total",
                "train_acc", "test_acc", "skip_rate")
@@ -42,6 +42,12 @@ class TrainConfig:
     flip: bool = False
     resume: bool = False
     icasc: IcascConfig = field(default_factory=IcascConfig)
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def to_kv(self) -> str:
         lines = [

@@ -71,24 +71,13 @@ def test_mean_2x2():
     assert ad.reduce_mean(Tensor([[1.0, -1.0], [1.0, 1.0]])).item() == 0.5
 
 
-def test_max_first_index_tie():
-    tape = Tape()
-    x = leaf(tape, [3.0, 3.0, 1.0])
-    out = ad.reduce_max(x)
-    assert out.item() == 3.0
-    node = tape.nodes[out.node]
-    assert node.meta["argmax"].tolist() == [0]
-    g = backward(out, [x])[x.node]
-    assert np.array_equal(g.data, [1.0, 0.0, 0.0])
-
-
 def test_empty_reduction_extent():
     with pytest.raises(ShapeError):
         ad.reduce_sum(Tensor(np.zeros((2, 0))), (1,))
 
 
 # --------------------------------------------------------------------------
-# conv / pool / matmul / upsample
+# conv / pool / matmul / bilinear resize
 # --------------------------------------------------------------------------
 
 
@@ -176,25 +165,20 @@ def test_matmul_gap_vs_loop_oracles():
 
 
 def test_upsample_constant():
-    out = ad.bilinear_upsample(Tensor(np.full((2, 2), 3.5)), 5, 7)
-    assert np.allclose(out.data, 3.5, atol=1e-15)
+    out = ad.bilinear_resize_array(np.full((2, 2), 3.5), 5, 7)
+    assert np.allclose(out, 3.5, atol=1e-15)
 
 
 def test_upsample_align_corners_midpoint():
-    out = ad.bilinear_upsample(Tensor([[1.0, 3.0]]), 1, 3)
-    assert np.array_equal(out.data, [[1.0, 2.0, 3.0]])
+    out = ad.bilinear_resize_array(np.array([[1.0, 3.0]]), 1, 3)
+    assert np.array_equal(out, [[1.0, 2.0, 3.0]])
 
 
 def test_upsample_vs_formula_oracle():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 2))
-    out = ad.bilinear_upsample(Tensor(x), 4, 4)
-    assert np.max(np.abs(out.data - oracles.bilinear_formula(x, 4, 4))) < 1e-12
-
-
-def test_upsample_rejects_downscale():
-    with pytest.raises(ShapeError):
-        ad.bilinear_upsample(Tensor(np.zeros((4, 4))), 2, 4)
+    out = ad.bilinear_resize_array(x, 4, 4)
+    assert np.max(np.abs(out - oracles.bilinear_formula(x, 4, 4))) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -297,13 +281,18 @@ def test_mixed_tapes_rejected():
 # --------------------------------------------------------------------------
 
 
+# bilinear 2x2 -> 4x4 upsampling as a matrix: row i is the resized basis image e_i
+_UPSAMPLE_2_TO_4 = ad.bilinear_resize_array(np.eye(4).reshape(4, 2, 2), 4, 4).reshape(4, 16)
+
+
 def _composite(tape, x):
     """A scalar function touching every differentiable op family."""
     a = ad.reshape(x, (1, 1, 4, 4))
     c = ad.conv2d(a, Tensor(np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3) / 9.0),
                   padding=1)
     p = ad.maxpool2d(ad.relu(c))
-    u = ad.bilinear_upsample(ad.reshape(p, (2, 2)), 4, 4)
+    up = ad.matmul(ad.reshape(p, (1, 4)), Tensor(_UPSAMPLE_2_TO_4))
+    u = ad.reshape(up, (4, 4))
     m = ad.minimum(u, ad.sigmoid(ad.reshape(x, (4, 4))))
     flat = ad.reshape(m, (1, 16))
     h = ad.matmul(flat, Tensor(np.linspace(-1, 1, 32).reshape(16, 2)))

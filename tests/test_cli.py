@@ -1,4 +1,5 @@
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from icasc import cli
 from icasc import data as dio
 from icasc.nn import Model, ModelConfig, load_checkpoint, save_checkpoint
+from icasc.training import TrainConfig
 
 
 def digest(path: Path) -> str:
@@ -132,6 +134,24 @@ def test_train_missing_data_is_data_error(tmp_path, capsys):
              str(tmp_path / "o"))
     assert rc == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_train_defaults_come_from_train_config(dataset, tmp_path):
+    out = tmp_path / "defaults"
+    assert run("train", "--data", str(dataset / "train"), "--out", str(out)) == 0
+    expected = TrainConfig(data_dir=str(dataset / "train"), out_dir=str(out))
+    assert (out / "run_config.txt").read_text(encoding="utf-8") == expected.to_kv()
+
+
+@pytest.mark.parametrize("flag", ["--epochs", "--batch-size"])
+def test_nonpositive_training_size_is_usage_error(dataset, tmp_path, capsys,
+                                                  flag):
+    rc = run("train", "--data", str(dataset / "train"), "--out",
+             str(tmp_path / "o"), flag, "0")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err
+    assert flag[2:].replace("-", "_") in err
 
 
 def test_config_file_mechanism_and_flag_precedence(dataset, tmp_path):
@@ -290,6 +310,47 @@ def test_truncated_train_state_is_data_error(dataset, tmp_path, capsys):
     assert run("train", *common, "--epochs", "1") == 0
     state = tmp_path / "r" / "train_state.bin"
     state.write_bytes(state.read_bytes()[:-5])
+    assert run("train", *common, "--epochs", "2", "--resume") == 2
+    assert "train_state.bin" in capsys.readouterr().err
+
+
+def array_fields(blob, start: int) -> dict:
+    """(offset, format) of the length fields of the array stored at ``start``."""
+    (nlen,) = struct.unpack_from("<I", blob, start)
+    return {"name_length": (start, "<I"), "ndim": (start + 4 + nlen, "<I"),
+            "dimension": (start + 8 + nlen, "<Q")}
+
+
+def set_huge(blob: bytes, offset: int, fmt: str) -> bytes:
+    out = bytearray(blob)
+    struct.pack_into(fmt, out, offset, 2**62 if fmt == "<Q" else 2**32 - 1)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("field", ["header_length", "name_length", "ndim",
+                                   "dimension"])
+def test_huge_checkpoint_length_field_is_data_error(trained, dataset, tmp_path,
+                                                    capsys, field):
+    blob = trained.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 12)
+    fields = {"header_length": (12, "<I"), **array_fields(blob, 20 + hlen)}
+    ckpt = tmp_path / f"huge_{field}.ckpt"
+    ckpt.write_bytes(set_huge(blob, *fields[field]))
+    rc = run("eval", "--checkpoint", str(ckpt), "--data",
+             str(dataset / "test"), "--out", str(tmp_path / "e"))
+    assert rc == 2
+    assert ckpt.name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["name_length", "ndim", "dimension"])
+def test_huge_train_state_length_field_is_data_error(dataset, tmp_path, capsys,
+                                                     field):
+    common = ["--data", str(dataset / "train"), "--batch-size", "8",
+              "--channels", "4,8", "--baseline", "--out", str(tmp_path / "r")]
+    assert run("train", *common, "--epochs", "1") == 0
+    state = tmp_path / "r" / "train_state.bin"
+    blob = state.read_bytes()
+    state.write_bytes(set_huge(blob, *array_fields(blob, 20)[field]))
     assert run("train", *common, "--epochs", "2", "--resume") == 2
     assert "train_state.bin" in capsys.readouterr().err
 
