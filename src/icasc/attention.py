@@ -10,13 +10,13 @@ class score with respect to F:
   count.  Ignoring negative gradient pixels is what keeps the map stable
   across layers.
 
-Both are built from differentiable ops, so with ``create_graph`` gradients
-the maps can sit inside a training objective (double backpropagation).
+Each map is an (N, H, W) :class:`Tensor`, one non-negative plane per
+sample.  Both are built from differentiable ops, so with ``create_graph``
+gradients the maps can sit inside a training objective (double
+backpropagation).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,23 +26,6 @@ from .nn import ForwardRecord, one_hot
 
 MECHANISMS = ("grad-cam", "a-ch")
 LAYERS = ("inner", "last")
-
-
-@dataclass
-class AttentionMap:
-    """Batched per-sample 2-D attention, one class id per sample."""
-
-    values: Tensor                 # (N, H, W), non-negative
-    class_ids: np.ndarray          # (N,)
-    layer: str                     # "inner" | "last"
-    mechanism: str                 # "grad-cam" | "a-ch"
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def detached(self) -> np.ndarray:
-        return self.values.data
 
 
 def class_gradients(record: ForwardRecord, selector, layers,
@@ -73,47 +56,41 @@ def _check_pair(features: Tensor, gradients: Tensor):
                             f"{gradients.shape} must both be (N, C, H, W)")
 
 
-def grad_cam(features: Tensor, gradients: Tensor, class_ids=None,
-             layer: str = "last") -> AttentionMap:
+def grad_cam(features: Tensor, gradients: Tensor) -> Tensor:
     """ReLU(sum_k alpha_k F_k) with alpha_k the spatial mean of G_k."""
     _check_pair(features, gradients)
-    n, c, h, w = features.shape
     alpha = ad.reduce_mean(gradients, (2, 3))                     # (N, C)
     weighted = ad.mul(ad.broadcast_axes(alpha, features.shape, (2, 3)), features)
-    values = ad.relu(ad.reduce_sum(weighted, (1,)))               # (N, H, W)
-    ids = np.asarray(class_ids) if class_ids is not None else np.full(n, -1)
-    return AttentionMap(values, ids, layer, "grad-cam")
+    return ad.relu(ad.reduce_sum(weighted, (1,)))                 # (N, H, W)
 
 
-def a_ch(features: Tensor, gradients: Tensor, class_ids=None,
-         layer: str = "last") -> AttentionMap:
+def a_ch(features: Tensor, gradients: Tensor) -> Tensor:
     """Channel-weighted attention: weights are sums of positive gradients.
 
     The 1/Z pixel-count factor is applied outside the ReLU, matching the
     definition; since 1/Z > 0 the two placements agree.
     """
     _check_pair(features, gradients)
-    n, c, h, w = features.shape
+    h, w = features.shape[2:]
     pos = ad.reduce_sum(ad.relu(gradients), (2, 3))               # (N, C)
     weighted = ad.mul(ad.broadcast_axes(pos, features.shape, (2, 3)), features)
     pre = ad.reduce_sum(weighted, (1,))                           # (N, H, W)
-    values = ad.scale(ad.relu(pre), 1.0 / (h * w))
-    ids = np.asarray(class_ids) if class_ids is not None else np.full(n, -1)
-    return AttentionMap(values, ids, layer, "a-ch")
+    return ad.scale(ad.relu(pre), 1.0 / (h * w))
 
 
-def compute_attention(mechanism: str, features: Tensor, gradients: Tensor,
-                      class_ids=None, layer: str = "last") -> AttentionMap:
+def compute_attention(mechanism: str, features: Tensor,
+                      gradients: Tensor) -> Tensor:
+    """The (N, H, W) map of ``mechanism`` for features and their gradients."""
     if mechanism == "grad-cam":
-        return grad_cam(features, gradients, class_ids, layer)
+        return grad_cam(features, gradients)
     if mechanism == "a-ch":
-        return a_ch(features, gradients, class_ids, layer)
+        return a_ch(features, gradients)
     raise ValueError(f"unknown attention mechanism '{mechanism}' "
                      f"(expected one of {MECHANISMS})")
 
 
 def class_attention(record: ForwardRecord, selector, mechanism: str,
-                    create_graph: bool) -> dict[str, AttentionMap]:
+                    create_graph: bool) -> dict[str, Tensor]:
     """Attention maps of the selected classes at both tracked layers.
 
     With ``create_graph`` the maps stay on the tape, so a loss built from
@@ -121,12 +98,9 @@ def class_attention(record: ForwardRecord, selector, mechanism: str,
     maps are plain values.
     """
     grads = class_gradients(record, selector, LAYERS, create_graph)
-    hot = np.asarray(selector)
-    ids = hot if hot.ndim == 1 else np.argmax(hot, axis=1)
     maps = {}
     for layer in LAYERS:
         feats = record.feats[layer]
         maps[layer] = compute_attention(
-            mechanism, feats if create_graph else feats.detach(),
-            grads[layer], ids, layer)
+            mechanism, feats if create_graph else feats.detach(), grads[layer])
     return maps

@@ -17,7 +17,6 @@ flat index.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -97,10 +96,6 @@ class TapeNode:
     value: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    @property
-    def parents(self) -> tuple[int, ...]:
-        return tuple(h for h, _ in self.inputs if h is not None)
-
 
 class Tape:
     """Append-only record of operations; single-writer.
@@ -111,7 +106,6 @@ class Tape:
 
     def __init__(self) -> None:
         self.nodes: list[TapeNode] = []
-        self._recording = True
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -131,16 +125,6 @@ class Tape:
         arr = _as_array(data)
         handle = self._record("constant", (), arr)
         return Tensor(arr, self, handle, _own=True)
-
-    @contextmanager
-    def paused(self):
-        """Suspend recording; ops executed inside yield constant tensors."""
-        prev = self._recording
-        self._recording = False
-        try:
-            yield self
-        finally:
-            self._recording = prev
 
     def kink_signature(self) -> str:
         """Hash of every routing decision recorded on the tape.
@@ -227,10 +211,10 @@ def _tape_of(*tensors: Tensor) -> Optional[Tape]:
 
 
 def _emit(kind: str, inputs: Sequence[Tensor], value: np.ndarray, meta=None) -> Tensor:
-    """Produce the op result, recording a node when recording applies."""
+    """Produce the op result, recording a node when an operand is on a tape."""
     value = _as_array(value)
     tape = _tape_of(*inputs)
-    if tape is None or not tape._recording:
+    if tape is None:
         return Tensor(value, None, None, _own=True)
     pairs = tuple(
         (t.node if (t.tape is tape and t.node is not None) else None, t.data)
@@ -803,17 +787,6 @@ def bilinear_resize_array(x: np.ndarray, oh: int, ow: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _ancestors(tape: Tape, root: int) -> set[int]:
-    seen = {root}
-    stack = [root]
-    while stack:
-        for p in tape.nodes[stack.pop()].parents:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
-
-
 def backward(root: Tensor, wrt: Iterable[Tensor],
              create_graph: bool = False) -> dict[int, Tensor]:
     """Gradients of a scalar ``root`` with respect to tensors on its tape.
@@ -822,6 +795,8 @@ def backward(root: Tensor, wrt: Iterable[Tensor],
     value.  Handles unreachable from ``root`` get zero gradients.  With
     ``create_graph=True`` the returned gradients are tape-live nodes and a
     further backward through them yields higher-order derivatives.
+    Without it the rules run on untaped operands, so, as for any op whose
+    operands are off the tape, nothing is recorded.
     """
     if root.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
@@ -835,43 +810,34 @@ def backward(root: Tensor, wrt: Iterable[Tensor],
             raise AutodiffError("wrt tensor is not on the root's tape")
         handles.append(w.node)
 
-    reach = _ancestors(tape, root.node)
+    def operand(data, handle):
+        if create_graph and handle is not None:
+            return Tensor(data, tape, handle, _own=True)
+        return Tensor(data, _own=True)
 
-    def run():
-        seed_arr = np.ones_like(root.data)
-        seed = tape.constant_node(seed_arr) if create_graph else Tensor(seed_arr)
-        adjoints: dict[int, Tensor] = {root.node: seed}
-        for h in range(root.node, -1, -1):
-            if h not in adjoints or h not in reach:
+    def constant(arr):
+        return tape.constant_node(arr) if create_graph else Tensor(arr)
+
+    # only ancestors of the root ever receive an adjoint
+    adjoints: dict[int, Tensor] = {root.node: constant(np.ones_like(root.data))}
+    for h in range(root.node, -1, -1):
+        if h not in adjoints:
+            continue
+        node = tape.nodes[h]
+        if node.kind in ("leaf", "constant"):
+            continue
+        rule = _RULES.get(node.kind)
+        if rule is None:
+            raise UnsupportedOpError(f"op '{node.kind}' has no derivative rule")
+        inputs = [operand(data, hin) for hin, data in node.inputs]
+        grads = rule(node, adjoints[h], inputs, operand(node.value, h))
+        for (hin, _), g in zip(node.inputs, grads):
+            if hin is None or g is None:
                 continue
-            node = tape.nodes[h]
-            if node.kind in ("leaf", "constant"):
-                continue
-            rule = _RULES.get(node.kind)
-            if rule is None:
-                raise UnsupportedOpError(f"op '{node.kind}' has no derivative rule")
-            inputs = [Tensor(data, tape, hin, _own=True) if hin is not None
-                      else Tensor(data, _own=True)
-                      for hin, data in node.inputs]
-            out_t = Tensor(node.value, tape, h, _own=True)
-            grads = rule(node, adjoints[h], inputs, out_t)
-            for (hin, _), g in zip(node.inputs, grads):
-                if hin is None or g is None:
-                    continue
-                if hin in adjoints:
-                    adjoints[hin] = add(adjoints[hin], g)
-                else:
-                    adjoints[hin] = g
-        result = {}
-        for h in handles:
-            if h in adjoints and h in reach:
-                result[h] = adjoints[h]
+            if hin in adjoints:
+                adjoints[hin] = add(adjoints[hin], g)
             else:
-                zero = np.zeros_like(tape.nodes[h].value)
-                result[h] = tape.constant_node(zero) if create_graph else Tensor(zero)
-        return result
-
-    if create_graph:
-        return run()
-    with tape.paused():
-        return run()
+                adjoints[hin] = g
+    return {h: adjoints[h] if h in adjoints
+            else constant(np.zeros_like(tape.nodes[h].value))
+            for h in handles}

@@ -89,8 +89,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--samples", default=None,
                    help="comma-separated sample ids (default: first 4)")
-    p.add_argument("--classes", type=int, default=5,
-                   help="top-K predicted classes per sample")
+    p.add_argument("--classes", type=int, default=None,
+                   help="top-K predicted classes per sample "
+                        "(default: min(5, class count))")
     p.add_argument("--color", action="store_true", help="write PPM heatmaps")
 
     p = sub.add_parser("ks", help="KS separation chart on a dataset")
@@ -162,6 +163,7 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     probs, labels = mx.predict(model, dataset, multi)
+    echo = f"checkpoint = {args.checkpoint}\ndata = {args.data}\n"
 
     rows: list[tuple[str, str, float]] = []
     if multi:
@@ -179,17 +181,19 @@ def cmd_eval(args) -> int:
         if k > 1:
             rows.append((f"top{k}_accuracy", "all",
                          mx.topk_accuracy(probs, labels, k)))
+        echo += f"topk = {k}\n"
 
     if args.attention:
-        report = mx.attention_overlap_report(model, dataset,
-                                             _resolved_icasc(args))
+        icasc = _resolved_icasc(args)
+        report = mx.attention_overlap_report(model, dataset, icasc)
         mx.write_overlap_csv(out / "attention_overlap.csv", report)
+        echo += icasc.to_text()
         rows.append(("mean_l_as_last", "all", report.mean_l_as_last))
         rows.append(("mean_l_ac", "all", report.mean_l_ac))
         rows.append(("attention_skip_rate", "all", report.skip_rate))
 
     mx.write_metrics_csv(out / "metrics.csv", rows)
-    _echo(out, f"checkpoint = {args.checkpoint}\ndata = {args.data}\n")
+    _echo(out, echo)
     for metric, cls, value in rows:
         print(f"{metric}[{cls}] = {value:.6f}")
     return 0
@@ -197,10 +201,12 @@ def cmd_eval(args) -> int:
 
 def cmd_attend(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    if args.classes > model.config.n_classes:
-        raise UsageError(f"--classes {args.classes} exceeds the model's "
-                         f"{model.config.n_classes} classes")
-    dataset = dio.load_dataset(args.data, n_classes=model.config.n_classes)
+    n_classes = model.config.n_classes
+    k = min(5, n_classes) if args.classes is None else args.classes
+    if k > n_classes:
+        raise UsageError(f"--classes {k} exceeds the model's "
+                         f"{n_classes} classes")
+    dataset = dio.load_dataset(args.data, n_classes=n_classes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -220,17 +226,17 @@ def cmd_attend(args) -> int:
         images = sample.image[None]
         tape = Tape()
         record = model.forward(images, tape=tape)
-        top = np.argsort(-record.probabilities[0], kind="stable")[:args.classes]
+        top = np.argsort(-record.probabilities[0], kind="stable")[:k]
         for class_id in top:
             # one backward serves both mechanisms
             grads = class_gradients(record, [class_id], LAYERS)
             for layer in LAYERS:
                 for mech in MECHANISMS:
                     amap = compute_attention(mech, record.feats[layer].detach(),
-                                             grads[layer], [class_id], layer)
+                                             grads[layer])
                     ext = "ppm" if args.color else "pgm"
                     fname = f"{sid}_c{class_id}_{layer}_{mech}.{ext}"
-                    mx.export_heatmap(amap.detached()[0], (size, size),
+                    mx.export_heatmap(amap.data[0], (size, size),
                                       out / fname, color=args.color)
                     manifest.append((sid, int(class_id), layer, mech, fname,
                                      float(record.probabilities[0, class_id])))
@@ -240,6 +246,9 @@ def cmd_attend(args) -> int:
                          "probability"])
         for row in manifest:
             writer.writerow(row)
+    _echo(out, f"checkpoint = {args.checkpoint}\ndata = {args.data}\n"
+               f"samples = {','.join(wanted)}\nclasses = {k}\n"
+               f"color = {'true' if args.color else 'false'}\n")
     print(f"wrote {len(manifest)} heatmaps to {out}")
     return 0
 

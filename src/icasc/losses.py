@@ -1,7 +1,8 @@
 """Attention separation / consistency objective.
 
 Per sample the objective adds three attention terms to the classification
-loss:
+loss.  Attention maps are (N, H, W) tensors from :mod:`icasc.attention`;
+region masks are plain (N, H, W) arrays.
 
 * a soft region mask from the last-layer ground-truth attention:
   ``mask = sigmoid(omega * (A - sigma))`` with ``sigma = sigma_factor * max(A)``
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .attention import AttentionMap, MECHANISMS, class_attention
+from .attention import MECHANISMS, class_attention
 from .nn import (ForwardRecord, NumericalError, cross_entropy,
                  multilabel_soft_margin, one_hot)
 
@@ -61,10 +62,6 @@ class IcascConfig:
                    "skip_threshold", "weight_lc", "weight_as_inner",
                    "weight_as_last", "weight_ac")
 
-    @staticmethod
-    def from_file(path) -> "IcascConfig":
-        return IcascConfig(**parse_kv_file(path))
-
     def to_text(self) -> str:
         lines = [f"mechanism = {self.mechanism}"]
         for key in self._FLOAT_KEYS:
@@ -93,16 +90,6 @@ def parse_kv_file(path) -> dict:
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
     return kv
-
-
-@dataclass
-class RegionMask:
-    """Detached soft mask thresholded from last-layer target attention."""
-
-    values: np.ndarray             # (N, H, W), sigmoid outputs
-    degenerate: np.ndarray         # (N,) bool, True when source max == 0
-    resolution: str                # "last" | "inner"
-    source_mass: np.ndarray        # (N,) total mass of the source attention
 
 
 @dataclass
@@ -172,32 +159,20 @@ def confusing_class(probabilities: np.ndarray, labels) -> np.ndarray:
     return np.argmax(masked, axis=1)   # first max = lowest class id
 
 
-def mask_from_values(values: np.ndarray, config: IcascConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the sigmoid threshold per sample; returns (mask, degenerate)."""
-    peak = values.max(axis=(1, 2))
-    sigma = config.sigma_factor * peak
-    z = config.omega * (values - sigma[:, None, None])
-    return ad.sigmoid_array(z), peak <= 0.0
-
-
-def region_mask(target_attention: AttentionMap, config: IcascConfig,
-                at_hw: Optional[tuple[int, int]] = None) -> RegionMask:
-    """Detached region mask from last-layer target attention.
+def region_mask(attention: np.ndarray, config: IcascConfig,
+                at_hw: Optional[tuple[int, int]] = None) -> np.ndarray:
+    """Detached (N, H, W) soft region mask from last-layer target attention.
 
     With ``at_hw`` the attention is first bilinearly upsampled to that
     resolution and the threshold applied there, which preserves the sigmoid
     sharpness at the higher resolution.
     """
-    values = target_attention.detached()
-    if np.any(values < 0):
+    if np.any(attention < 0):
         raise ValueError("attention map must be non-negative")
-    mass = values.sum(axis=(1, 2))
-    resolution = "last"
-    if at_hw is not None and tuple(at_hw) != values.shape[1:]:
-        values = ad.bilinear_resize_array(values, at_hw[0], at_hw[1])
-        resolution = "inner"
-    mask, degenerate = mask_from_values(values, config)
-    return RegionMask(mask, degenerate, resolution, mass)
+    if at_hw is not None and tuple(at_hw) != attention.shape[1:]:
+        attention = ad.bilinear_resize_array(attention, at_hw[0], at_hw[1])
+    sigma = config.sigma_factor * attention.max(axis=(1, 2))
+    return ad.sigmoid_array(config.omega * (attention - sigma[:, None, None]))
 
 
 def separation_per_sample(target: Tensor, confusing: Tensor,
@@ -226,7 +201,7 @@ def consistency_per_sample(inner_target: Tensor, mask: np.ndarray,
     return ad.relu(out) if clamp else out
 
 
-def per_sample_terms(a_tgt: dict[str, AttentionMap], a_conf: dict[str, AttentionMap],
+def per_sample_terms(a_tgt: dict[str, Tensor], a_conf: dict[str, Tensor],
                      active: np.ndarray, config: IcascConfig,
                      round_context: Optional[RoundContext] = None
                      ) -> tuple[Tensor, Tensor, Tensor, RoundContext]:
@@ -240,17 +215,16 @@ def per_sample_terms(a_tgt: dict[str, AttentionMap], a_conf: dict[str, Attention
     """
     rc = round_context
     if rc is None:
-        mask_last = region_mask(a_tgt["last"], config)
-        mask_inner = region_mask(a_tgt["last"], config,
-                                 at_hw=a_tgt["inner"].shape[1:])
-        keep = (active & (mask_last.source_mass >=
-                          config.skip_threshold)).astype(np.float64)
-        rc = RoundContext(mask_last.values, mask_inner.values, keep)
-    las_la = separation_per_sample(a_tgt["last"].values, a_conf["last"].values,
+        last = a_tgt["last"].data
+        keep = active & (last.sum(axis=(1, 2)) >= config.skip_threshold)
+        rc = RoundContext(region_mask(last, config),
+                          region_mask(last, config, at_hw=a_tgt["inner"].shape[1:]),
+                          keep.astype(np.float64))
+    las_la = separation_per_sample(a_tgt["last"], a_conf["last"],
                                    rc.mask_last, config.epsilon)
-    las_in = separation_per_sample(a_tgt["inner"].values, a_conf["inner"].values,
+    las_in = separation_per_sample(a_tgt["inner"], a_conf["inner"],
                                    rc.mask_inner, config.epsilon)
-    lac = consistency_per_sample(a_tgt["inner"].values, rc.mask_inner,
+    lac = consistency_per_sample(a_tgt["inner"], rc.mask_inner,
                                  config.theta, config.epsilon, config.clamp_lac)
     return las_la, las_in, lac, rc
 

@@ -353,6 +353,17 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         (count,) = struct.unpack("<I", _read(fh, 4))
         params = dict(_read_array(fh) for _ in range(count))
         config = ModelConfig.from_dict(header["config"])
+    expected = Model.build(config, 0).params
+    for name, want in expected.items():
+        have = params.get(name)
+        if have is None or have.shape != want.shape:
+            found = "missing" if have is None else f"of shape {have.shape}"
+            raise DataError(f"{path}: parameter '{name}' is {found}, the "
+                            f"stored config needs shape {want.shape}")
+    extra = sorted(params.keys() - expected.keys())
+    if extra:
+        raise DataError(f"{path}: parameter '{extra[0]}' is not in the "
+                        "stored config's model")
     return Model(config, params), header
 
 

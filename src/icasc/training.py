@@ -4,7 +4,7 @@ checkpoints, and bit-exact resume."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 

@@ -71,22 +71,22 @@ def test_grad_cam_hand_example():
     f = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
     g = np.array([[[[1.0, -1.0], [1.0, 1.0]]]])
     amap = grad_cam(Tensor(f), Tensor(g))
-    assert np.allclose(amap.values.data[0], [[0.5, 1.0], [1.5, 2.0]])
+    assert np.allclose(amap.data[0], [[0.5, 1.0], [1.5, 2.0]])
 
 
 def test_grad_cam_all_negative_gradients():
     f = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
     g = -np.ones((1, 1, 2, 2))
     amap = grad_cam(Tensor(f), Tensor(g))
-    assert np.array_equal(amap.values.data, np.zeros((1, 2, 2)))
+    assert np.array_equal(amap.data, np.zeros((1, 2, 2)))
 
 
 def test_grad_cam_linear_in_gradients():
     rng = np.random.default_rng(4)
     f = np.abs(rng.random((1, 3, 4, 4)))
     g = np.abs(rng.random((1, 3, 4, 4)))  # positive so ReLU stays inactive
-    m1 = grad_cam(Tensor(f), Tensor(g)).values.data
-    m2 = grad_cam(Tensor(f), Tensor(3.0 * g)).values.data
+    m1 = grad_cam(Tensor(f), Tensor(g)).data
+    m2 = grad_cam(Tensor(f), Tensor(3.0 * g)).data
     assert np.allclose(m2, 3.0 * m1, atol=1e-12)
 
 
@@ -99,21 +99,21 @@ def test_a_ch_hand_example():
     f = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
     g = np.array([[[[1.0, -1.0], [1.0, 1.0]]]])
     amap = a_ch(Tensor(f), Tensor(g))
-    assert np.allclose(amap.values.data[0], [[0.75, 1.5], [2.25, 3.0]])
+    assert np.allclose(amap.data[0], [[0.75, 1.5], [2.25, 3.0]])
 
 
 def test_a_ch_all_negative_gradients_zero_map():
     f = np.random.default_rng(5).random((1, 2, 3, 3))
     g = -np.abs(np.random.default_rng(6).random((1, 2, 3, 3)))
     amap = a_ch(Tensor(f), Tensor(g))
-    assert np.array_equal(amap.values.data, np.zeros((1, 3, 3)))
+    assert np.array_equal(amap.data, np.zeros((1, 3, 3)))
 
 
 def test_a_ch_nonneg_features_weighted_sum_exact():
     rng = np.random.default_rng(7)
     f = np.abs(rng.random((2, 3, 4, 4)))
     g = rng.standard_normal((2, 3, 4, 4))
-    amap = a_ch(Tensor(f), Tensor(g)).values.data
+    amap = a_ch(Tensor(f), Tensor(g)).data
     w = np.maximum(g, 0.0).sum(axis=(2, 3))
     direct = (w[:, :, None, None] * f).sum(axis=1) / 16.0
     assert np.allclose(amap, direct, atol=1e-14)
@@ -124,9 +124,9 @@ def test_mechanisms_vs_formula_oracles():
     for _ in range(10):
         f = rng.random((1, 3, 3, 3))
         g = rng.standard_normal((1, 3, 3, 3))
-        assert np.max(np.abs(grad_cam(Tensor(f), Tensor(g)).values.data[0]
+        assert np.max(np.abs(grad_cam(Tensor(f), Tensor(g)).data[0]
                              - oracles.grad_cam_formula(f[0], g[0]))) < 1e-12
-        assert np.max(np.abs(a_ch(Tensor(f), Tensor(g)).values.data[0]
+        assert np.max(np.abs(a_ch(Tensor(f), Tensor(g)).data[0]
                              - oracles.a_ch_formula(f[0], g[0]))) < 1e-12
 
 
@@ -146,8 +146,8 @@ def test_maps_always_non_negative():
     for _ in range(50):
         f = rng.standard_normal((1, 2, 3, 3))
         g = rng.standard_normal((1, 2, 3, 3))
-        assert grad_cam(Tensor(f), Tensor(g)).values.data.min() >= 0.0
-        assert a_ch(Tensor(f), Tensor(g)).values.data.min() >= 0.0
+        assert grad_cam(Tensor(f), Tensor(g)).data.min() >= 0.0
+        assert a_ch(Tensor(f), Tensor(g)).data.min() >= 0.0
 
 
 def test_positive_homogeneity_in_logit():
@@ -162,7 +162,7 @@ def test_positive_homogeneity_in_logit():
         tape = Tape()
         record = m.forward(images, tape=tape)
         g = class_gradients(record, [0], ("last",))["last"]
-        return a_ch(record.feats["last"], g).values.data
+        return a_ch(record.feats["last"], g).data
 
     base = map_for(1.0)
     assert np.allclose(map_for(3.0), 3.0 * base, rtol=1e-12, atol=1e-14)
@@ -172,11 +172,11 @@ def test_a_ch_ignores_negative_gradient_pixels():
     rng = np.random.default_rng(11)
     f = rng.random((1, 3, 4, 4))
     g = rng.standard_normal((1, 3, 4, 4))
-    base = a_ch(Tensor(f), Tensor(g)).values.data
+    base = a_ch(Tensor(f), Tensor(g)).data
     neg = np.flatnonzero(g.ravel() < 0)
     zeroed = g.copy().ravel()
     zeroed[rng.choice(neg, size=len(neg) // 2, replace=False)] = 0.0
-    assert np.array_equal(a_ch(Tensor(f), Tensor(zeroed.reshape(g.shape))).values.data,
+    assert np.array_equal(a_ch(Tensor(f), Tensor(zeroed.reshape(g.shape))).data,
                           base)
 
 
@@ -184,8 +184,8 @@ def test_grad_cam_a_ch_agree_single_channel_positive():
     rng = np.random.default_rng(12)
     f = rng.random((1, 1, 3, 3))
     g = np.abs(rng.random((1, 1, 3, 3)))
-    gc = grad_cam(Tensor(f), Tensor(g)).values.data
-    ac = a_ch(Tensor(f), Tensor(g)).values.data
+    gc = grad_cam(Tensor(f), Tensor(g)).data
+    ac = a_ch(Tensor(f), Tensor(g)).data
     assert np.allclose(gc, ac, atol=1e-14)
 
 
@@ -199,7 +199,7 @@ def test_map_sum_differentiable_wrt_parameters():
         t = Tape()
         r = m.forward(images, tape=t)
         g = class_gradients(r, [0], ("last",), create_graph=True)["last"]
-        s = ad.reduce_sum(a_ch(r.feats["last"], g).values)
+        s = ad.reduce_sum(a_ch(r.feats["last"], g))
         return (s, r, t) if not want_sig else (s.item(), t.kink_signature())
 
     s, record, tape = map_sum(model.params)

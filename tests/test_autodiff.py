@@ -268,6 +268,26 @@ def test_create_graph_gradients_are_tape_nodes():
     assert g.node is not None
 
 
+def test_first_order_backward_appends_no_node():
+    """Without create_graph the rules see untaped operands, so neither a
+    backward over forward ops nor one over recorded rule ops (the second
+    pass of double backprop) grows the tape."""
+    tape = Tape()
+    x = leaf(tape, np.linspace(0.2, 1.7, 16))
+    unreached = leaf(tape, [1.0])
+    y = _composite(tape, x)
+    n = len(tape)
+    grads = backward(y, [x, unreached])
+    assert len(tape) == n
+    assert all(g.tape is None and g.node is None for g in grads.values())
+
+    g = backward(y, [x], create_graph=True)[x.node]
+    z = ad.reduce_sum(ad.mul(g, g))
+    n = len(tape)
+    assert backward(z, [x])[x.node].node is None
+    assert len(tape) == n
+
+
 def test_mixed_tapes_rejected():
     t1, t2 = Tape(), Tape()
     a = t1.leaf(np.array([1.0]))

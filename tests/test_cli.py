@@ -7,6 +7,7 @@ import pytest
 
 from icasc import cli
 from icasc import data as dio
+from icasc.losses import IcascConfig
 from icasc.nn import Model, ModelConfig, load_checkpoint, save_checkpoint
 from icasc.training import TrainConfig
 
@@ -195,6 +196,20 @@ def test_eval_writes_metrics_and_is_deterministic(trained, dataset, tmp_path):
     assert "mean_l_as_last" in text
 
 
+@pytest.mark.parametrize("flags, echoed", [
+    ((), "topk = 3\n"),
+    (("--topk", "2", "--attention", "--mechanism", "grad-cam"),
+     "topk = 2\n" + IcascConfig(mechanism="grad-cam").to_text()),
+], ids=["plain", "attention"])
+def test_eval_echoes_resolved_config(trained, dataset, tmp_path, flags, echoed):
+    out = tmp_path / "e"
+    data = dataset / "test"
+    assert run("eval", "--checkpoint", str(trained), "--data", str(data),
+               "--out", str(out), *flags) == 0
+    assert (out / "resolved_config.txt").read_text() == \
+        f"checkpoint = {trained}\ndata = {data}\n" + echoed
+
+
 def test_eval_topk_exceeding_classes_rejected(trained, dataset, tmp_path):
     rc = run("eval", "--checkpoint", str(trained), "--data",
              str(dataset / "test"), "--out", str(tmp_path / "e"),
@@ -222,6 +237,25 @@ def test_attend_writes_manifest_and_heatmaps(trained, dataset, tmp_path):
     assert len(rows) == 1 + 16
     files = list(out.glob("*.pgm"))
     assert len(files) == 16
+    assert (out / "resolved_config.txt").read_text() == (
+        f"checkpoint = {trained}\ndata = {dataset / 'test'}\n"
+        "samples = c0_0000,c1_0001\nclasses = 2\ncolor = false\n")
+
+
+def test_attend_default_classes_fit_the_model(dataset, tmp_path):
+    cfg = ModelConfig(channels=(4, 8), input_size=16, input_channels=1,
+                      n_classes=4)
+    ckpt = tmp_path / "four.ckpt"
+    save_checkpoint(ckpt, Model.build(cfg, seed=0))
+    out = tmp_path / "maps"
+    assert run("attend", "--checkpoint", str(ckpt), "--data",
+               str(dataset / "test"), "--out", str(out)) == 0
+    rows = (out / "manifest.csv").read_text().strip().splitlines()[1:]
+    samples = {row.split(",")[0] for row in rows}
+    # first 4 samples x 4 classes x 2 layers x 2 mechanisms
+    assert len(samples) == 4
+    assert len(rows) == len(list(out.glob("*.pgm"))) == 4 * 4 * 2 * 2
+    assert "classes = 4\n" in (out / "resolved_config.txt").read_text()
 
 
 def test_attend_unknown_sample_is_data_error(trained, dataset, tmp_path):
@@ -302,6 +336,29 @@ def test_damaged_checkpoint_is_data_error(trained, dataset, tmp_path, capsys,
              str(dataset / "test"), "--out", str(tmp_path / "e"))
     assert rc == 2
     assert f"{damage}.ckpt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage, name", [("wrong_shape", "head.w"),
+                                          ("missing", "head.b"),
+                                          ("extra", "head.extra")])
+def test_checkpoint_params_disagreeing_with_config_is_data_error(
+        dataset, tmp_path, capsys, damage, name):
+    cfg = ModelConfig(channels=(4, 8), input_size=16, input_channels=1,
+                      n_classes=3)
+    model = Model.build(cfg, seed=0)
+    if damage == "wrong_shape":
+        model.params[name] = np.zeros((5, 3))
+    elif damage == "missing":
+        del model.params[name]
+    else:
+        model.params[name] = np.zeros(2)
+    ckpt = tmp_path / f"{damage}.ckpt"
+    save_checkpoint(ckpt, model)
+    rc = run("eval", "--checkpoint", str(ckpt), "--data",
+             str(dataset / "test"), "--out", str(tmp_path / "e"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ckpt.name in err and name in err
 
 
 def test_truncated_train_state_is_data_error(dataset, tmp_path, capsys):

@@ -7,8 +7,9 @@ from icasc import autodiff as ad
 from icasc.autodiff import Tape, Tensor, backward
 from icasc.losses import (IcascConfig, LossBreakdown, confusing_class,
                           consistency_per_sample, icasc_objective,
-                          parse_kv_file, region_mask, separation_per_sample)
-from icasc.attention import AttentionMap, a_ch, grad_cam
+                          parse_kv_file, per_sample_terms, region_mask,
+                          separation_per_sample)
+from icasc.attention import a_ch, grad_cam
 
 import helpers
 import oracles
@@ -17,10 +18,8 @@ import oracles
 DEFAULTS = IcascConfig()
 
 
-def amap(values, layer="last", mechanism="a-ch"):
-    values = np.asarray(values, dtype=np.float64)
-    return AttentionMap(Tensor(values), np.zeros(values.shape[0], dtype=int),
-                        layer, mechanism)
+def amap(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 # --------------------------------------------------------------------------
@@ -50,7 +49,7 @@ def test_config_file_roundtrip(tmp_path):
                       clamp_lac=True, weight_ac=0.5)
     path = tmp_path / "loss.cfg"
     path.write_text(cfg.to_text() + "# trailing comment\n", encoding="utf-8")
-    assert IcascConfig.from_file(path) == cfg
+    assert IcascConfig(**parse_kv_file(path)) == cfg
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -96,25 +95,27 @@ def test_confusing_full_ground_truth_rejected():
 
 def test_mask_midpoint_and_tails():
     m = region_mask(amap([[[0.0, 0.55, 1.0]]]), DEFAULTS)
-    vals = m.values[0, 0]
+    vals = m[0, 0]
     assert vals[1] == pytest.approx(0.5, abs=1e-12)   # at A = sigma
     assert vals[0] < 1e-20                            # sigmoid(-55)
     assert vals[2] > 1 - 1e-15                        # sigmoid(+45)
-    assert not m.degenerate[0]
 
 
 def test_mask_constant_positive_map():
     a = np.full((1, 2, 2), 0.3)
     m = region_mask(amap(a), DEFAULTS)
     expected = 1.0 / (1.0 + np.exp(-DEFAULTS.omega * (0.3 - 0.55 * 0.3)))
-    assert np.allclose(m.values, expected, atol=1e-12)
-    assert len(np.unique(m.values)) == 1
+    assert np.allclose(m, expected, atol=1e-12)
+    assert len(np.unique(m)) == 1
 
 
 def test_mask_degenerate_all_zero():
-    m = region_mask(amap(np.zeros((1, 2, 2))), DEFAULTS)
-    assert m.degenerate[0]
-    assert m.source_mass[0] == 0.0
+    """A sample whose last-layer target map has zero mass is not kept."""
+    last = np.zeros((2, 2, 2))
+    last[1, 0, 0] = 1.0
+    maps = {"last": Tensor(last), "inner": Tensor(np.zeros((2, 4, 4)))}
+    *_, rc = per_sample_terms(maps, maps, np.ones(2, bool), DEFAULTS)
+    assert rc.keep.tolist() == [0.0, 1.0]
 
 
 def test_mask_rejects_negative_attention():
@@ -125,11 +126,10 @@ def test_mask_rejects_negative_attention():
 def test_mask_inner_resolution_upsampled_before_threshold():
     a = np.array([[[0.0, 1.0], [0.0, 0.0]]])
     m = region_mask(amap(a), DEFAULTS, at_hw=(4, 4))
-    assert m.values.shape == (1, 4, 4)
-    assert m.resolution == "inner"
+    assert m.shape == (1, 4, 4)
     up = oracles.bilinear_formula(a[0], 4, 4)
     expected = oracles.mask_formula(up, DEFAULTS.omega, DEFAULTS.sigma_factor)
-    assert np.allclose(m.values[0], expected, atol=1e-12)
+    assert np.allclose(m[0], expected, atol=1e-12)
 
 
 def test_mask_argmax_saturation():
@@ -140,7 +140,7 @@ def test_mask_argmax_saturation():
         m = region_mask(amap(a), DEFAULTS)
         if peak * DEFAULTS.omega * (1 - DEFAULTS.sigma_factor) > 6:
             am = np.unravel_index(np.argmax(a[0]), a[0].shape)
-            assert m.values[0][am] > 0.99
+            assert m[0][am] > 0.99
 
 
 # --------------------------------------------------------------------------
