@@ -9,7 +9,6 @@ its fully resolved configuration into the output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -240,12 +239,9 @@ def cmd_attend(args) -> int:
                                       out / fname, color=args.color)
                     manifest.append((sid, int(class_id), layer, mech, fname,
                                      float(record.probabilities[0, class_id])))
-    with open(out / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "class", "layer", "mechanism", "file",
-                         "probability"])
-        for row in manifest:
-            writer.writerow(row)
+    dio.write_csv(out / "manifest.csv", ("sample_id", "class", "layer",
+                                         "mechanism", "file", "probability"),
+                  manifest)
     _echo(out, f"checkpoint = {args.checkpoint}\ndata = {args.data}\n"
                f"samples = {','.join(wanted)}\nclasses = {k}\n"
                f"color = {'true' if args.color else 'false'}\n")

@@ -15,7 +15,6 @@ has a known correct answer: the discriminative corners.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,6 +96,35 @@ def read_image(path) -> np.ndarray:
     if channels == 1:
         return arr.reshape(1, h, w)
     return arr.reshape(h, w, 3).transpose(2, 0, 1)
+
+
+# --------------------------------------------------------------------------
+# CSV output
+# --------------------------------------------------------------------------
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, rows, comment=None) -> None:
+    """Write a header row and ``rows`` as CSV, preceded by ``# comment``
+    when one is given.
+
+    Every CSV the program writes goes through here, so the cell format is
+    fixed in one place: floats as ``repr`` (an exact round trip), bools as
+    0/1, everything else as ``str``.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 # --------------------------------------------------------------------------
@@ -309,9 +337,6 @@ def generate_synth(spec: SynthSpec, n_per_class: int, out_dir) -> int:
             sid = f"c{class_id}_{index:04d}"
             fname = f"{sid}.pgm"
             write_pgm(root / fname, _render(spec, class_id, index))
-            rows.append((sid, fname, str(class_id)))
-    with open(root / "labels.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "filename", "label"])
-        writer.writerows(rows)
+            rows.append((sid, fname, class_id))
+    write_csv(root / "labels.csv", ("id", "filename", "label"), rows)
     return len(rows)

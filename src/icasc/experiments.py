@@ -3,17 +3,13 @@
 Trains baseline and attention-supervised models from identical seeds on the
 synthetic confusable dataset, then compares test accuracy, mean last-layer
 attention separation, and the exact KS statistic between target-class and
-confusing-class probability distributions.  Also produces the side-by-side
-mechanism comparison (grad-cam vs the channel-weighted mechanism).
+confusing-class probability distributions.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import data as dio
 from . import metrics as mx
@@ -40,21 +36,6 @@ class VariantMetrics:
 class TrendReport:
     mechanism: str
     rows: list[VariantMetrics]
-
-    def per_seed(self, variant: str) -> dict[int, VariantMetrics]:
-        return {r.seed: r for r in self.rows if r.variant == variant}
-
-    def wins(self, key, direction: str) -> int:
-        base = self.per_seed("baseline")
-        ours = self.per_seed("icasc")
-        count = 0
-        for seed in ours:
-            a, b = key(ours[seed]), key(base[seed])
-            count += (a < b) if direction == "lower" else (a > b)
-        return count
-
-    def mean(self, variant: str, key) -> float:
-        return float(np.mean([key(r) for r in self.rows if r.variant == variant]))
 
 
 def make_datasets(work_dir, n_train: int = 200, n_test: int = 100,
@@ -121,25 +102,6 @@ def run_trend(work_dir, mechanism: str = "a-ch", seeds=(0, 1, 2, 3, 4),
 
 
 def write_trend_csv(path, report: TrendReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "variant", "mechanism", "test_accuracy",
-                         "mean_l_as_last", "skip_rate", "ks_exact"])
-        for r in report.rows:
-            writer.writerow([r.seed, r.variant, r.mechanism,
-                             repr(r.test_accuracy), repr(r.mean_l_as_last),
-                             repr(r.skip_rate), repr(r.ks_exact)])
-
-
-def write_side_by_side(path, reports: list[TrendReport]) -> None:
-    """Mechanism comparison table over the shared baseline runs."""
-    lines = ["mechanism comparison (means over seeds)",
-             f"{'variant':<22}{'test_acc':>10}{'l_as_last':>11}{'ks_exact':>10}"]
-    for report in reports:
-        for variant in ("baseline", "icasc"):
-            name = f"{variant}[{report.mechanism}]"
-            lines.append(f"{name:<22}"
-                         f"{report.mean(variant, lambda r: r.test_accuracy):>10.4f}"
-                         f"{report.mean(variant, lambda r: r.mean_l_as_last):>11.4f}"
-                         f"{report.mean(variant, lambda r: r.ks_exact):>10.4f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One row per (seed, variant); the columns are VariantMetrics' fields."""
+    dio.write_csv(path, [f.name for f in fields(VariantMetrics)],
+                  [astuple(r) for r in report.rows])

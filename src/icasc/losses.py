@@ -16,6 +16,10 @@ region masks are plain (N, H, W) arrays.
 Samples whose last-layer target attention carries almost no mass (total
 below ``skip_threshold``) contribute only the classification loss; the
 attention terms average over the remaining samples.
+
+:func:`icasc_objective` returns all four terms in a :class:`LossBreakdown`;
+:func:`classification_objective` is the baseline's objective, the same
+breakdown with zero attention terms, so one training step serves both.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .attention import MECHANISMS, class_attention
-from .nn import (ForwardRecord, NumericalError, cross_entropy,
-                 multilabel_soft_margin, one_hot)
+from .nn import ForwardRecord, NumericalError, classification_loss, one_hot
 
 
 @dataclass(frozen=True)
@@ -266,6 +269,15 @@ def label_rounds(labels: np.ndarray, n_classes: int) -> list[np.ndarray]:
     return rounds
 
 
+def classification_objective(record: ForwardRecord, labels) -> LossBreakdown:
+    """The classification loss alone: zero attention terms, no skipped
+    sample."""
+    l_c = classification_loss(record.logits, labels)
+    value = l_c.item()
+    return LossBreakdown(value, 0.0, 0.0, 0.0, value,
+                         np.zeros(len(labels), dtype=bool), l_c)
+
+
 def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
                     context: Optional[ObjectiveContext] = None) -> LossBreakdown:
     """Classification loss plus the three attention terms.
@@ -282,67 +294,55 @@ def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
     """
     labels = np.asarray(labels)
     n, n_classes = record.logits.shape
-    multi = labels.ndim == 2
-    if multi != record.multi_label:
+    if (labels.ndim == 2) != record.multi_label:
         raise ValueError("label arity does not match the forward record mode")
 
-    if multi:
-        l_c = multilabel_soft_margin(record.logits, labels)
-    else:
-        l_c = cross_entropy(record.logits, labels)
-
+    l_c = classification_loss(record.logits, labels)
     conf = context.conf if context else confusing_class(record.probabilities,
                                                         labels)
     a_conf = class_attention(record, conf, config.mechanism, create_graph=True)
 
-    acc_las_in = None
-    acc_las_la = None
-    acc_lac = None
+    # per-sample (L_AS_last, L_AS_inner, L_AC), summed over the label rounds
+    acc: Optional[list[Tensor]] = None
     counts = np.zeros(n)
     rounds_out: list[RoundContext] = []
 
     for round_no, hot in enumerate(label_rounds(labels, n_classes)):
         a_tgt = class_attention(record, hot, config.mechanism, create_graph=True)
-        las_la, las_in, lac, rc = per_sample_terms(
+        *terms, rc = per_sample_terms(
             a_tgt, a_conf, hot.sum(axis=1) > 0, config,
             context.rounds[round_no] if context else None)
         rounds_out.append(rc)
 
         keep_t = Tensor(rc.keep)
-        las_la = ad.mul(las_la, keep_t)
-        las_in = ad.mul(las_in, keep_t)
-        lac = ad.mul(lac, keep_t)
-        acc_las_la = las_la if acc_las_la is None else ad.add(acc_las_la, las_la)
-        acc_las_in = las_in if acc_las_in is None else ad.add(acc_las_in, las_in)
-        acc_lac = lac if acc_lac is None else ad.add(acc_lac, lac)
+        terms = [ad.mul(term, keep_t) for term in terms]
+        acc = terms if acc is None else [ad.add(a, t) for a, t in zip(acc, terms)]
         counts += rc.keep
 
     skip_flags = counts == 0
     kept = (~skip_flags).astype(np.float64)
-    if acc_las_la is None or not kept.any():
-        t_las_in = t_las_la = t_lac = Tensor(0.0)
+    if acc is None or not kept.any():
+        t_las_la = t_las_in = t_lac = Tensor(0.0)
     else:
         denom = Tensor(np.maximum(counts, 1.0))
-        t_las_la = _masked_mean(ad.div(acc_las_la, denom, eps=0.0), kept)
-        t_las_in = _masked_mean(ad.div(acc_las_in, denom, eps=0.0), kept)
-        t_lac = _masked_mean(ad.div(acc_lac, denom, eps=0.0), kept)
+        t_las_la, t_las_in, t_lac = (
+            _masked_mean(ad.div(a, denom, eps=0.0), kept) for a in acc)
 
-    def weighted(term: Tensor, w: float) -> Tensor:
-        return term if w == 1.0 else ad.scale(term, w)
+    weighted = {"L_C": (l_c, config.weight_lc),
+                "L_AS_inner": (t_las_in, config.weight_as_inner),
+                "L_AS_last": (t_las_la, config.weight_as_last),
+                "L_AC": (t_lac, config.weight_ac)}
+    total = None
+    for term, weight in weighted.values():
+        term = term if weight == 1.0 else ad.scale(term, weight)
+        total = term if total is None else ad.add(total, term)
 
-    total = ad.add(ad.add(ad.add(weighted(l_c, config.weight_lc),
-                                 weighted(t_las_in, config.weight_as_inner)),
-                          weighted(t_las_la, config.weight_as_last)),
-                   weighted(t_lac, config.weight_ac))
-
-    items = {"L_C": l_c.item(), "L_AS_inner": t_las_in.item(),
-             "L_AS_last": t_las_la.item(), "L_AC": t_lac.item(),
-             "total": total.item()}
+    items = {name: term.item() for name, (term, _) in weighted.items()}
+    items["total"] = total.item()
     for name, value in items.items():
         if not np.isfinite(value):
             raise NumericalError(f"non-finite loss term {name}={value} "
                                  f"(all terms: {items})")
 
-    return LossBreakdown(items["L_C"], items["L_AS_inner"], items["L_AS_last"],
-                         items["L_AC"], items["total"], skip_flags, total,
+    return LossBreakdown(*items.values(), skip_flags, total,
                          ObjectiveContext(conf, rounds_out))

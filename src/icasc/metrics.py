@@ -4,7 +4,6 @@ heatmap export."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,12 +179,9 @@ def model_ks_chart(model: Model, dataset: dio.Dataset,
 
 
 def write_ks_csv(path, curve: KsCurve) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "cdf_target", "cdf_conf", "gap"])
-        for row in zip(curve.thresholds, curve.cdf_target,
-                       curve.cdf_confusing, curve.gaps):
-            writer.writerow([repr(float(v)) for v in row])
+    dio.write_csv(path, ("threshold", "cdf_target", "cdf_conf", "gap"),
+                  zip(curve.thresholds, curve.cdf_target, curve.cdf_confusing,
+                      curve.gaps))
 
 
 # --------------------------------------------------------------------------
@@ -246,14 +242,10 @@ def attention_overlap_report(model: Model, dataset: dio.Dataset,
 
 
 def write_overlap_csv(path, report: OverlapReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "l_as_last", "l_ac", "skipped"])
-        for r in report.rows:
-            writer.writerow([r.sample_id, repr(r.l_as_last), repr(r.l_ac),
-                             int(r.skipped)])
-        writer.writerow(["mean", repr(report.mean_l_as_last),
-                         repr(report.mean_l_ac), repr(report.skip_rate)])
+    rows = [(r.sample_id, r.l_as_last, r.l_ac, r.skipped) for r in report.rows]
+    rows.append(("mean", report.mean_l_as_last, report.mean_l_ac,
+                 report.skip_rate))
+    dio.write_csv(path, ("sample_id", "l_as_last", "l_ac", "skipped"), rows)
 
 
 # --------------------------------------------------------------------------
@@ -301,8 +293,5 @@ def export_heatmap(values, target_size: tuple[int, int], out_path,
 
 def write_metrics_csv(path, rows: list[tuple[str, str, float]]) -> None:
     """rows are (metric, class-or-"all", value)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "class", "value"])
-        for metric, cls, value in rows:
-            writer.writerow([metric, cls, repr(float(value))])
+    dio.write_csv(path, ("metric", "class", "value"),
+                  [(metric, cls, float(value)) for metric, cls, value in rows])

@@ -219,6 +219,14 @@ def multilabel_soft_margin(logits: Tensor, targets: np.ndarray) -> Tensor:
     return ad.reduce_mean(ad.add(pos, neg))
 
 
+def classification_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Cross-entropy for class ids (1-D labels), the multi-label soft margin
+    for a binary (N, C) target matrix."""
+    if np.ndim(labels) == 2:
+        return multilabel_soft_margin(logits, labels)
+    return cross_entropy(logits, labels)
+
+
 # --------------------------------------------------------------------------
 # optimizer and schedules
 # --------------------------------------------------------------------------
@@ -325,6 +333,21 @@ def save_checkpoint(path, model: Model, extra: Optional[dict] = None) -> None:
             _write_array(fh, name, arr)
 
 
+def _check_params(path, arrays: dict[str, np.ndarray],
+                  expected: dict[str, np.ndarray]) -> None:
+    """Raise DataError naming the file and the parameter unless ``arrays``
+    holds exactly ``expected``'s parameter names, each with its shape."""
+    for name, want in expected.items():
+        have = arrays.get(name)
+        if have is None or have.shape != want.shape:
+            found = "missing" if have is None else f"of shape {have.shape}"
+            raise DataError(f"{path}: parameter '{name}' is {found}, the "
+                            f"model needs shape {want.shape}")
+    extra = sorted(arrays.keys() - expected.keys())
+    if extra:
+        raise DataError(f"{path}: parameter '{extra[0]}' is not in the model")
+
+
 @contextmanager
 def _reading(path, magic: bytes, kind: str):
     """Open a versioned binary file past its magic and version.
@@ -353,17 +376,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         (count,) = struct.unpack("<I", _read(fh, 4))
         params = dict(_read_array(fh) for _ in range(count))
         config = ModelConfig.from_dict(header["config"])
-    expected = Model.build(config, 0).params
-    for name, want in expected.items():
-        have = params.get(name)
-        if have is None or have.shape != want.shape:
-            found = "missing" if have is None else f"of shape {have.shape}"
-            raise DataError(f"{path}: parameter '{name}' is {found}, the "
-                            f"stored config needs shape {want.shape}")
-    extra = sorted(params.keys() - expected.keys())
-    if extra:
-        raise DataError(f"{path}: parameter '{extra[0]}' is not in the "
-                        "stored config's model")
+    _check_params(path, params, Model.build(config, 0).params)
     return Model(config, params), header
 
 
@@ -379,9 +392,13 @@ def save_train_state(path, epoch_next: int, optimizer: SgdOptimizer) -> None:
             _write_array(fh, name, arr)
 
 
-def load_train_state(path) -> tuple[int, dict[str, np.ndarray]]:
+def load_train_state(path, expected_params: dict[str, np.ndarray]
+                     ) -> tuple[int, dict[str, np.ndarray]]:
+    """Read the state file; its velocities must match ``expected_params``'
+    names and shapes."""
     with _reading(path, b"ICASCOPT", "training-state") as fh:
         (epoch_next,) = struct.unpack("<I", _read(fh, 4))
         (count,) = struct.unpack("<I", _read(fh, 4))
         vel = dict(_read_array(fh) for _ in range(count))
+    _check_params(path, vel, expected_params)
     return epoch_next, vel

@@ -4,7 +4,7 @@ checkpoints, and bit-exact resume."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -13,14 +13,11 @@ import numpy as np
 from . import autodiff as ad
 from . import data as dio
 from .autodiff import Tape
-from .losses import IcascConfig, icasc_objective
+from .losses import IcascConfig, classification_objective, icasc_objective
 from .metrics import predict, topk_accuracy
-from .nn import (ConfigError, Model, ModelConfig, SgdOptimizer, cross_entropy,
+from .nn import (ConfigError, Model, ModelConfig, SgdOptimizer,
                  load_checkpoint, load_train_state, lr_schedule,
-                 multilabel_soft_margin, save_checkpoint, save_train_state)
-
-LOG_COLUMNS = ("epoch", "lr", "l_c", "l_as_in", "l_as_la", "l_ac", "total",
-               "train_acc", "test_acc", "skip_rate")
+                 save_checkpoint, save_train_state)
 
 
 @dataclass(frozen=True)
@@ -72,6 +69,8 @@ class TrainConfig:
 
 @dataclass
 class EpochStats:
+    """One epoch of ``train_log.csv``; the fields, in order, are its columns."""
+
     epoch: int
     lr: float
     l_c: float
@@ -83,10 +82,8 @@ class EpochStats:
     test_acc: float
     skip_rate: float
 
-    def row(self) -> list[str]:
-        return [str(self.epoch)] + [repr(float(v)) for v in
-                (self.lr, self.l_c, self.l_as_in, self.l_as_la, self.l_ac,
-                 self.total, self.train_acc, self.test_acc, self.skip_rate)]
+
+LOG_COLUMNS = tuple(f.name for f in fields(EpochStats))
 
 
 @dataclass
@@ -97,17 +94,17 @@ class TrainResult:
     best_acc: float
 
 
-def _accuracy(probs: np.ndarray, labels: np.ndarray, multi_label: bool) -> float:
-    if multi_label:
-        pred = probs >= 0.5
-        return float(np.mean(pred == labels.astype(bool)))
+def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Top-1 accuracy for class ids; per-class 0.5-threshold accuracy for a
+    binary (N, C) label matrix."""
+    if labels.ndim == 2:
+        return float(np.mean((probs >= 0.5) == labels.astype(bool)))
     return topk_accuracy(probs, labels, 1)
 
 
 def evaluate_accuracy(model: Model, dataset: dio.Dataset, batch_size: int,
                       multi_label: bool) -> float:
-    probs, labels = predict(model, dataset, multi_label, batch_size)
-    return _accuracy(probs, labels, multi_label)
+    return _accuracy(*predict(model, dataset, multi_label, batch_size))
 
 
 def train(cfg: TrainConfig) -> TrainResult:
@@ -133,7 +130,8 @@ def train(cfg: TrainConfig) -> TrainResult:
     log: list[EpochStats] = []
     if cfg.resume:
         model, _ = load_checkpoint(out / "final.ckpt")
-        start_epoch, velocity = load_train_state(out / "train_state.bin")
+        start_epoch, velocity = load_train_state(out / "train_state.bin",
+                                                 model.params)
         optimizer.load_state(velocity)
         log = read_log(out / "train_log.csv")
     else:
@@ -149,46 +147,35 @@ def train(cfg: TrainConfig) -> TrainResult:
 
     for epoch in range(start_epoch, cfg.epochs):
         lr = lr_schedule(cfg.schedule, epoch, cfg.epochs, cfg.lr, cfg.milestones)
-        sums = {"l_c": 0.0, "l_as_in": 0.0, "l_as_la": 0.0, "l_ac": 0.0,
-                "total": 0.0, "acc": 0.0, "skip": 0.0}
+        # sample-weighted sums of each batch's l_c, l_as_in, l_as_la, l_ac,
+        # total, train_acc and skip_rate
+        sums = np.zeros(7)
         seen = 0
         for _, images, labels in dio.batch_iter(
                 train_set, cfg.batch_size, cfg.seed, epoch, shuffle=True,
                 flip=cfg.flip, multi_label=cfg.multi_label):
-            tape = Tape()
-            record = model.forward(images, tape=tape, multi_label=cfg.multi_label)
-            if cfg.baseline:
-                loss = multilabel_soft_margin(record.logits, labels) \
-                    if cfg.multi_label else cross_entropy(record.logits, labels)
-                parts = {"l_c": loss.item(), "l_as_in": 0.0, "l_as_la": 0.0,
-                         "l_ac": 0.0, "total": loss.item(), "skip": 0.0}
-            else:
-                breakdown = icasc_objective(record, labels, cfg.icasc)
-                loss = breakdown.total_tensor
-                parts = {"l_c": breakdown.l_c, "l_as_in": breakdown.l_as_inner,
-                         "l_as_la": breakdown.l_as_last, "l_ac": breakdown.l_ac,
-                         "total": breakdown.total,
-                         "skip": breakdown.skip_rate}
+            record = model.forward(images, tape=Tape(),
+                                   multi_label=cfg.multi_label)
+            b = classification_objective(record, labels) if cfg.baseline \
+                else icasc_objective(record, labels, cfg.icasc)
             leaves = record.param_leaves
-            grads = ad.backward(loss, list(leaves.values()))
-            grad_arrays = {name: grads[leaf.node].data
-                           for name, leaf in leaves.items()}
-            optimizer.step(model.params, grad_arrays, lr)
+            grads = ad.backward(b.total_tensor, list(leaves.values()))
+            optimizer.step(model.params, {name: grads[leaf.node].data
+                                          for name, leaf in leaves.items()}, lr)
 
             n = len(images)
             seen += n
-            for key in ("l_c", "l_as_in", "l_as_la", "l_ac", "total", "skip"):
-                sums[key] += parts[key] * n
-            sums["acc"] += _accuracy(record.probabilities, labels,
-                                     cfg.multi_label) * n
+            sums += n * np.array([b.l_c, b.l_as_inner, b.l_as_last, b.l_ac,
+                                  b.total,
+                                  _accuracy(record.probabilities, labels),
+                                  b.skip_rate])
 
         test_acc = evaluate_accuracy(model, test_set, cfg.batch_size,
                                      cfg.multi_label) if test_set else float("nan")
-        stats = EpochStats(epoch, lr,
-                           sums["l_c"] / seen, sums["l_as_in"] / seen,
-                           sums["l_as_la"] / seen, sums["l_ac"] / seen,
-                           sums["total"] / seen, sums["acc"] / seen,
-                           test_acc, sums["skip"] / seen)
+        l_c, l_as_in, l_as_la, l_ac, total, train_acc, skip_rate = \
+            (float(v) for v in sums / seen)
+        stats = EpochStats(epoch, lr, l_c, l_as_in, l_as_la, l_ac, total,
+                           train_acc, test_acc, skip_rate)
         log.append(stats)
 
         select_acc = test_acc if test_set else stats.train_acc
@@ -203,19 +190,25 @@ def train(cfg: TrainConfig) -> TrainResult:
 
 
 def write_log(path, seed: int, log: list[EpochStats]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# seed={seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(LOG_COLUMNS)
-        for stats in log:
-            writer.writerow(stats.row())
+    dio.write_csv(path, LOG_COLUMNS, [astuple(stats) for stats in log],
+                  comment=f"seed={seed}")
 
 
 def read_log(path) -> list[EpochStats]:
+    """Parse ``train_log.csv``; a row that does not hold one value per
+    column raises DataError naming the file and line."""
     log = []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh)
-                if r and not r[0].startswith("#") and r[0] != "epoch"]
-    for r in rows:
-        log.append(EpochStats(int(r[0]), *[float(v) for v in r[1:]]))
+        reader = csv.reader(fh)
+        for r in reader:
+            if not r or r[0].startswith("#") or r[0] == "epoch":
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(r) != len(LOG_COLUMNS):
+                raise dio.DataError(f"{where}: {len(r)} fields, expected "
+                                    f"{len(LOG_COLUMNS)}")
+            try:
+                log.append(EpochStats(int(r[0]), *[float(v) for v in r[1:]]))
+            except ValueError as e:
+                raise dio.DataError(f"{where}: {e}") from None
     return log

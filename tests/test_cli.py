@@ -8,7 +8,8 @@ import pytest
 from icasc import cli
 from icasc import data as dio
 from icasc.losses import IcascConfig
-from icasc.nn import Model, ModelConfig, load_checkpoint, save_checkpoint
+from icasc.nn import (Model, ModelConfig, SgdOptimizer, load_checkpoint,
+                      load_train_state, save_checkpoint, save_train_state)
 from icasc.training import TrainConfig
 
 
@@ -369,6 +370,47 @@ def test_truncated_train_state_is_data_error(dataset, tmp_path, capsys):
     state.write_bytes(state.read_bytes()[:-5])
     assert run("train", *common, "--epochs", "2", "--resume") == 2
     assert "train_state.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage, name", [("wrong_shape", "head.w"),
+                                          ("broadcastable", "head.w"),
+                                          ("missing", "head.b"),
+                                          ("extra", "head.extra")])
+def test_train_state_velocities_disagreeing_with_model_is_data_error(
+        dataset, tmp_path, capsys, damage, name):
+    common = ["--data", str(dataset / "train"), "--batch-size", "8",
+              "--channels", "4,8", "--baseline", "--out", str(tmp_path / "r")]
+    assert run("train", *common, "--epochs", "1") == 0
+    model, _ = load_checkpoint(tmp_path / "r" / "final.ckpt")
+    state = tmp_path / "r" / "train_state.bin"
+    epoch_next, velocity = load_train_state(state, model.params)
+    if damage == "wrong_shape":
+        velocity[name] = np.zeros((5, 3))
+    elif damage == "broadcastable":
+        velocity[name] = np.zeros(1)
+    elif damage == "missing":
+        del velocity[name]
+    else:
+        velocity[name] = np.zeros(2)
+    optimizer = SgdOptimizer()
+    optimizer.load_state(velocity)
+    save_train_state(state, epoch_next, optimizer)
+    assert run("train", *common, "--epochs", "2", "--resume") == 2
+    err = capsys.readouterr().err
+    assert "train_state.bin" in err and name in err
+
+
+@pytest.mark.parametrize("row", ["0,0.05",
+                                 "0,0.05,notanumber,0,0,0,1,0.5,nan,0"])
+def test_malformed_train_log_row_is_data_error(dataset, tmp_path, capsys, row):
+    common = ["--data", str(dataset / "train"), "--batch-size", "8",
+              "--channels", "4,8", "--baseline", "--out", str(tmp_path / "r")]
+    assert run("train", *common, "--epochs", "1") == 0
+    log = tmp_path / "r" / "train_log.csv"
+    lines = log.read_text().splitlines()
+    log.write_text("\n".join(lines[:2] + [row]) + "\n")
+    assert run("train", *common, "--epochs", "2", "--resume") == 2
+    assert "train_log.csv:3" in capsys.readouterr().err
 
 
 def array_fields(blob, start: int) -> dict:

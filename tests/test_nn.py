@@ -288,7 +288,8 @@ def test_train_state_roundtrip(tmp_path):
     opt.velocity = {"a": np.array([1.0, 2.0]), "b": np.zeros((2, 2))}
     path = tmp_path / "state.bin"
     nn.save_train_state(path, 5, opt)
-    epoch, vel = nn.load_train_state(path)
+    epoch, vel = nn.load_train_state(path, {"a": np.zeros(2),
+                                            "b": np.zeros((2, 2))})
     assert epoch == 5
     assert np.array_equal(vel["a"], [1.0, 2.0])
     assert np.array_equal(vel["b"], np.zeros((2, 2)))

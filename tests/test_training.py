@@ -1,0 +1,47 @@
+import math
+
+import pytest
+
+from icasc import data as dio
+from icasc.losses import IcascConfig
+from icasc.training import LOG_COLUMNS, TrainConfig, read_log, train
+
+
+@pytest.fixture(scope="module")
+def multi_label_set(tmp_path_factory):
+    """Synthetic set in which two samples get a second positive class."""
+    root = tmp_path_factory.mktemp("ml") / "d"
+    dio.generate_synth(dio.SynthSpec(n_classes=3, canvas=16, motif_size=3,
+                                     seed=2), 4, root)
+    labels = root / "labels.csv"
+    lines = labels.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",0;2"
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",2;1"
+    labels.write_text("\n".join(lines) + "\n")
+    assert dio.load_dataset(root).multi_label
+    return root
+
+
+@pytest.mark.parametrize("baseline", [True, False])
+def test_multi_label_epoch_logs_finite_in_range_row(multi_label_set, tmp_path,
+                                                    baseline):
+    theta = IcascConfig().theta
+    result = train(TrainConfig(
+        data_dir=str(multi_label_set), test_dir=str(multi_label_set),
+        out_dir=str(tmp_path / "run"), epochs=1, batch_size=8,
+        channels=(4, 8), lr=0.01, baseline=baseline, multi_label=True))
+    (row,) = result.log
+    assert all(math.isfinite(getattr(row, c)) for c in LOG_COLUMNS)
+    assert row.l_c > 0
+    assert 0.0 <= row.train_acc <= 1.0 and 0.0 <= row.test_acc <= 1.0
+    assert 0.0 <= row.skip_rate <= 1.0
+    if baseline:
+        assert (row.l_as_in, row.l_as_la, row.l_ac, row.skip_rate) == \
+            (0.0, 0.0, 0.0, 0.0)
+        assert row.total == row.l_c
+    else:
+        assert 0.0 <= row.l_as_in <= 1.0 and 0.0 <= row.l_as_la <= 1.0
+        assert theta - 1.0 <= row.l_ac <= theta
+        assert row.total == pytest.approx(
+            row.l_c + row.l_as_in + row.l_as_la + row.l_ac, rel=1e-12)
+    assert read_log(tmp_path / "run" / "train_log.csv") == result.log
