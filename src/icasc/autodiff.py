@@ -49,10 +49,8 @@ __all__ = [
     "reshape",
     "transpose2d",
     "matmul",
-    "affine",
     "conv2d",
     "maxpool2d",
-    "global_avg_pool",
     "bilinear_resize_array",
 ]
 
@@ -528,27 +526,10 @@ def matmul(a, b) -> Tensor:
     return _emit("matmul", (a, b), a.data @ b.data)
 
 
-def affine(x, w, b) -> Tensor:
-    """``x @ w + b`` with the bias repeated over rows."""
-    x, w, b = _lift(x), _lift(w), _lift(b)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"affine: {x.shape} @ {w.shape}")
-    if b.shape != (w.shape[1],):
-        raise ShapeError(f"affine bias shape {b.shape} != ({w.shape[1]},)")
-    return _emit("affine", (x, w, b), x.data @ w.data + b.data)
-
-
 @_rule("matmul")
 def _matmul_rule(node, g, inputs, out):
     a, b = inputs
     return [matmul(g, transpose2d(b)), matmul(transpose2d(a), g)]
-
-
-@_rule("affine")
-def _affine_rule(node, g, inputs, out):
-    x, w, b = inputs
-    return [matmul(g, transpose2d(w)), matmul(transpose2d(x), g),
-            reduce_sum(g, (0,))]
 
 
 # --------------------------------------------------------------------------
@@ -685,7 +666,8 @@ def _conv2d_dw_rule(node, g_hat, inputs, out):
 
 
 def maxpool2d(x, window: int = 2, stride: int = 2) -> Tensor:
-    """Per-window max over NCHW; ties route to the lowest flat spatial index."""
+    """Per-window max over NCHW, recorded as the gather of each window's
+    argmax; ties route to the lowest flat spatial index."""
     x = _lift(x)
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects 4-D input, got {x.shape}")
@@ -701,14 +683,12 @@ def maxpool2d(x, window: int = 2, stride: int = 2) -> Tensor:
     oh, ow = win.shape[2], win.shape[3]
     flat = win.reshape(n, c, oh, ow, -1)
     local = np.argmax(flat, axis=-1)                     # first max in window
-    value = np.take_along_axis(flat, local[..., None], axis=-1)[..., 0]
     # flat spatial index into the input plane
     oy, ox = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
     iy = oy[None, None] * stride + local // window
     ix = ox[None, None] * stride + local % window
     indices = (iy * w + ix).astype(np.int64)
-    return _emit("maxpool2d", (x,), value,
-                 {"indices": indices, "in_shape": x.shape})
+    return _pool_gather_op(x, indices)
 
 
 def _pool_scatter_op(g, indices: np.ndarray, in_shape) -> Tensor:
@@ -732,11 +712,6 @@ def _pool_gather_op(x, indices: np.ndarray) -> Tensor:
                  {"indices": indices, "in_shape": x.shape})
 
 
-@_rule("maxpool2d")
-def _maxpool2d_rule(node, g, inputs, out):
-    return [_pool_scatter_op(g, node.meta["indices"], node.meta["in_shape"])]
-
-
 @_rule("pool_scatter")
 def _pool_scatter_rule(node, g_hat, inputs, out):
     return [_pool_gather_op(g_hat, node.meta["indices"])]
@@ -745,14 +720,6 @@ def _pool_scatter_rule(node, g_hat, inputs, out):
 @_rule("pool_gather")
 def _pool_gather_rule(node, g_hat, inputs, out):
     return [_pool_scatter_op(g_hat, node.meta["indices"], node.meta["in_shape"])]
-
-
-def global_avg_pool(x) -> Tensor:
-    """Average each channel plane: (N, C, H, W) -> (N, C)."""
-    x = _lift(x)
-    if x.ndim != 4:
-        raise ShapeError(f"global_avg_pool expects 4-D input, got {x.shape}")
-    return reduce_mean(x, (2, 3))
 
 
 # --------------------------------------------------------------------------

@@ -37,13 +37,23 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
+def _count(low: int):
+    """Argument type: an int no smaller than ``low``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="icasc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic confusable dataset")
     p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--per-class", type=int, required=True)
+    p.add_argument("--per-class", type=_count(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--canvas", type=int, default=32)
     p.add_argument("--noise-std", type=float, default=0.05)
@@ -76,7 +86,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--topk", type=int, default=None)
+    p.add_argument("--topk", type=_count(1), default=None)
     p.add_argument("--attention", action="store_true",
                    help="also compute the attention-overlap report")
     p.add_argument("--config", default=None)
@@ -88,7 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--samples", default=None,
                    help="comma-separated sample ids (default: first 4)")
-    p.add_argument("--classes", type=int, default=None,
+    p.add_argument("--classes", type=_count(1), default=None,
                    help="top-K predicted classes per sample "
                         "(default: min(5, class count))")
     p.add_argument("--color", action="store_true", help="write PPM heatmaps")
@@ -97,7 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--grid", type=_count(2), default=101)
 
     return parser
 
@@ -173,7 +183,7 @@ def cmd_eval(args) -> int:
         rows.append(("auc", "all", mx.macro_auc(probs, labels)))
     else:
         rows.append(("top1_accuracy", "all", mx.topk_accuracy(probs, labels, 1)))
-        k = args.topk if args.topk else min(5, model.config.n_classes)
+        k = min(5, model.config.n_classes) if args.topk is None else args.topk
         if k > model.config.n_classes:
             raise UsageError(f"topk {k} exceeds class count "
                              f"{model.config.n_classes}")

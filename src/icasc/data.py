@@ -193,6 +193,8 @@ def load_dataset(path, n_classes: int | None = None) -> Dataset:
                                 f"sample '{samples[0].id}'")
             max_label = max(max_label, max(labels))
             samples.append(Sample(sid, image, labels))
+    if not samples:
+        raise DataError(f"{labels_file}: no samples listed")
     inferred = max_label + 1
     if n_classes is None:
         n_classes = inferred
@@ -210,8 +212,6 @@ def batch_iter(dataset: Dataset, batch_size: int, seed: int, epoch: int = 0,
     re-drawn every epoch.
     """
     n = len(dataset)
-    if n == 0:
-        return
     rng = np.random.default_rng(np.random.SeedSequence([seed, epoch]))
     order = rng.permutation(n) if shuffle else np.arange(n)
     flips = rng.random(n) < 0.5 if flip else np.zeros(n, dtype=bool)

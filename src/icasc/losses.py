@@ -32,7 +32,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .attention import MECHANISMS, class_attention
-from .nn import ForwardRecord, NumericalError, classification_loss, one_hot
+from .data import DataError
+from .nn import (ConfigError, ForwardRecord, NumericalError,
+                 classification_loss, one_hot)
 
 
 @dataclass(frozen=True)
@@ -51,14 +53,14 @@ class IcascConfig:
 
     def __post_init__(self):
         if self.mechanism not in MECHANISMS:
-            raise ValueError(f"mechanism must be one of {MECHANISMS}, "
-                             f"got '{self.mechanism}'")
+            raise ConfigError(f"mechanism must be one of {MECHANISMS}, "
+                              f"got '{self.mechanism}'")
         if not self.omega > 0:
-            raise ValueError("omega must be > 0")
+            raise ConfigError("omega must be > 0")
         if not 0 < self.sigma_factor < 1:
-            raise ValueError("sigma_factor must lie in (0, 1)")
+            raise ConfigError("sigma_factor must lie in (0, 1)")
         if not 0 < self.theta <= 1:
-            raise ValueError("theta must lie in (0, 1]")
+            raise ConfigError("theta must lie in (0, 1]")
 
     # -- key = value config file ------------------------------------------
     _FLOAT_KEYS = ("omega", "sigma_factor", "theta", "epsilon",
@@ -73,25 +75,38 @@ class IcascConfig:
         return "\n".join(lines) + "\n"
 
 
+_BOOLS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
+
+
 def parse_kv_file(path) -> dict:
-    """Parse a ``key = value`` text file into IcascConfig kwargs."""
+    """Parse a ``key = value`` text file into IcascConfig kwargs; a line
+    that does not parse raises DataError naming file:line."""
     kv: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+                raise DataError(f"{where}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "mechanism":
                 kv[key] = value
             elif key == "clamp_lac":
-                kv[key] = value.lower() in ("1", "true", "yes")
+                if value.lower() not in _BOOLS:
+                    raise DataError(f"{where}: clamp_lac must be one of "
+                                    f"true/false/yes/no/1/0, got '{value}'")
+                kv[key] = _BOOLS[value.lower()]
             elif key in IcascConfig._FLOAT_KEYS:
-                kv[key] = float(value)
+                try:
+                    kv[key] = float(value)
+                except ValueError:
+                    raise DataError(f"{where}: {key} is not a number: "
+                                    f"'{value}'") from None
             else:
-                raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
+                raise DataError(f"{where}: unknown key '{key}'")
     return kv
 
 

@@ -1,9 +1,10 @@
 """Desk-scale convolutional classifier, losses, optimizer, and schedules.
 
 The model is a stack of conv3x3/ReLU/maxpool blocks followed by global
-average pooling and an affine head.  Batch normalization is deliberately
-absent: every op is per-sample independent, which is what makes the batched
-attention-gradient trick in :mod:`icasc.attention` valid.
+average pooling and a head that is a ``matmul`` plus a bias add, as in the
+conv blocks.  Batch normalization is deliberately absent: every op is
+per-sample independent, which is what makes the batched attention-gradient
+trick in :mod:`icasc.attention` valid.
 """
 
 from __future__ import annotations
@@ -151,7 +152,6 @@ class Model:
         pad = cfg.kernel_size // 2
         x = Tensor(images)
         feats = {}
-        n = images.shape[0]
         for i, cout in enumerate(cfg.channels):
             x = ad.conv2d(x, leaves[f"block{i}.w"], stride=1, padding=pad)
             bias = ad.broadcast_axes(leaves[f"block{i}.b"], x.shape, (0, 2, 3))
@@ -161,8 +161,9 @@ class Model:
                 feats["inner"] = x
             elif i == cfg.n_blocks - 1:
                 feats["last"] = x
-        pooled = ad.global_avg_pool(x)
-        logits = ad.affine(pooled, leaves["head.w"], leaves["head.b"])
+        logits = ad.matmul(ad.reduce_mean(x, (2, 3)), leaves["head.w"])
+        bias = ad.broadcast_axes(leaves["head.b"], logits.shape, (0,))
+        logits = ad.add(logits, bias)
         probs = ad.sigmoid_array(logits.data) if multi_label else softmax(logits.data)
         return ForwardRecord(logits=logits, probabilities=probs, feats=feats,
                              param_leaves=leaves if tape is not None else {},

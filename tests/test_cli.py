@@ -454,6 +454,73 @@ def test_huge_train_state_length_field_is_data_error(dataset, tmp_path, capsys,
     assert "train_state.bin" in capsys.readouterr().err
 
 
+# --------------------------------------------------------------------------
+# bad config files, empty datasets and out-of-range counts exit cleanly
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("line, code, message", [
+    ("omega = abc", 2, "loss.cfg:1"), ("omega 3", 2, "loss.cfg:1"),
+    ("omga = 3", 2, "loss.cfg:1"), ("clamp_lac = ture", 2, "loss.cfg:1"),
+    ("omega = -1", 1, "usage error: omega"),
+    ("theta = 1.5", 1, "usage error: theta"),
+    ("mechanism = cam", 1, "usage error: mechanism"),
+])
+def test_bad_config_file_exits_cleanly(dataset, trained, tmp_path, capsys,
+                                       command, line, code, message):
+    """Malformed lines are data errors naming file:line; out-of-range
+    values are usage errors."""
+    cfg_file = tmp_path / "loss.cfg"
+    cfg_file.write_text(f"{line}\n", encoding="utf-8")
+    if command == "train":
+        args = ("train", "--data", str(dataset / "train"), "--epochs", "1",
+                "--batch-size", "8", "--channels", "4,8")
+    else:
+        args = ("eval", "--checkpoint", str(trained), "--data",
+                str(dataset / "test"), "--attention")
+    rc = run(*args, "--out", str(tmp_path / "o"), "--config", str(cfg_file))
+    assert rc == code
+    assert message in capsys.readouterr().err
+
+
+def test_synth_without_samples_is_usage_error(tmp_path, capsys):
+    rc = run("synth", "--per-class", "0", "--out", str(tmp_path / "d"))
+    assert rc == 1
+    assert "--per-class" in capsys.readouterr().err
+    assert not (tmp_path / "d" / "labels.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_empty_dataset_is_data_error(trained, tmp_path, capsys, command):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "labels.csv").write_text("id,filename,label\n", encoding="utf-8")
+    if command == "train":
+        args = ("train", "--data", str(empty), "--out", str(tmp_path / "o"))
+    else:
+        args = ("eval", "--checkpoint", str(trained), "--data", str(empty),
+                "--out", str(tmp_path / "o"))
+    assert run(*args) == 2
+    assert "no samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("attend", "--classes", "-1"), ("attend", "--classes", "0"),
+    ("eval", "--topk", "-1"), ("eval", "--topk", "0"),
+    ("ks", "--grid", "1"),
+])
+def test_count_flag_below_its_floor_is_usage_error(trained, dataset, tmp_path,
+                                                   capsys, command, flag,
+                                                   value):
+    out = tmp_path / "o"
+    rc = run(command, "--checkpoint", str(trained), "--data",
+             str(dataset / "test"), "--out", str(out), flag, value)
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     assert run("train") == 1          # missing required flags
     assert run("frobnicate") == 1     # unknown command

@@ -141,9 +141,9 @@ def test_synth_roundtrip_quantization(tmp_path):
 
 def test_empty_labels_file(tmp_path):
     (tmp_path / "labels.csv").write_text("id,filename,label\n", encoding="utf-8")
-    ds = load_dataset(tmp_path)
-    assert len(ds) == 0
-    assert list(batch_iter(ds, 4, seed=0)) == []
+    with pytest.raises(DataError, match="no samples"):
+        load_dataset(tmp_path)
+    assert list(batch_iter(dio.Dataset([], 2), 4, seed=0)) == []
 
 
 def test_missing_image_names_sample(tmp_path):

@@ -10,6 +10,8 @@ from icasc.losses import (IcascConfig, LossBreakdown, confusing_class,
                           parse_kv_file, per_sample_terms, region_mask,
                           separation_per_sample)
 from icasc.attention import a_ch, grad_cam
+from icasc.data import DataError
+from icasc.nn import ConfigError
 
 import helpers
 import oracles
@@ -34,13 +36,13 @@ def test_default_constants_match_published_values():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         IcascConfig(omega=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         IcascConfig(sigma_factor=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         IcascConfig(theta=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         IcascConfig(mechanism="cam")
 
 
@@ -57,6 +59,25 @@ def test_config_file_unknown_key(tmp_path):
     path.write_text("omga = 3\n", encoding="utf-8")
     with pytest.raises(ValueError):
         parse_kv_file(path)
+
+
+@pytest.mark.parametrize("line", ["omega 3", "omga = 3", "omega = abc",
+                                  "clamp_lac = ture"],
+                         ids=["no_equals", "unknown_key", "bad_float",
+                              "bad_bool"])
+def test_config_file_malformed_line_is_data_error_naming_line(tmp_path, line):
+    path = tmp_path / "loss.cfg"
+    path.write_text(f"theta = 0.7\n{line}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"{path}:2"):
+        parse_kv_file(path)
+
+
+def test_config_file_bool_spellings(tmp_path):
+    path = tmp_path / "loss.cfg"
+    for value, expected in [("true", True), ("Yes", True), ("1", True),
+                            ("FALSE", False), ("no", False), ("0", False)]:
+        path.write_text(f"clamp_lac = {value}\n", encoding="utf-8")
+        assert parse_kv_file(path) == {"clamp_lac": expected}
 
 
 # --------------------------------------------------------------------------

@@ -93,6 +93,38 @@ def test_probabilities_sum_to_one():
     assert np.max(np.abs(record.probabilities.sum(axis=1) - 1.0)) < 1e-9
 
 
+def oracle_forward(params, images, n_blocks):
+    """The model's forward pass from the loop oracles: conv + bias, ReLU and
+    max pool per block, then global average pooling, matmul and the bias."""
+    x = images
+    feats = {}
+    for i in range(n_blocks):
+        w = params[f"block{i}.w"]
+        x = oracles.conv2d_loops(x, w, padding=w.shape[2] // 2) \
+            + params[f"block{i}.b"][None, :, None, None]
+        x = oracles.maxpool_loops(np.maximum(x, 0.0))
+        feats["inner" if i == n_blocks - 2 else "last"] = x
+    logits = oracles.matmul_loops(oracles.gap_loops(x), params["head.w"]) \
+        + params["head.b"]
+    return logits, feats
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_forward_vs_loop_oracle(taped):
+    rng = np.random.default_rng(8)
+    model = tiny_model(5)
+    for name in model.params:
+        if name.endswith(".b"):
+            model.params[name] = rng.normal(0.0, 0.1, model.params[name].shape)
+    images = rng.random((2, 1, 8, 8))
+    record = model.forward(images, tape=Tape() if taped else None)
+    logits, feats = oracle_forward(model.params, images, model.config.n_blocks)
+    assert (record.logits.node is not None) == taped
+    assert np.max(np.abs(record.logits.data - logits)) < 1e-12
+    for layer in ("inner", "last"):
+        assert np.max(np.abs(record.feats[layer].data - feats[layer])) < 1e-12
+
+
 def test_forward_shape_mismatch():
     model = tiny_model()
     with pytest.raises(ad.ShapeError):
