@@ -8,6 +8,12 @@ can be differentiated again.  That re-entrancy is what allows loss functions
 to contain gradients of the network output (double backpropagation) without
 any special casing.
 
+``backward`` visits only the nodes that depend on one of its ``wrt``
+tensors, and hands each rule a ``need`` tuple naming the inputs whose
+adjoints are wanted; a rule builds no partial adjoint for the others.  So a
+gradient toward feature maps records nothing toward the weights, and a
+gradient toward the weights records nothing toward the untaped image.
+
 Deterministic subgradient conventions (needed so gradient checks are
 reproducible): ReLU derivative at exactly 0 is 0, elementwise ``minimum``
 routes ties to the first argument, and max pooling routes ties to the lowest
@@ -226,7 +232,10 @@ def _emit(kind: str, inputs: Sequence[Tensor], value: np.ndarray, meta=None) -> 
 # backward rules registry
 # --------------------------------------------------------------------------
 
-# rule(node, grad_out, inputs, out) -> per-input gradient tensors (None = no flow)
+# rule(node, grad_out, inputs, out, need) -> per-input gradient tensors.  ``need``
+# holds one flag per input; a two-input rule returns None for an input whose
+# flag is False and does not compute it.  Backward calls a one-input rule
+# only when its input is needed, so those rules ignore ``need``.
 _RULES: dict[str, Callable] = {}
 
 
@@ -344,68 +353,72 @@ def scale(x, c: float) -> Tensor:
 
 
 @_rule("add")
-def _add_rule(node, g, inputs, out):
+def _add_rule(node, g, inputs, out, need):
     a, b = inputs
-    return [_reduce_to(g, a.shape), _reduce_to(g, b.shape)]
+    return [_reduce_to(g, a.shape) if need[0] else None,
+            _reduce_to(g, b.shape) if need[1] else None]
 
 
 @_rule("sub")
-def _sub_rule(node, g, inputs, out):
+def _sub_rule(node, g, inputs, out, need):
     a, b = inputs
-    return [_reduce_to(g, a.shape), _reduce_to(scale(g, -1.0), b.shape)]
+    return [_reduce_to(g, a.shape) if need[0] else None,
+            _reduce_to(scale(g, -1.0), b.shape) if need[1] else None]
 
 
 @_rule("mul")
-def _mul_rule(node, g, inputs, out):
+def _mul_rule(node, g, inputs, out, need):
     a, b = inputs
-    return [_reduce_to(mul(g, b), a.shape), _reduce_to(mul(g, a), b.shape)]
+    return [_reduce_to(mul(g, b), a.shape) if need[0] else None,
+            _reduce_to(mul(g, a), b.shape) if need[1] else None]
 
 
 @_rule("div")
-def _div_rule(node, g, inputs, out):
+def _div_rule(node, g, inputs, out, need):
     a, b = inputs
     eps = node.meta["eps"]
-    da = _reduce_to(div(g, b, eps=eps), a.shape)
-    db = _reduce_to(scale(div(mul(g, out), b, eps=eps), -1.0), b.shape)
+    da = _reduce_to(div(g, b, eps=eps), a.shape) if need[0] else None
+    db = _reduce_to(scale(div(mul(g, out), b, eps=eps), -1.0), b.shape) \
+        if need[1] else None
     return [da, db]
 
 
 @_rule("minimum")
-def _minimum_rule(node, g, inputs, out):
+def _minimum_rule(node, g, inputs, out, need):
     a, b = inputs
     first = node.meta["mask_first"].astype(np.float64)
-    ga = _reduce_to(mul(g, Tensor(first)), a.shape)
-    gb = _reduce_to(mul(g, Tensor(1.0 - first)), b.shape)
+    ga = _reduce_to(mul(g, Tensor(first)), a.shape) if need[0] else None
+    gb = _reduce_to(mul(g, Tensor(1.0 - first)), b.shape) if need[1] else None
     return [ga, gb]
 
 
 @_rule("relu")
-def _relu_rule(node, g, inputs, out):
+def _relu_rule(node, g, inputs, out, need):
     return [mul(g, Tensor(node.meta["mask"].astype(np.float64)))]
 
 
 @_rule("sigmoid")
-def _sigmoid_rule(node, g, inputs, out):
+def _sigmoid_rule(node, g, inputs, out, need):
     return [mul(g, mul(out, sub(1.0, out)))]
 
 
 @_rule("exp")
-def _exp_rule(node, g, inputs, out):
+def _exp_rule(node, g, inputs, out, need):
     return [mul(g, out)]
 
 
 @_rule("log")
-def _log_rule(node, g, inputs, out):
+def _log_rule(node, g, inputs, out, need):
     return [div(g, inputs[0], eps=0.0)]
 
 
 @_rule("softplus")
-def _softplus_rule(node, g, inputs, out):
+def _softplus_rule(node, g, inputs, out, need):
     return [mul(g, sigmoid(inputs[0]))]
 
 
 @_rule("scale")
-def _scale_rule(node, g, inputs, out):
+def _scale_rule(node, g, inputs, out, need):
     return [scale(g, node.meta["c"])]
 
 
@@ -487,28 +500,28 @@ def transpose2d(x) -> Tensor:
 
 
 @_rule("reduce_sum")
-def _reduce_sum_rule(node, g, inputs, out):
+def _reduce_sum_rule(node, g, inputs, out, need):
     return [broadcast_axes(g, node.meta["in_shape"], node.meta["axes"])]
 
 
 @_rule("reduce_mean")
-def _reduce_mean_rule(node, g, inputs, out):
+def _reduce_mean_rule(node, g, inputs, out, need):
     spread = broadcast_axes(g, node.meta["in_shape"], node.meta["axes"])
     return [scale(spread, 1.0 / node.meta["n"])]
 
 
 @_rule("broadcast_axes")
-def _broadcast_axes_rule(node, g, inputs, out):
+def _broadcast_axes_rule(node, g, inputs, out, need):
     return [reduce_sum(g, node.meta["axes"])]
 
 
 @_rule("reshape")
-def _reshape_rule(node, g, inputs, out):
+def _reshape_rule(node, g, inputs, out, need):
     return [reshape(g, node.meta["in_shape"])]
 
 
 @_rule("transpose2d")
-def _transpose2d_rule(node, g, inputs, out):
+def _transpose2d_rule(node, g, inputs, out, need):
     return [transpose2d(g)]
 
 
@@ -527,9 +540,10 @@ def matmul(a, b) -> Tensor:
 
 
 @_rule("matmul")
-def _matmul_rule(node, g, inputs, out):
+def _matmul_rule(node, g, inputs, out, need):
     a, b = inputs
-    return [matmul(g, transpose2d(b)), matmul(transpose2d(a), g)]
+    return [matmul(g, transpose2d(b)) if need[0] else None,
+            matmul(transpose2d(a), g) if need[1] else None]
 
 
 # --------------------------------------------------------------------------
@@ -634,29 +648,30 @@ def _conv2d_dw_op(x, g, meta) -> Tensor:
 
 
 @_rule("conv2d")
-def _conv2d_rule(node, g, inputs, out):
+def _conv2d_rule(node, g, inputs, out, need):
     x, w = inputs
     meta = node.meta
-    return [_conv2d_dx_op(g, w, meta), _conv2d_dw_op(x, g, meta)]
+    return [_conv2d_dx_op(g, w, meta) if need[0] else None,
+            _conv2d_dw_op(x, g, meta) if need[1] else None]
 
 
 @_rule("conv2d_dx")
-def _conv2d_dx_rule(node, g_hat, inputs, out):
+def _conv2d_dx_rule(node, g_hat, inputs, out, need):
     # out = A_w^T g with A_w = d(conv)/dx; g_hat lives in input space
     g, w = inputs
     meta = node.meta
-    d_g = conv2d(g_hat, w, meta["stride"], meta["padding"])
-    d_w = _conv2d_dw_op(g_hat, g, meta)
+    d_g = conv2d(g_hat, w, meta["stride"], meta["padding"]) if need[0] else None
+    d_w = _conv2d_dw_op(g_hat, g, meta) if need[1] else None
     return [d_g, d_w]
 
 
 @_rule("conv2d_dw")
-def _conv2d_dw_rule(node, g_hat, inputs, out):
+def _conv2d_dw_rule(node, g_hat, inputs, out, need):
     # out = B_x^T g with B_x = d(conv)/dw; g_hat lives in kernel space
     x, g = inputs
     meta = node.meta
-    d_x = _conv2d_dx_op(g, g_hat, meta)
-    d_g = conv2d(x, g_hat, meta["stride"], meta["padding"])
+    d_x = _conv2d_dx_op(g, g_hat, meta) if need[0] else None
+    d_g = conv2d(x, g_hat, meta["stride"], meta["padding"]) if need[1] else None
     return [d_x, d_g]
 
 
@@ -713,12 +728,12 @@ def _pool_gather_op(x, indices: np.ndarray) -> Tensor:
 
 
 @_rule("pool_scatter")
-def _pool_scatter_rule(node, g_hat, inputs, out):
+def _pool_scatter_rule(node, g_hat, inputs, out, need):
     return [_pool_gather_op(g_hat, node.meta["indices"])]
 
 
 @_rule("pool_gather")
-def _pool_gather_rule(node, g_hat, inputs, out):
+def _pool_gather_rule(node, g_hat, inputs, out, need):
     return [_pool_scatter_op(g_hat, node.meta["indices"], node.meta["in_shape"])]
 
 
@@ -759,11 +774,18 @@ def backward(root: Tensor, wrt: Iterable[Tensor],
     """Gradients of a scalar ``root`` with respect to tensors on its tape.
 
     Returns a mapping handle -> gradient tensor shaped like that node's
-    value.  Handles unreachable from ``root`` get zero gradients.  With
+    value.  Handles the root does not depend on get zero gradients.  With
     ``create_graph=True`` the returned gradients are tape-live nodes and a
     further backward through them yields higher-order derivatives.
     Without it the rules run on untaped operands, so, as for any op whose
     operands are off the tape, nothing is recorded.
+
+    Only the adjoints ``wrt`` needs are computed.  One forward pass over the
+    tape marks the live nodes: the ``wrt`` nodes and every node with a live
+    input.  The reverse walk visits only live nodes, and each rule gets a
+    ``need`` tuple that says which of its inputs are live; the partial
+    adjoints of the others are never built.  UnsupportedOpError is raised
+    only for a visited node with a needed input and no rule.
     """
     if root.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
@@ -785,21 +807,30 @@ def backward(root: Tensor, wrt: Iterable[Tensor],
     def constant(arr):
         return tape.constant_node(arr) if create_graph else Tensor(arr)
 
-    # only ancestors of the root ever receive an adjoint
-    adjoints: dict[int, Tensor] = {root.node: constant(np.ones_like(root.data))}
-    for h in range(root.node, -1, -1):
+    # live: depends on a wrt node (parents precede children on the tape)
+    start = min(handles, default=root.node + 1)
+    live = set(handles)
+    for h in range(start, root.node + 1):
+        if any(hin in live for hin, _ in tape.nodes[h].inputs):
+            live.add(h)
+
+    adjoints: dict[int, Tensor] = {}
+    if root.node in live:
+        adjoints[root.node] = constant(np.ones_like(root.data))
+    for h in range(root.node, start - 1, -1):
         if h not in adjoints:
             continue
         node = tape.nodes[h]
-        if node.kind in ("leaf", "constant"):
+        need = tuple(hin in live for hin, _ in node.inputs)
+        if not any(need):
             continue
         rule = _RULES.get(node.kind)
         if rule is None:
             raise UnsupportedOpError(f"op '{node.kind}' has no derivative rule")
         inputs = [operand(data, hin) for hin, data in node.inputs]
-        grads = rule(node, adjoints[h], inputs, operand(node.value, h))
+        grads = rule(node, adjoints[h], inputs, operand(node.value, h), need)
         for (hin, _), g in zip(node.inputs, grads):
-            if hin is None or g is None:
+            if g is None:
                 continue
             if hin in adjoints:
                 adjoints[hin] = add(adjoints[hin], g)

@@ -259,6 +259,8 @@ class SynthSpec:
         a, b = self.confusable_pair
         if a == b or not (0 <= a < self.n_classes and 0 <= b < self.n_classes):
             raise ValueError(f"invalid confusable pair {self.confusable_pair}")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
         if self.box_edge > self.canvas // 2:
             raise ValueError(f"motif_size: motif box {self.box_edge} does not "
                              f"fit a {self.canvas}-pixel canvas half")

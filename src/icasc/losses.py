@@ -61,6 +61,14 @@ class IcascConfig:
             raise ConfigError("sigma_factor must lie in (0, 1)")
         if not 0 < self.theta <= 1:
             raise ConfigError("theta must lie in (0, 1]")
+        for key in ("epsilon", "skip_threshold"):
+            value = getattr(self, key)
+            if not value >= 0:
+                raise ConfigError(f"{key} must be >= 0, got {value!r}")
+        for key in ("weight_lc", "weight_as_inner", "weight_as_last", "weight_ac"):
+            value = getattr(self, key)
+            if not 0 <= value < np.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {value!r}")
 
     # -- key = value config file ------------------------------------------
     _FLOAT_KEYS = ("omega", "sigma_factor", "theta", "epsilon",

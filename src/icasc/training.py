@@ -45,6 +45,13 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        # lr 0 is a frozen run: it keeps the seeded initial weights
+        if not 0 <= self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr!r}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
 
     def to_kv(self) -> str:
         lines = [

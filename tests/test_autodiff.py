@@ -1,12 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icasc import autodiff as ad
+from icasc.attention import class_gradients
 from icasc.autodiff import (DomainError, ShapeError, Tape, Tensor,
                             UnsupportedOpError, backward)
+from icasc.nn import classification_loss
 
+import helpers
 import oracles
 
 
@@ -232,12 +237,24 @@ def test_backward_root_must_be_scalar():
 
 
 def test_unreachable_wrt_gets_zeros():
-    tape = Tape()
-    x = leaf(tape, [1.0])
-    z = leaf(tape, [5.0, 6.0])
-    y = ad.reduce_sum(ad.mul(x, x))
-    g = backward(y, [z])[z.node]
-    assert np.array_equal(g.data, [0.0, 0.0])
+    """A wrt the root does not depend on, recorded before or after it, gets
+    zeros, and backward builds no adjoint for it: under create_graph the
+    tape grows by the zero nodes alone."""
+    for create_graph in (False, True):
+        tape = Tape()
+        x = leaf(tape, [1.0])
+        z = leaf(tape, [5.0, 6.0])
+        y = ad.reduce_sum(ad.mul(x, x))
+        late = leaf(tape, [7.0])
+        n = len(tape)
+        grads = backward(y, [z, late], create_graph=create_graph)
+        assert np.array_equal(grads[z.node].data, [0.0, 0.0])
+        assert np.array_equal(grads[late.node].data, [0.0])
+        if create_graph:
+            assert all(g.node is not None for g in grads.values())
+            assert [node.kind for node in tape.nodes[n:]] == ["constant"] * 2
+        else:
+            assert len(tape) == n
 
 
 def test_constants_receive_no_gradient():
@@ -305,17 +322,20 @@ def test_mixed_tapes_rejected():
 _UPSAMPLE_2_TO_4 = ad.bilinear_resize_array(np.eye(4).reshape(4, 2, 2), 4, 4).reshape(4, 16)
 
 
-def _composite(tape, x):
-    """A scalar function touching every differentiable op family."""
+def _composite(tape, x, lift=Tensor):
+    """A scalar function touching every differentiable op family.
+
+    ``lift`` wraps its three weight arrays; ``tape.leaf`` makes them leaves.
+    """
     a = ad.reshape(x, (1, 1, 4, 4))
-    c = ad.conv2d(a, Tensor(np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3) / 9.0),
+    c = ad.conv2d(a, lift(np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3) / 9.0),
                   padding=1)
     p = ad.maxpool2d(ad.relu(c))
-    up = ad.matmul(ad.reshape(p, (1, 4)), Tensor(_UPSAMPLE_2_TO_4))
+    up = ad.matmul(ad.reshape(p, (1, 4)), lift(_UPSAMPLE_2_TO_4))
     u = ad.reshape(up, (4, 4))
     m = ad.minimum(u, ad.sigmoid(ad.reshape(x, (4, 4))))
     flat = ad.reshape(m, (1, 16))
-    h = ad.matmul(flat, Tensor(np.linspace(-1, 1, 32).reshape(16, 2)))
+    h = ad.matmul(flat, lift(np.linspace(-1, 1, 32).reshape(16, 2)))
     s = ad.reduce_sum(ad.exp(ad.scale(h, 0.3)))
     q = ad.div(ad.reduce_sum(ad.mul(u, u)), s)
     return ad.add(q, ad.reduce_mean(ad.softplus(h)))
@@ -345,6 +365,67 @@ def test_finite_difference_composite(seed):
             continue  # kink-adjacent coordinate
         fd = (fp - fm) / (2 * h)
         assert oracles.rel_err(g[i], fd, floor=1e-6) < 1e-4
+
+
+# --------------------------------------------------------------------------
+# backward computes only the adjoints wrt needs
+# --------------------------------------------------------------------------
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.sets(st.integers(0, 3), min_size=1),
+       st.booleans())
+def test_backward_toward_a_subset_matches_backward_toward_all(seed, subset,
+                                                              create_graph):
+    def grads(pick):
+        tape = Tape()
+        leaves = []
+
+        def lift(arr):
+            leaves.append(tape.leaf(arr))
+            return leaves[-1]
+
+        x = lift(np.random.default_rng(seed).uniform(0.2, 1.7, size=16))
+        y = _composite(tape, x, lift=lift)
+        got = backward(y, [leaves[i] for i in pick], create_graph=create_graph)
+        return {i: got[leaves[i].node].data.tobytes() for i in pick}
+
+    full = grads(range(4))
+    assert grads(sorted(subset)) == {i: full[i] for i in subset}
+
+
+def _appended_kinds(tape, run) -> Counter:
+    n = len(tape)
+    run()
+    return Counter(node.kind for node in tape.nodes[n:])
+
+
+def test_class_gradients_toward_features_record_no_weight_adjoint():
+    """The create_graph class backward toward ``inner`` and ``last`` stops
+    at the features: one input adjoint through block 1, nothing toward the
+    weights, biases or block 0."""
+    model = helpers.tiny_model(channels=(4, 8), size=8)
+    images = np.random.default_rng(0).standard_normal((3, 1, 8, 8))
+    record = model.forward(images, tape=Tape())
+    tape = record.logits.tape
+    kinds = _appended_kinds(tape, lambda: class_gradients(
+        record, [0, 1, 2], ("inner", "last"), create_graph=True))
+    assert kinds["conv2d_dw"] == 0
+    assert kinds["conv2d_dx"] == 1
+
+
+def test_parameter_backward_skips_the_image_adjoint():
+    """Block 0 reads the untaped image, so a create_graph backward toward
+    the parameters records block 1's input adjoint and not block 0's."""
+    model = helpers.tiny_model(channels=(4, 8), size=8)
+    images = np.random.default_rng(1).standard_normal((3, 1, 8, 8))
+    record = model.forward(images, tape=Tape())
+    tape = record.logits.tape
+    loss = classification_loss(record.logits, np.array([0, 1, 2]))
+    leaves = list(record.param_leaves.values())
+    kinds = _appended_kinds(tape, lambda: backward(loss, leaves, create_graph=True))
+    assert kinds["conv2d_dx"] == 1
+    assert kinds["conv2d_dw"] == 2
 
 
 def test_hessian_vector_product_matches_fd():

@@ -62,6 +62,16 @@ def test_synth_invalid_motif_size_names_field(tmp_path, capsys):
     assert "motif_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_synth_bad_noise_std_is_usage_error(tmp_path, capsys, value):
+    rc = run("synth", "--per-class", "1", "--noise-std", value,
+             "--out", str(tmp_path / "d"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and "noise_std" in err
+    assert not (tmp_path / "d" / "labels.csv").exists()
+
+
 # --------------------------------------------------------------------------
 # train
 # --------------------------------------------------------------------------
@@ -154,6 +164,24 @@ def test_nonpositive_training_size_is_usage_error(dataset, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "usage error:" in err
     assert flag[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf"),
+    ("--momentum", "1"), ("--momentum", "-0.1"),
+    ("--weight-decay", "-0.001"),
+])
+def test_bad_optimizer_setting_is_usage_error(dataset, tmp_path, capsys,
+                                              flag, value):
+    out = tmp_path / "o"
+    rc = run("train", "--data", str(dataset / "train"), "--out", str(out),
+             "--epochs", "1", "--batch-size", "8", "--channels", "4,8",
+             flag, value)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err
+    assert flag[2:].replace("-", "_") in err
+    assert not (out / "final.ckpt").exists()
 
 
 def test_config_file_mechanism_and_flag_precedence(dataset, tmp_path):
@@ -466,6 +494,12 @@ def test_huge_train_state_length_field_is_data_error(dataset, tmp_path, capsys,
     ("omega = -1", 1, "usage error: omega"),
     ("theta = 1.5", 1, "usage error: theta"),
     ("mechanism = cam", 1, "usage error: mechanism"),
+    ("epsilon = -1", 1, "usage error: epsilon"),
+    ("skip_threshold = -1e-6", 1, "usage error: skip_threshold"),
+    ("weight_lc = nan", 1, "usage error: weight_lc"),
+    ("weight_as_inner = -1", 1, "usage error: weight_as_inner"),
+    ("weight_as_last = inf", 1, "usage error: weight_as_last"),
+    ("weight_ac = -0.5", 1, "usage error: weight_ac"),
 ])
 def test_bad_config_file_exits_cleanly(dataset, trained, tmp_path, capsys,
                                        command, line, code, message):
