@@ -51,6 +51,25 @@ def maxpool_loops(x, window=2, stride=2):
     return out
 
 
+def maxpool_grad_loops(x, g, window, stride):
+    """Adjoint of max pooling: each window's upstream value added, window by
+    window in row-major order, at the window's first maximum."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h, w))
+    for b in range(n):
+        for k in range(c):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    best = None
+                    for p in range(window):
+                        for q in range(window):
+                            y, xx = i * stride + p, j * stride + q
+                            if best is None or x[b, k, y, xx] > x[b, k, best[0], best[1]]:
+                                best = (y, xx)
+                    out[b, k, best[0], best[1]] += g[b, k, i, j]
+    return out
+
+
 def matmul_loops(a, b):
     n, k = a.shape
     _, m = b.shape

@@ -9,6 +9,7 @@ from icasc import autodiff as ad
 from icasc.attention import class_gradients
 from icasc.autodiff import (DomainError, ShapeError, Tape, Tensor,
                             UnsupportedOpError, backward)
+from icasc.losses import IcascConfig, icasc_objective
 from icasc.nn import classification_loss
 
 import helpers
@@ -111,6 +112,40 @@ def test_conv_vs_loop_oracle():
     assert np.max(np.abs(out.data - oracles.conv2d_loops(x, w))) < 1e-12
 
 
+CONV_GEOMETRIES = [(n, stride, padding) for n in (1, 3) for stride in (1, 2)
+                   for padding in (0, 1, 2)]
+
+
+def _conv_operands(n, seed):
+    # kh != kw and Cin > 1; H and W chosen so stride 2 leaves rows unread
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, 2, 7, 6)), rng.standard_normal((3, 2, 3, 2))
+
+
+@pytest.mark.parametrize("n, stride, padding", CONV_GEOMETRIES)
+def test_conv_vs_loop_oracle_strided_padded(n, stride, padding):
+    x, w = _conv_operands(n, 20 + stride + padding)
+    out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+    ref = oracles.conv2d_loops(x, w, stride, padding)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out.data - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n, stride, padding", CONV_GEOMETRIES)
+def test_conv_adjoint_identities(n, stride, padding):
+    """<conv2d(x,w), g> = <x, conv2d_dx(g,w)> = <w, conv2d_dw(x,g)>."""
+    x, w = _conv_operands(n, 40 + stride + padding)
+    y = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+    g = np.random.default_rng(60 + n).standard_normal(y.shape)
+    meta = ad._geom_meta(x.shape, w.shape, stride, padding)
+    dx = ad._conv2d_dx_op(Tensor(g), Tensor(w), meta).data
+    dw = ad._conv2d_dw_op(Tensor(x), Tensor(g), meta).data
+    assert dx.shape == x.shape and dw.shape == w.shape
+    lhs = np.sum(y * g)
+    for rhs in (np.sum(x * dx), np.sum(w * dw)):
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
 def test_conv_channel_mismatch():
     with pytest.raises(ShapeError):
         ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
@@ -136,6 +171,23 @@ def test_maxpool_vs_loop_oracle():
     x = rng.standard_normal((1, 1, 4, 4))
     out = ad.maxpool2d(Tensor(x))
     assert np.array_equal(out.data, oracles.maxpool_loops(x))
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_maxpool_overlapping_windows_gradient_vs_loop_oracle(window):
+    """Stride 1 makes neighbouring windows share their argmax, so the
+    scatter adds several upstream values into one input pixel."""
+    rng = np.random.default_rng(window)
+    # small integers force ties inside windows as well as shared maxima
+    x = rng.integers(0, 4, size=(2, 3, 6, 5)).astype(np.float64)
+    tape = Tape()
+    xt = leaf(tape, x)
+    out = ad.maxpool2d(xt, window=window, stride=1)
+    g = rng.standard_normal(out.shape)
+    grad = backward(ad.reduce_sum(ad.mul(out, Tensor(g))), [xt])[xt.node].data
+    ref = oracles.maxpool_grad_loops(x, g, window, 1)
+    assert np.count_nonzero(ref) < g.size     # some pixels take several windows
+    assert np.array_equal(grad, ref)
 
 
 def test_maxpool_window_too_large():
@@ -470,6 +522,35 @@ def test_determinism_bit_identical():
                 [n.kind for n in t.nodes])
 
     assert run() == run()
+
+
+def test_tape_values_frozen_after_icasc_step():
+    """Op outputs go on the tape uncopied, so each must be frozen in place:
+    no node value or recorded operand of a full step can be written."""
+    model = helpers.tiny_model(channels=(4, 8), size=8)
+    images = np.random.default_rng(3).random((3, 1, 8, 8))
+    record = model.forward(images, tape=Tape())
+    tape = record.logits.tape
+    bd = icasc_objective(record, np.array([0, 1, 2]), IcascConfig())
+    assert bd.skip_rate < 1.0
+    backward(bd.total_tensor, list(record.param_leaves.values()))
+    assert len(tape) > 50
+    for node in tape.nodes:
+        assert not node.value.flags.writeable, node.kind
+        for _, data in node.inputs:
+            assert not data.flags.writeable, node.kind
+
+
+@pytest.mark.parametrize("make", [lambda arr: Tensor(arr),
+                                  lambda arr: Tape().leaf(arr)])
+def test_caller_array_mutation_does_not_reach_tensor(make):
+    arr = np.arange(6.0).reshape(2, 3)
+    t = make(arr)
+    arr[:] = -1.0
+    assert np.array_equal(t.data, np.arange(6.0).reshape(2, 3))
+    if t.tape is not None:
+        assert np.array_equal(t.tape.nodes[t.node].value,
+                              np.arange(6.0).reshape(2, 3))
 
 
 def test_tape_values_reproducible_from_leaves():
