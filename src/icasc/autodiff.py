@@ -215,8 +215,13 @@ def _tape_of(*tensors: Tensor) -> Optional[Tape]:
 
 
 def _emit(kind: str, inputs: Sequence[Tensor], value: np.ndarray, meta=None) -> Tensor:
-    """Produce the op result, recording a node when an operand is on a tape."""
-    value = _as_array(value)
+    """Produce the op result, recording a node when an operand is on a tape.
+
+    ``value`` is the op's own result, so it is frozen in place, not copied:
+    it is either a fresh array or a view of a frozen operand.
+    """
+    value = np.asarray(value, dtype=np.float64)
+    value.flags.writeable = False
     tape = _tape_of(*inputs)
     if tape is None:
         return Tensor(value, None, None, _own=True)
@@ -477,7 +482,7 @@ def broadcast_axes(x, target_shape, axes) -> Tensor:
     if x.shape != expect:
         raise ShapeError(f"broadcast_axes: have {x.shape}, need {expect} "
                          f"for target {target_shape} over axes {axes}")
-    value = np.broadcast_to(np.expand_dims(x.data, axes), target_shape).copy()
+    value = np.broadcast_to(np.expand_dims(x.data, axes), target_shape)
     return _emit("broadcast_axes", (x,), value,
                  {"axes": axes, "target_shape": target_shape})
 
@@ -489,13 +494,15 @@ def reshape(x, shape) -> Tensor:
         value = x.data.reshape(shape)
     except ValueError as e:
         raise ShapeError(f"reshape {x.shape} -> {shape}: {e}") from None
-    return _emit("reshape", (x,), value.copy(), {"in_shape": x.shape})
+    return _emit("reshape", (x,), value, {"in_shape": x.shape})
 
 
 def transpose2d(x) -> Tensor:
     x = _lift(x)
     if x.ndim != 2:
         raise ShapeError(f"transpose2d expects 2-D, got {x.shape}")
+    # a transposed view would reach BLAS as a transposed operand, which sums
+    # in another order; the copy keeps matmul results bit-stable
     return _emit("transpose2d", (x,), x.data.T.copy())
 
 
@@ -553,6 +560,13 @@ def _matmul_rule(node, g, inputs, out, need):
 # and conv2d_dw are bilinear too, and the three maps are closed under
 # differentiation, which is what makes second/third-order passes exact.
 # All share one geometry record: (stride, padding, x_shape, w_shape).
+#
+# The kernels share one channel-major patch layout, (N, Cin, kh, kw, OH, OW):
+# with K = Cin*kh*kw and P = OH*OW, a batch of patches is an (N, K, P) stack.
+# conv2d is (Cout, K) @ (N, K, P) and conv2d_dx is (K, Cout) @ (N, Cout, P),
+# both NCHW as they come out of the matmul; conv2d_dw sums the per-sample
+# (N, Cout, P) @ (N, P, K) products over the batch, the patch stack reaching
+# BLAS as a transposed operand.  No patch array is copied into another order.
 # --------------------------------------------------------------------------
 
 
@@ -572,24 +586,29 @@ def _conv_geometry(x_shape, w_shape, stride: int, padding: int):
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """(N, Cin, H, W) -> (N, OH, OW, Cin, kh, kw) patch view (copied)."""
+    """(N, Cin, H, W) -> (N, Cin, kh, kw, OH, OW) patches, one slice copy per
+    kernel tap: ``cols[:, :, a, b]`` is the padded input at tap (a, b)."""
+    n, cin, h, w = x.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]            # (N, Cin, OH, OW, kh, kw)
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+    cols = np.empty((n, cin, kh, kw, oh, ow))
+    for a in range(kh):
+        for b in range(kw):
+            cols[:, :, a, b] = xp[:, :, a:a + stride * oh:stride,
+                                  b:b + stride * ow:stride]
+    return cols
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int,
-            padding: int) -> np.ndarray:
-    """Adjoint of _im2col; cols is (N, OH, OW, Cin, kh, kw)."""
+def _col2im(cols: np.ndarray, x_shape, stride: int, padding: int) -> np.ndarray:
+    """Adjoint of _im2col; cols is (N, Cin, kh, kw, OH, OW)."""
     n, cin, h, w = x_shape
-    oh, ow = cols.shape[1], cols.shape[2]
+    kh, kw, oh, ow = cols.shape[2:]
     xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding))
-    cols = cols.transpose(0, 3, 1, 2, 4, 5)              # (N, Cin, OH, OW, kh, kw)
     for a in range(kh):
         for b in range(kw):
             xp[:, :, a:a + stride * oh:stride, b:b + stride * ow:stride] += \
-                cols[:, :, :, :, a, b]
+                cols[:, :, a, b]
     if padding:
         return xp[:, :, padding:-padding, padding:-padding].copy()
     return xp
@@ -597,27 +616,27 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int,
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
     cout, cin, kh, kw = w.shape
-    oh, ow = _conv_geometry(x.shape, w.shape, stride, padding)
-    cols = _im2col(x, kh, kw, stride, padding).reshape(-1, cin * kh * kw)
-    out = cols @ w.reshape(cout, -1).T
-    return out.reshape(x.shape[0], oh, ow, cout).transpose(0, 3, 1, 2)
+    cols = _im2col(x, kh, kw, stride, padding)
+    n, oh, ow = x.shape[0], cols.shape[4], cols.shape[5]
+    out = w.reshape(cout, -1) @ cols.reshape(n, cin * kh * kw, oh * ow)
+    return out.reshape(n, cout, oh, ow)
 
 
 def _conv_dx(g: np.ndarray, w: np.ndarray, x_shape, stride: int,
              padding: int) -> np.ndarray:
     cout, cin, kh, kw = w.shape
     n, oh, ow = g.shape[0], g.shape[2], g.shape[3]
-    gmat = g.transpose(0, 2, 3, 1).reshape(-1, cout)
-    cols = (gmat @ w.reshape(cout, -1)).reshape(n, oh, ow, cin, kh, kw)
-    return _col2im(cols, x_shape, kh, kw, stride, padding)
+    cols = w.reshape(cout, -1).T @ g.reshape(n, cout, oh * ow)
+    return _col2im(cols.reshape(n, cin, kh, kw, oh, ow), x_shape, stride, padding)
 
 
 def _conv_dw(x: np.ndarray, g: np.ndarray, w_shape, stride: int,
              padding: int) -> np.ndarray:
     cout, cin, kh, kw = w_shape
-    cols = _im2col(x, kh, kw, stride, padding).reshape(-1, cin * kh * kw)
-    gmat = g.transpose(0, 2, 3, 1).reshape(-1, cout)
-    return (gmat.T @ cols).reshape(w_shape)
+    n, oh, ow = g.shape[0], g.shape[2], g.shape[3]
+    cols = _im2col(x, kh, kw, stride, padding).reshape(n, cin * kh * kw, oh * ow)
+    per_sample = g.reshape(n, cout, oh * ow) @ cols.transpose(0, 2, 1)
+    return per_sample.sum(axis=0).reshape(w_shape)
 
 
 def _geom_meta(x_shape, w_shape, stride, padding):
@@ -709,10 +728,10 @@ def maxpool2d(x, window: int = 2, stride: int = 2) -> Tensor:
 def _pool_scatter_op(g, indices: np.ndarray, in_shape) -> Tensor:
     g = _lift(g)
     n, c, h, w = in_shape
-    out = np.zeros((n, c, h * w))
-    np.add.at(out, (np.arange(n)[:, None, None, None],
-                    np.arange(c)[None, :, None, None],
-                    indices), g.data)
+    # offset each plane's indices so that one bincount adds every window's
+    # value, in window order, including windows that share their argmax
+    flat = indices + (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+    out = np.bincount(flat.ravel(), weights=g.data.ravel(), minlength=n * c * h * w)
     return _emit("pool_scatter", (g,), out.reshape(in_shape),
                  {"indices": indices, "in_shape": tuple(in_shape)})
 

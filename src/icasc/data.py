@@ -174,6 +174,10 @@ def load_dataset(path, n_classes: int | None = None) -> Dataset:
                 [f.strip() for f in reader.fieldnames] != ["id", "filename", "label"]:
             raise DataError(f"{labels_file}: header must be id,filename,label")
         for row in reader:
+            # DictReader keys surplus fields under None and fills missing ones with None
+            if None in row or None in row.values():
+                raise DataError(f"{labels_file}:{reader.line_num}: row needs "
+                                "3 fields id,filename,label")
             sid = row["id"]
             try:
                 labels = tuple(int(tok) for tok in row["label"].split(";"))

@@ -349,6 +349,24 @@ def test_non_numeric_pgm_header_is_data_error(trained, tmp_path, capsys):
     assert "garbled.pgm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("row", ["c0,a.pgm", "c0,a.pgm,0,1"])
+def test_labels_row_field_count_is_data_error(trained, tmp_path, capsys,
+                                              command, row):
+    d = tmp_path / "ragged"
+    d.mkdir()
+    dio.write_pgm(d / "a.pgm", np.zeros((16, 16), dtype=np.uint8))
+    (d / "labels.csv").write_text(f"id,filename,label\nfirst,a.pgm,0\n{row}\n",
+                                  encoding="utf-8")
+    if command == "train":
+        args = ("train", "--data", str(d), "--out", str(tmp_path / "o"))
+    else:
+        args = ("eval", "--checkpoint", str(trained), "--data", str(d),
+                "--out", str(tmp_path / "o"))
+    assert run(*args) == 2
+    assert "labels.csv:3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", ["truncated", "bad_magic", "bad_json"])
 def test_damaged_checkpoint_is_data_error(trained, dataset, tmp_path, capsys,
                                           damage):

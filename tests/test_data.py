@@ -161,6 +161,15 @@ def test_label_out_of_range(tmp_path):
         load_dataset(tmp_path, n_classes=4)
 
 
+@pytest.mark.parametrize("row", ["s2,a.pgm", "s2", "s2,a.pgm,0,extra"])
+def test_row_field_count_differs_from_header(tmp_path, row):
+    write_pgm(tmp_path / "a.pgm", np.zeros((4, 4), dtype=np.uint8))
+    (tmp_path / "labels.csv").write_text(
+        f"id,filename,label\ns1,a.pgm,0\n{row}\n", encoding="utf-8")
+    with pytest.raises(DataError, match="labels.csv:3"):
+        load_dataset(tmp_path)
+
+
 def test_multilabel_parsing(tmp_path):
     write_pgm(tmp_path / "a.pgm", np.zeros((4, 4), dtype=np.uint8))
     (tmp_path / "labels.csv").write_text(
