@@ -60,13 +60,13 @@ def maxpool_grad_loops(x, g, window, stride):
         for k in range(c):
             for i in range(g.shape[2]):
                 for j in range(g.shape[3]):
-                    best = None
+                    by, bx = i * stride, j * stride
                     for p in range(window):
                         for q in range(window):
                             y, xx = i * stride + p, j * stride + q
-                            if best is None or x[b, k, y, xx] > x[b, k, best[0], best[1]]:
-                                best = (y, xx)
-                    out[b, k, best[0], best[1]] += g[b, k, i, j]
+                            if x[b, k, y, xx] > x[b, k, by, bx]:
+                                by, bx = y, xx
+                    out[b, k, by, bx] += g[b, k, i, j]
     return out
 
 
