@@ -15,6 +15,8 @@ has a known correct answer: the discriminative corners.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,8 +101,24 @@ def read_image(path) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# CSV output
+# atomic writes and CSV output
 # --------------------------------------------------------------------------
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Write ``path`` through a temp file beside it that is flushed, fsynced
+    and renamed over ``path`` on success, so a crash leaves the old file or
+    the new one, never a part; on an exception ``path`` is left as it was."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _cell(value) -> str:
@@ -117,9 +135,9 @@ def write_csv(path, header, rows, comment=None) -> None:
 
     Every CSV the program writes goes through here, so the cell format is
     fixed in one place: floats as ``repr`` (an exact round trip), bools as
-    0/1, everything else as ``str``.
+    0/1, everything else as ``str``.  The file is replaced atomically.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,10 +20,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .data import DataError
+from .data import DataError, atomic_open
 
 MAGIC = b"ICASCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -55,8 +54,8 @@ class ModelConfig:
         if len(self.channels) < 2:
             raise ConfigError("need at least 2 blocks so the inner and last "
                               "attention layers are distinct")
-        if any(c < 1 for c in self.channels):
-            raise ConfigError(f"invalid channel counts {self.channels}")
+        if min(*self.channels, self.input_channels, self.n_classes) < 1:
+            raise ConfigError(f"channel and class counts must be >= 1: {self}")
         if self.kernel_size % 2 != 1:
             raise ConfigError("kernel size must be odd (same-padding blocks)")
         size = self.input_size
@@ -257,12 +256,6 @@ class SgdOptimizer:
             self.velocity[name] = v
             params[name] = p - lr * v
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return dict(self.velocity)
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.velocity = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
-
 
 def lr_schedule(kind: str, epoch: int, total_epochs: int, base_lr: float,
                 milestones: tuple[int, ...] = ()) -> float:
@@ -281,8 +274,9 @@ def lr_schedule(kind: str, epoch: int, total_epochs: int, base_lr: float,
 # checkpoints
 #
 # Layout (little-endian): magic, u32 version, u32 config-JSON length, the
-# JSON bytes, u32 parameter count, then per parameter: u32 name length,
-# name bytes, u32 ndim, u64 dims, float64 row-major values.
+# JSON bytes, then the parameters and the optimizer velocities (none unless
+# given), each as a u32 count and per array: u32 name length, name bytes,
+# u32 ndim, u64 dims, float64 row-major values.
 # --------------------------------------------------------------------------
 
 
@@ -318,88 +312,65 @@ def _read_array(fh) -> tuple[str, np.ndarray]:
     return name, data.reshape(shape).astype(np.float64)
 
 
-def save_checkpoint(path, model: Model, extra: Optional[dict] = None) -> None:
-    """Versioned binary checkpoint: config JSON + named float64 arrays."""
+def save_checkpoint(path, model: Model, extra: Optional[dict] = None,
+                    velocity: Optional[dict[str, np.ndarray]] = None) -> None:
+    """Versioned binary checkpoint: config JSON, named float64 parameters,
+    then the optimizer ``velocity``; a crash mid-save leaves the old file."""
     header = {"config": model.config.to_dict()}
     if extra:
         header.update(extra)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(struct.pack("<I", len(model.params)))
-        for name, arr in model.params.items():
-            _write_array(fh, name, arr)
+        for arrays in (model.params, velocity or {}):
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                _write_array(fh, name, arr)
 
 
 def _check_params(path, arrays: dict[str, np.ndarray],
-                  expected: dict[str, np.ndarray]) -> None:
+                  expected: dict[str, np.ndarray],
+                  what: str = "parameter") -> None:
     """Raise DataError naming the file and the parameter unless ``arrays``
     holds exactly ``expected``'s parameter names, each with its shape."""
     for name, want in expected.items():
         have = arrays.get(name)
         if have is None or have.shape != want.shape:
             found = "missing" if have is None else f"of shape {have.shape}"
-            raise DataError(f"{path}: parameter '{name}' is {found}, the "
+            raise DataError(f"{path}: {what} '{name}' is {found}, the "
                             f"model needs shape {want.shape}")
     extra = sorted(arrays.keys() - expected.keys())
     if extra:
-        raise DataError(f"{path}: parameter '{extra[0]}' is not in the model")
-
-
-@contextmanager
-def _reading(path, magic: bytes, kind: str):
-    """Open a versioned binary file past its magic and version.
-
-    Bad magic, an unknown version, and truncated or garbled content all
-    raise :class:`DataError` naming the file.
-    """
-    try:
-        with open(path, "rb") as fh:
-            if fh.read(len(magic)) != magic:
-                raise DataError(f"{path}: not a {kind} file")
-            (version,) = struct.unpack("<I", _read(fh, 4))
-            if version != CHECKPOINT_VERSION:
-                raise DataError(f"{path}: unsupported {kind} version {version}")
-            yield fh
-    except DataError:
-        raise
-    except (struct.error, ValueError, KeyError, TypeError) as e:
-        raise DataError(f"{path}: corrupt {kind} file ({e})") from None
+        raise DataError(f"{path}: {what} '{extra[0]}' is not in the model")
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
-    with _reading(path, MAGIC, "checkpoint") as fh:
-        (hlen,) = struct.unpack("<I", _read(fh, 4))
-        header = json.loads(_read(fh, hlen).decode("utf-8"))
-        (count,) = struct.unpack("<I", _read(fh, 4))
-        params = dict(_read_array(fh) for _ in range(count))
-        config = ModelConfig.from_dict(header["config"])
+    """Read a checkpoint; ``header["velocity"]`` holds its velocities, empty
+    if none were saved.  Any damage raises DataError naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(MAGIC)) != MAGIC:
+                raise DataError(f"{path}: not a checkpoint file")
+            (version,) = struct.unpack("<I", _read(fh, 4))
+            if version != CHECKPOINT_VERSION:
+                raise DataError(f"{path}: unsupported checkpoint version "
+                                f"{version}")
+            (hlen,) = struct.unpack("<I", _read(fh, 4))
+            header = json.loads(_read(fh, hlen).decode("utf-8"))
+            (count,) = struct.unpack("<I", _read(fh, 4))
+            params = dict(_read_array(fh) for _ in range(count))
+            (count,) = struct.unpack("<I", _read(fh, 4))
+            velocity = dict(_read_array(fh) for _ in range(count))
+            config = ModelConfig.from_dict(header["config"])
+    except DataError:
+        raise
+    except (struct.error, ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{path}: corrupt checkpoint file ({e})") from None
     _check_params(path, params, Model.build(config, 0).params)
+    if velocity:
+        _check_params(path, velocity, params, "velocity")
+    header["velocity"] = velocity
     return Model(config, params), header
-
-
-def save_train_state(path, epoch_next: int, optimizer: SgdOptimizer) -> None:
-    """Sidecar file so a resumed run continues bit-exactly."""
-    vel = optimizer.state_arrays()
-    with open(path, "wb") as fh:
-        fh.write(b"ICASCOPT")
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", epoch_next))
-        fh.write(struct.pack("<I", len(vel)))
-        for name, arr in vel.items():
-            _write_array(fh, name, arr)
-
-
-def load_train_state(path, expected_params: dict[str, np.ndarray]
-                     ) -> tuple[int, dict[str, np.ndarray]]:
-    """Read the state file; its velocities must match ``expected_params``'
-    names and shapes."""
-    with _reading(path, b"ICASCOPT", "training-state") as fh:
-        (epoch_next,) = struct.unpack("<I", _read(fh, 4))
-        (count,) = struct.unpack("<I", _read(fh, 4))
-        vel = dict(_read_array(fh) for _ in range(count))
-    _check_params(path, vel, expected_params)
-    return epoch_next, vel

@@ -16,8 +16,7 @@ from .autodiff import Tape
 from .losses import IcascConfig, classification_objective, icasc_objective
 from .metrics import predict, topk_accuracy
 from .nn import (ConfigError, Model, ModelConfig, SgdOptimizer,
-                 load_checkpoint, load_train_state, lr_schedule,
-                 save_checkpoint, save_train_state)
+                 load_checkpoint, lr_schedule, save_checkpoint)
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,8 @@ def evaluate_accuracy(model: Model, dataset: dio.Dataset, batch_size: int,
 
 
 def train(cfg: TrainConfig) -> TrainResult:
-    """Run (or resume) a training job; writes log, checkpoints, state."""
+    """Run (or resume from final.ckpt) a training job; writes the log and
+    checkpoints."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -136,11 +136,19 @@ def train(cfg: TrainConfig) -> TrainResult:
     start_epoch = 0
     log: list[EpochStats] = []
     if cfg.resume:
-        model, _ = load_checkpoint(out / "final.ckpt")
-        start_epoch, velocity = load_train_state(out / "train_state.bin",
-                                                 model.params)
-        optimizer.load_state(velocity)
-        log = read_log(out / "train_log.csv")
+        # final.ckpt is each epoch's last write: rows past it are dropped
+        model, header = load_checkpoint(out / "final.ckpt")
+        if "epoch" not in header or not header["velocity"]:
+            raise dio.DataError(f"{out / 'final.ckpt'}: not a resume point")
+        if model.config != model_cfg:
+            raise ConfigError(f"{out / 'final.ckpt'} holds {model.config}, "
+                              f"but the flags and data give {model_cfg}")
+        optimizer.velocity = header["velocity"]
+        start_epoch = header["epoch"] + 1
+        log = read_log(out / "train_log.csv")[:start_epoch]
+        if len(log) < start_epoch:
+            raise dio.DataError(f"{out / 'train_log.csv'}: {len(log)} rows, "
+                                f"final.ckpt is at epoch {header['epoch']}")
     else:
         model = Model.build(model_cfg, cfg.seed)
 
@@ -185,13 +193,13 @@ def train(cfg: TrainConfig) -> TrainResult:
                            train_acc, test_acc, skip_rate)
         log.append(stats)
 
+        write_log(out / "train_log.csv", cfg.seed, log)
         select_acc = test_acc if test_set else stats.train_acc
         if select_acc > best_acc:
             best_acc, best_epoch = select_acc, epoch
             save_checkpoint(out / "best.ckpt", model, {"epoch": epoch})
-        save_checkpoint(out / "final.ckpt", model, {"epoch": epoch})
-        save_train_state(out / "train_state.bin", epoch + 1, optimizer)
-        write_log(out / "train_log.csv", cfg.seed, log)
+        save_checkpoint(out / "final.ckpt", model, {"epoch": epoch},
+                        optimizer.velocity)
 
     return TrainResult(model, log, best_epoch, best_acc)
 

@@ -8,8 +8,7 @@ import pytest
 from icasc import cli
 from icasc import data as dio
 from icasc.losses import IcascConfig
-from icasc.nn import (Model, ModelConfig, SgdOptimizer, load_checkpoint,
-                      load_train_state, save_checkpoint, save_train_state)
+from icasc.nn import Model, ModelConfig, load_checkpoint, save_checkpoint
 from icasc.training import TrainConfig
 
 
@@ -367,7 +366,8 @@ def test_labels_row_field_count_is_data_error(trained, tmp_path, capsys,
     assert "labels.csv:3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["truncated", "bad_magic", "bad_json"])
+@pytest.mark.parametrize("damage", ["truncated", "bad_magic", "bad_json",
+                                    "version_1"])
 def test_damaged_checkpoint_is_data_error(trained, dataset, tmp_path, capsys,
                                           damage):
     blob = trained.read_bytes()
@@ -375,6 +375,8 @@ def test_damaged_checkpoint_is_data_error(trained, dataset, tmp_path, capsys,
         blob = blob[:len(blob) // 2]
     elif damage == "bad_magic":
         blob = b"NOTACKPT" + blob[8:]
+    elif damage == "version_1":        # the format without velocities
+        blob = blob[:8] + struct.pack("<I", 1) + blob[12:]
     else:
         blob = blob[:16] + b"#" + blob[17:]        # first JSON byte
     ckpt = tmp_path / f"{damage}.ckpt"
@@ -408,14 +410,17 @@ def test_checkpoint_params_disagreeing_with_config_is_data_error(
     assert ckpt.name in err and name in err
 
 
+# The training state, the optimizer velocities, is the last section of
+# final.ckpt, the resume point.
+
 def test_truncated_train_state_is_data_error(dataset, tmp_path, capsys):
     common = ["--data", str(dataset / "train"), "--batch-size", "8",
               "--channels", "4,8", "--baseline", "--out", str(tmp_path / "r")]
     assert run("train", *common, "--epochs", "1") == 0
-    state = tmp_path / "r" / "train_state.bin"
-    state.write_bytes(state.read_bytes()[:-5])
+    ckpt = tmp_path / "r" / "final.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-5])
     assert run("train", *common, "--epochs", "2", "--resume") == 2
-    assert "train_state.bin" in capsys.readouterr().err
+    assert "final.ckpt" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage, name", [("wrong_shape", "head.w"),
@@ -427,9 +432,9 @@ def test_train_state_velocities_disagreeing_with_model_is_data_error(
     common = ["--data", str(dataset / "train"), "--batch-size", "8",
               "--channels", "4,8", "--baseline", "--out", str(tmp_path / "r")]
     assert run("train", *common, "--epochs", "1") == 0
-    model, _ = load_checkpoint(tmp_path / "r" / "final.ckpt")
-    state = tmp_path / "r" / "train_state.bin"
-    epoch_next, velocity = load_train_state(state, model.params)
+    ckpt = tmp_path / "r" / "final.ckpt"
+    model, header = load_checkpoint(ckpt)
+    velocity = header["velocity"]
     if damage == "wrong_shape":
         velocity[name] = np.zeros((5, 3))
     elif damage == "broadcastable":
@@ -438,12 +443,10 @@ def test_train_state_velocities_disagreeing_with_model_is_data_error(
         del velocity[name]
     else:
         velocity[name] = np.zeros(2)
-    optimizer = SgdOptimizer()
-    optimizer.load_state(velocity)
-    save_train_state(state, epoch_next, optimizer)
+    save_checkpoint(ckpt, model, {"epoch": header["epoch"]}, velocity)
     assert run("train", *common, "--epochs", "2", "--resume") == 2
     err = capsys.readouterr().err
-    assert "train_state.bin" in err and name in err
+    assert "final.ckpt" in err and name in err
 
 
 @pytest.mark.parametrize("row", ["0,0.05",
@@ -457,6 +460,31 @@ def test_malformed_train_log_row_is_data_error(dataset, tmp_path, capsys, row):
     log.write_text("\n".join(lines[:2] + [row]) + "\n")
     assert run("train", *common, "--epochs", "2", "--resume") == 2
     assert "train_log.csv:3" in capsys.readouterr().err
+
+
+def test_train_log_shorter_than_checkpoint_is_data_error(dataset, tmp_path,
+                                                        capsys):
+    common = ["--data", str(dataset / "train"), "--batch-size", "8",
+              "--channels", "4,8", "--baseline", "--out", str(tmp_path / "r")]
+    assert run("train", *common, "--epochs", "2") == 0
+    log = tmp_path / "r" / "train_log.csv"
+    log.write_text("\n".join(log.read_text().splitlines()[:-1]) + "\n")
+    assert run("train", *common, "--epochs", "3", "--resume") == 2
+    err = capsys.readouterr().err
+    assert "train_log.csv" in err and "1 rows" in err
+
+
+def test_resume_with_other_architecture_is_usage_error(dataset, tmp_path,
+                                                       capsys):
+    common = ["--data", str(dataset / "train"), "--batch-size", "8",
+              "--baseline", "--out", str(tmp_path / "r")]
+    assert run("train", *common, "--channels", "4,8", "--epochs", "1") == 0
+    echoed = (tmp_path / "r" / "run_config.txt").read_text()
+    assert run("train", *common, "--channels", "6,12", "--epochs", "2",
+               "--resume") == 1
+    err = capsys.readouterr().err
+    assert "(4, 8)" in err and "(6, 12)" in err
+    assert (tmp_path / "r" / "run_config.txt").read_text() == echoed
 
 
 def array_fields(blob, start: int) -> dict:
@@ -487,17 +515,33 @@ def test_huge_checkpoint_length_field_is_data_error(trained, dataset, tmp_path,
     assert ckpt.name in capsys.readouterr().err
 
 
+def velocity_start(blob: bytes) -> int:
+    """Offset of the first velocity array: past the header, the parameter
+    arrays and the u32 velocity count."""
+    (hlen,) = struct.unpack_from("<I", blob, 12)
+    offset = 16 + hlen
+    (count,) = struct.unpack_from("<I", blob, offset)
+    offset += 4
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<I", blob, offset)
+        (ndim,) = struct.unpack_from("<I", blob, offset + 4 + nlen)
+        dims = struct.unpack_from(f"<{ndim}Q", blob, offset + 8 + nlen)
+        offset += 8 + nlen + 8 * ndim + 8 * int(np.prod(dims))
+    return offset + 4
+
+
 @pytest.mark.parametrize("field", ["name_length", "ndim", "dimension"])
 def test_huge_train_state_length_field_is_data_error(dataset, tmp_path, capsys,
                                                      field):
     common = ["--data", str(dataset / "train"), "--batch-size", "8",
               "--channels", "4,8", "--baseline", "--out", str(tmp_path / "r")]
     assert run("train", *common, "--epochs", "1") == 0
-    state = tmp_path / "r" / "train_state.bin"
-    blob = state.read_bytes()
-    state.write_bytes(set_huge(blob, *array_fields(blob, 20)[field]))
+    ckpt = tmp_path / "r" / "final.ckpt"
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(set_huge(blob, *array_fields(blob,
+                                                  velocity_start(blob))[field]))
     assert run("train", *common, "--epochs", "2", "--resume") == 2
-    assert "train_state.bin" in capsys.readouterr().err
+    assert "final.ckpt" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icasc import data as dio
 from icasc.data import (DataError, SynthSpec, batch_iter, generate_synth,
@@ -73,6 +75,25 @@ def test_read_image_bad_magic(tmp_path):
     path.write_bytes(b"P3\n1 1\n255\n0")
     with pytest.raises(DataError):
         read_image(path)
+
+
+_PGM = b"P5\n# a comment\n6 5\n255\n" + bytes(range(30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=st.integers(0, len(_PGM)), bit=st.integers(-1, 8 * len(_PGM) - 1))
+def test_damaged_pgm_reads_or_is_data_error(tmp_path_factory, cut, bit):
+    """Any truncation, then at most one flipped bit: the reader returns an
+    image or raises DataError, never another exception."""
+    damaged = bytearray(_PGM[:cut])
+    if 0 <= bit < 8 * cut:
+        damaged[bit // 8] ^= 1 << (bit % 8)
+    path = tmp_path_factory.getbasetemp() / "damaged.pgm"
+    path.write_bytes(bytes(damaged))
+    try:
+        read_image(path)
+    except DataError:
+        pass
 
 
 # --------------------------------------------------------------------------

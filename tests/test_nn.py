@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icasc import autodiff as ad
+from icasc import data as dio
 from icasc import nn
 from icasc.autodiff import Tape, Tensor, backward
 from icasc.nn import (ConfigError, Model, ModelConfig, NumericalError,
                       SgdOptimizer, cross_entropy, lr_schedule,
                       multilabel_soft_margin)
+from icasc.training import TrainConfig, train
 
 import oracles
 
@@ -43,6 +47,13 @@ def test_same_seed_bit_identical():
 def test_one_block_config_rejected():
     with pytest.raises(ConfigError):
         ModelConfig(channels=(16,), input_size=32, input_channels=1, n_classes=4)
+
+
+@pytest.mark.parametrize("field", ["input_channels", "n_classes"])
+def test_zero_input_channels_or_classes_rejected(field):
+    with pytest.raises(ConfigError):
+        ModelConfig(**{"channels": (4, 8), "input_size": 8, "input_channels": 1,
+                       "n_classes": 3, field: 0})
 
 
 def test_too_small_spatial_rejected():
@@ -308,6 +319,29 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(loaded.params[name], model.params[name])
 
 
+def test_failed_save_leaves_previous_checkpoint(tmp_path, monkeypatch):
+    model = tiny_model(11)
+    path = tmp_path / "final.ckpt"
+    nn.save_checkpoint(path, model, {"epoch": 0})
+    before = path.read_bytes()
+    real_write = nn._write_array
+    written = []
+
+    def failing_write(fh, name, arr):
+        written.append(name)
+        if len(written) == 3:
+            raise OSError("disk full")
+        real_write(fh, name, arr)
+
+    monkeypatch.setattr(nn, "_write_array", failing_write)
+    with pytest.raises(OSError):
+        nn.save_checkpoint(path, tiny_model(12), {"epoch": 1})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    _, header = nn.load_checkpoint(path)
+    assert header["epoch"] == 0
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")
@@ -315,13 +349,56 @@ def test_checkpoint_rejects_garbage(tmp_path):
         nn.load_checkpoint(path)
 
 
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """The bytes of a trained final.ckpt, velocities included, and a path
+    to write damaged copies to."""
+    root = tmp_path_factory.mktemp("fuzz")
+    dio.generate_synth(dio.SynthSpec(n_classes=3, canvas=16, motif_size=3,
+                                     seed=4), 4, root / "d")
+    train(TrainConfig(data_dir=str(root / "d"), out_dir=str(root / "r"),
+                      epochs=1, batch_size=8, channels=(4, 8), lr=0.01))
+    blob = (root / "r" / "final.ckpt").read_bytes()
+    assert nn.load_checkpoint(root / "r" / "final.ckpt")[1]["velocity"]
+    return blob, root / "damaged.ckpt"
+
+
+def _loads_or_data_error(path) -> None:
+    try:
+        nn.load_checkpoint(path)
+    except dio.DataError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut=st.data())
+def test_truncated_checkpoint_loads_or_is_data_error(trained_checkpoint, cut):
+    blob, path = trained_checkpoint
+    path.write_bytes(blob[:cut.draw(st.integers(0, len(blob) - 1))])
+    _loads_or_data_error(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flip=st.data())
+def test_bit_flipped_checkpoint_loads_or_is_data_error(trained_checkpoint, flip):
+    blob, path = trained_checkpoint
+    bit = flip.draw(st.integers(0, 8 * len(blob) - 1))
+    damaged = bytearray(blob)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(damaged))
+    _loads_or_data_error(path)
+
+
 def test_train_state_roundtrip(tmp_path):
-    opt = SgdOptimizer()
-    opt.velocity = {"a": np.array([1.0, 2.0]), "b": np.zeros((2, 2))}
-    path = tmp_path / "state.bin"
-    nn.save_train_state(path, 5, opt)
-    epoch, vel = nn.load_train_state(path, {"a": np.zeros(2),
-                                            "b": np.zeros((2, 2))})
-    assert epoch == 5
-    assert np.array_equal(vel["a"], [1.0, 2.0])
-    assert np.array_equal(vel["b"], np.zeros((2, 2)))
+    # the training state, the optimizer velocities, rides in the checkpoint
+    model = tiny_model(11)
+    rng = np.random.default_rng(0)
+    velocity = {name: rng.normal(size=p.shape) for name, p in model.params.items()}
+    path = tmp_path / "m.ckpt"
+    nn.save_checkpoint(path, model, {"epoch": 5}, velocity)
+    loaded, header = nn.load_checkpoint(path)
+    assert header["epoch"] == 5
+    assert header["velocity"].keys() == velocity.keys()
+    for name, v in velocity.items():
+        assert header["velocity"][name].tobytes() == v.tobytes()
+        assert loaded.params[name].tobytes() == model.params[name].tobytes()

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from icasc import data as dio
+from icasc import training
 from icasc.losses import IcascConfig
 from icasc.training import LOG_COLUMNS, TrainConfig, read_log, train
 
@@ -45,3 +46,45 @@ def test_multi_label_epoch_logs_finite_in_range_row(multi_label_set, tmp_path,
         assert row.total == pytest.approx(
             row.l_c + row.l_as_in + row.l_as_la + row.l_ac, rel=1e-12)
     assert read_log(tmp_path / "run" / "train_log.csv") == result.log
+
+
+class Crash(Exception):
+    pass
+
+
+@pytest.mark.parametrize("target", ["best.ckpt", "final.ckpt"])
+def test_resume_after_crash_between_epoch_writes_is_byte_identical(
+        tmp_path, monkeypatch, target):
+    root = tmp_path / "d"
+    dio.generate_synth(dio.SynthSpec(n_classes=2, canvas=16, motif_size=3,
+                                     noise_std=0.02, seed=3), 16, root)
+
+    # epoch 1 is a new best here, so both checkpoints are due in its window
+    def config(out, resume=False):
+        return TrainConfig(data_dir=str(root), out_dir=str(out), epochs=3,
+                           batch_size=4, channels=(4, 8), lr=0.1, seed=1,
+                           resume=resume)
+
+    train(config(tmp_path / "full"))
+
+    # epoch 1 dies after its log row is written, before ``target`` is saved
+    real_save = training.save_checkpoint
+    crashed = []
+
+    def crashing_save(path, model, extra=None, velocity=None):
+        if path.name == target and extra["epoch"] == 1:
+            crashed.append(path)
+            raise Crash
+        real_save(path, model, extra, velocity)
+
+    monkeypatch.setattr(training, "save_checkpoint", crashing_save)
+    with pytest.raises(Crash):
+        train(config(tmp_path / "cut"))
+    assert crashed
+    assert len(read_log(tmp_path / "cut" / "train_log.csv")) == 2
+    monkeypatch.setattr(training, "save_checkpoint", real_save)
+
+    train(config(tmp_path / "cut", resume=True))
+    for name in ("final.ckpt", "best.ckpt", "train_log.csv"):
+        assert (tmp_path / "cut" / name).read_bytes() == \
+            (tmp_path / "full" / name).read_bytes(), name
