@@ -51,6 +51,26 @@ def maxpool_loops(x, window=2, stride=2):
     return out
 
 
+def maxpool_argmax(x, window, stride):
+    """Max pooling through a copy of every window: ``argmax`` over the
+    flattened window picks the route (the first maximum, or the first NaN),
+    and the value is gathered back from the input at that flat index.
+    Returns ``(value, indices)``, with indices into each input plane."""
+    n, c, h, w = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(x, (window, window),
+                                                   axis=(2, 3))
+    win = win[:, :, ::stride, ::stride, :, :]
+    oh, ow = win.shape[2], win.shape[3]
+    local = np.argmax(win.reshape(n, c, oh, ow, -1), axis=-1)
+    oy, ox = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
+    iy = oy[None, None] * stride + local // window
+    ix = ox[None, None] * stride + local % window
+    indices = (iy * w + ix).astype(np.int64)
+    value = np.take_along_axis(x.reshape(n, c, -1),
+                               indices.reshape(n, c, -1), axis=2)
+    return value.reshape(n, c, oh, ow), indices
+
+
 def maxpool_grad_loops(x, g, window, stride):
     """Adjoint of max pooling: each window's upstream value added, window by
     window in row-major order, at the window's first maximum."""

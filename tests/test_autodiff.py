@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from icasc import autodiff as ad
 from icasc.attention import class_gradients
@@ -188,6 +189,31 @@ def test_maxpool_overlapping_windows_gradient_vs_loop_oracle(window):
     ref = oracles.maxpool_grad_loops(x, g, window, 1)
     assert np.count_nonzero(ref) < g.size     # some pixels take several windows
     assert np.array_equal(grad, ref)
+
+
+# integer values tie inside windows, and -0.0 ties with 0.0; the special
+# values put NaN and +-inf among finite ones
+_POOL_VALUES = {
+    "integers": st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+    "specials": st.one_of(st.floats(-4.0, 4.0),
+                          st.sampled_from([np.nan, np.inf, -np.inf])),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+       st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(sorted(_POOL_VALUES)), st.data())
+def test_maxpool_value_and_route_match_argmax_oracle(window, stride, n, c,
+                                                     oh, ow, values, data):
+    shape = (n, c, (oh - 1) * stride + window, (ow - 1) * stride + window)
+    x = data.draw(hnp.arrays(np.float64, shape, elements=_POOL_VALUES[values]))
+    tape = Tape()
+    out = ad.maxpool2d(tape.leaf(x), window=window, stride=stride)
+    value, indices = oracles.maxpool_argmax(x, window, stride)
+    got = tape.nodes[out.node].meta["indices"]
+    assert out.data.tobytes() == value.tobytes()
+    assert got.dtype == indices.dtype and np.array_equal(got, indices)
 
 
 def test_maxpool_window_too_large():
