@@ -17,7 +17,17 @@ gradient toward the weights records nothing toward the untaped image.
 Deterministic subgradient conventions (needed so gradient checks are
 reproducible): ReLU derivative at exactly 0 is 0, elementwise ``minimum``
 routes ties to the first argument, and max pooling routes ties to the lowest
-flat index.
+flat index and a window that holds NaN to its first NaN.
+
+Max pooling is one pass over the window's strided tap views that keeps a
+running maximum and its flat index, and records the result as a
+``pool_gather`` node by those indices, whose adjoint is a ``pool_scatter``
+by the same indices.
+
+Arrays that the engine builds itself (op results, routing masks, indices,
+the float masks of the ReLU and ``minimum`` rules) are frozen in place;
+only arrays a caller passes in (``Tensor(arr)``, ``Tape.leaf``,
+``Tape.constant_node``) are copied.
 """
 
 from __future__ import annotations
@@ -201,6 +211,13 @@ class Tensor:
         return f"Tensor(shape={self.shape}{tag})"
 
 
+def _own(arr: np.ndarray) -> Tensor:
+    """An untaped tensor over an array the engine just built, frozen in
+    place: nothing else holds it, so it needs no defensive copy."""
+    arr.flags.writeable = False
+    return Tensor(arr, _own=True)
+
+
 def _lift(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -310,12 +327,14 @@ def minimum(a, b) -> Tensor:
     # ties route the gradient to the first argument
     mask_first = np.broadcast_to(a.data <= b.data,
                                  np.broadcast_shapes(a.shape, b.shape)).copy()
+    mask_first.flags.writeable = False
     return _emit("minimum", (a, b), value, {"mask_first": mask_first})
 
 
 def relu(x) -> Tensor:
     x = _lift(x)
     mask = x.data > 0  # derivative at exactly 0 is 0
+    mask.flags.writeable = False
     return _emit("relu", (x,), np.where(mask, x.data, 0.0), {"mask": mask})
 
 
@@ -392,14 +411,14 @@ def _div_rule(node, g, inputs, out, need):
 def _minimum_rule(node, g, inputs, out, need):
     a, b = inputs
     first = node.meta["mask_first"].astype(np.float64)
-    ga = _reduce_to(mul(g, Tensor(first)), a.shape) if need[0] else None
-    gb = _reduce_to(mul(g, Tensor(1.0 - first)), b.shape) if need[1] else None
+    ga = _reduce_to(mul(g, _own(first)), a.shape) if need[0] else None
+    gb = _reduce_to(mul(g, _own(1.0 - first)), b.shape) if need[1] else None
     return [ga, gb]
 
 
 @_rule("relu")
 def _relu_rule(node, g, inputs, out, need):
-    return [mul(g, Tensor(node.meta["mask"].astype(np.float64)))]
+    return [mul(g, _own(node.meta["mask"].astype(np.float64)))]
 
 
 @_rule("sigmoid")
@@ -577,6 +596,8 @@ def _conv_geometry(x_shape, w_shape, stride: int, padding: int):
         raise ShapeError(f"conv2d: input channels {cin} != kernel channels {cin_k}")
     if stride < 1:
         raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ShapeError(f"conv2d: padding must be >= 0, got {padding}")
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(f"conv2d: spatial {h}x{w} with padding {padding} "
                          f"smaller than kernel {kh}x{kw}")
@@ -614,10 +635,15 @@ def _col2im(cols: np.ndarray, x_shape, stride: int, padding: int) -> np.ndarray:
     return xp
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    cout, cin, kh, kw = w.shape
-    cols = _im2col(x, kh, kw, stride, padding)
-    n, oh, ow = x.shape[0], cols.shape[4], cols.shape[5]
+def _patches(x: np.ndarray, meta) -> np.ndarray:
+    """im2col of a conv input at the geometry of ``meta``."""
+    kh, kw = meta["w_shape"][2:]
+    return _im2col(x, kh, kw, meta["stride"], meta["padding"])
+
+
+def _conv_forward(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    n, cin, kh, kw, oh, ow = cols.shape
+    cout = w.shape[0]
     out = w.reshape(cout, -1) @ cols.reshape(n, cin * kh * kw, oh * ow)
     return out.reshape(n, cout, oh, ow)
 
@@ -630,11 +656,10 @@ def _conv_dx(g: np.ndarray, w: np.ndarray, x_shape, stride: int,
     return _col2im(cols.reshape(n, cin, kh, kw, oh, ow), x_shape, stride, padding)
 
 
-def _conv_dw(x: np.ndarray, g: np.ndarray, w_shape, stride: int,
-             padding: int) -> np.ndarray:
+def _conv_dw(cols: np.ndarray, g: np.ndarray, w_shape) -> np.ndarray:
     cout, cin, kh, kw = w_shape
     n, oh, ow = g.shape[0], g.shape[2], g.shape[3]
-    cols = _im2col(x, kh, kw, stride, padding).reshape(n, cin * kh * kw, oh * ow)
+    cols = cols.reshape(n, cin * kh * kw, oh * ow)
     per_sample = g.reshape(n, cout, oh * ow) @ cols.transpose(0, 2, 1)
     return per_sample.sum(axis=0).reshape(w_shape)
 
@@ -650,8 +675,15 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D operands, got {x.shape}, {w.shape}")
     _conv_geometry(x.shape, w.shape, stride, padding)
-    value = _conv_forward(x.data, w.data, stride, padding)
-    return _emit("conv2d", (x, w), value, _geom_meta(x.shape, w.shape, stride, padding))
+    return _conv2d_op(x, w, _geom_meta(x.shape, w.shape, stride, padding))
+
+
+def _conv2d_op(x: Tensor, w: Tensor, meta, cols=None) -> Tensor:
+    """conv2d at a checked geometry; ``cols`` are x's patches if the caller
+    has them already."""
+    if cols is None:
+        cols = _patches(x.data, meta)
+    return _emit("conv2d", (x, w), _conv_forward(cols, w.data), dict(meta))
 
 
 def _conv2d_dx_op(g, w, meta) -> Tensor:
@@ -660,10 +692,12 @@ def _conv2d_dx_op(g, w, meta) -> Tensor:
     return _emit("conv2d_dx", (g, w), value, dict(meta))
 
 
-def _conv2d_dw_op(x, g, meta) -> Tensor:
+def _conv2d_dw_op(x, g, meta, cols=None) -> Tensor:
     x, g = _lift(x), _lift(g)
-    value = _conv_dw(x.data, g.data, meta["w_shape"], meta["stride"], meta["padding"])
-    return _emit("conv2d_dw", (x, g), value, dict(meta))
+    if cols is None:
+        cols = _patches(x.data, meta)
+    return _emit("conv2d_dw", (x, g), _conv_dw(cols, g.data, meta["w_shape"]),
+                 dict(meta))
 
 
 @_rule("conv2d")
@@ -679,8 +713,9 @@ def _conv2d_dx_rule(node, g_hat, inputs, out, need):
     # out = A_w^T g with A_w = d(conv)/dx; g_hat lives in input space
     g, w = inputs
     meta = node.meta
-    d_g = conv2d(g_hat, w, meta["stride"], meta["padding"]) if need[0] else None
-    d_w = _conv2d_dw_op(g_hat, g, meta) if need[1] else None
+    cols = _patches(g_hat.data, meta)    # both partials read g_hat's patches
+    d_g = _conv2d_op(g_hat, w, meta, cols) if need[0] else None
+    d_w = _conv2d_dw_op(g_hat, g, meta, cols) if need[1] else None
     return [d_g, d_w]
 
 
@@ -690,7 +725,7 @@ def _conv2d_dw_rule(node, g_hat, inputs, out, need):
     x, g = inputs
     meta = node.meta
     d_x = _conv2d_dx_op(g, g_hat, meta) if need[0] else None
-    d_g = conv2d(x, g_hat, meta["stride"], meta["padding"]) if need[1] else None
+    d_g = _conv2d_op(x, g_hat, meta) if need[1] else None
     return [d_x, d_g]
 
 
@@ -701,28 +736,63 @@ def _conv2d_dw_rule(node, g_hat, inputs, out, need):
 
 def maxpool2d(x, window: int = 2, stride: int = 2) -> Tensor:
     """Per-window max over NCHW, recorded as the gather of each window's
-    argmax; ties route to the lowest flat spatial index."""
+    maximum by its flat spatial index in the input plane.
+
+    One pass over the ``window**2`` strided tap views, as in ``_im2col``,
+    keeps a running value and its index.  A tap replaces them only where it
+    is strictly greater, or is the window's first NaN, so ties route to the
+    lowest flat index and a window holding NaN routes to its first NaN,
+    exactly as ``argmax`` over the window would.  The value is the routed
+    input element bit for bit, signed zero and NaN payload included.
+    """
     x = _lift(x)
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects 4-D input, got {x.shape}")
     n, c, h, w = x.shape
+    if window < 1 or stride < 1:
+        raise ShapeError(f"maxpool2d: window {window} and stride {stride} "
+                         "must be >= 1")
     if window > h or window > w:
         raise ShapeError(f"maxpool2d: window {window} exceeds spatial {h}x{w}")
     if (h - window) % stride or (w - window) % stride:
         raise ShapeError(f"maxpool2d: spatial {h}x{w} not divisible by stride "
                          f"{stride} after {window}-windowing")
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (window, window),
-                                                   axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]
-    oh, ow = win.shape[2], win.shape[3]
-    flat = win.reshape(n, c, oh, ow, -1)
-    local = np.argmax(flat, axis=-1)                     # first max in window
-    # flat spatial index into the input plane
-    oy, ox = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-    iy = oy[None, None] * stride + local // window
-    ix = ox[None, None] * stride + local % window
-    indices = (iy * w + ix).astype(np.int64)
-    return _pool_gather_op(x, indices)
+    oh = (h - window) // stride + 1
+    ow = (w - window) // stride + 1
+
+    def tap(a, b):
+        return x.data[:, :, a:a + stride * oh:stride, b:b + stride * ow:stride]
+
+    value = tap(0, 0).copy()
+    offset = np.zeros(value.shape, dtype=np.int64)   # a*w + b of the winning tap
+    # each tap is read from its strided view once, into a contiguous buffer
+    cur = np.empty_like(value)
+    # winners move as bit patterns, so the value is exactly the input
+    # element that the index names
+    bits, cur_bits = value.view(np.int64), cur.view(np.int64)
+    stay = np.empty(value.shape, dtype=bool)
+    known = np.empty(value.shape, dtype=bool)
+    wins = np.empty(value.shape, dtype=np.int64)     # 0/1, to scale int steps
+    step = np.empty(value.shape, dtype=np.int64)
+    for a in range(window):
+        for b in range(window):
+            if a == b == 0:
+                continue
+            np.copyto(cur, tap(a, b))
+            # wins = (value is not NaN) and not (cur <= value)
+            np.less_equal(cur, value, out=stay)
+            np.equal(value, value, out=known)
+            np.greater(known, stay, out=wins)
+            np.subtract(cur_bits, bits, out=step)
+            step *= wins
+            bits += step
+            np.subtract(a * w + b, offset, out=step)
+            step *= wins
+            offset += step
+    offset += (np.arange(oh) * (stride * w))[:, None] + np.arange(ow) * stride
+    offset.flags.writeable = False
+    return _emit("pool_gather", (x,), value,
+                 {"indices": offset, "in_shape": x.shape})
 
 
 def _pool_scatter_op(g, indices: np.ndarray, in_shape) -> Tensor:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from icasc import autodiff as ad
-from icasc.attention import a_ch, class_gradients, compute_attention, grad_cam
+from icasc.attention import (a_ch, class_attention, class_gradients,
+                             compute_attention, grad_cam)
 from icasc.autodiff import Tape, Tensor, backward
 from icasc.nn import Model
 
@@ -128,6 +129,33 @@ def test_mechanisms_vs_formula_oracles():
                              - oracles.grad_cam_formula(f[0], g[0]))) < 1e-12
         assert np.max(np.abs(a_ch(Tensor(f), Tensor(g)).data[0]
                              - oracles.a_ch_formula(f[0], g[0]))) < 1e-12
+
+
+# The head is global average pooling plus a linear layer, so the class
+# gradient at the last layer is head.w[:, c] / (H*W) at every pixel and the
+# last-layer maps are closed-form CAMs (Zhou et al. 2016).
+CAM_CLOSED_FORMS = {
+    "a-ch": lambda w, f: np.maximum(
+        np.einsum("nk,nkhw->nhw", np.maximum(w, 0.0), f), 0.0),
+    "grad-cam": lambda w, f: np.maximum(np.einsum("nk,nkhw->nhw", w, f), 0.0),
+}
+
+
+@pytest.mark.parametrize("mechanism", sorted(CAM_CLOSED_FORMS))
+def test_last_layer_maps_are_closed_form_cams(mechanism):
+    """Within 1e-12 of each sample's largest map value."""
+    model = tiny_model(5, channels=(4, 8), size=8, n_classes=3)
+    images = np.random.default_rng(5).random((6, 1, 8, 8))
+    classes = np.array([0, 1, 2, 2, 1, 0])
+    record = model.forward(images, tape=Tape())
+    amap = class_attention(record, classes, mechanism, create_graph=False)["last"]
+    feats = record.feats["last"].data
+    h, w = feats.shape[2:]
+    weights = model.params["head.w"][:, classes].T               # (N, K)
+    ref = CAM_CLOSED_FORMS[mechanism](weights, feats) / (h * w)
+    assert ref.max(axis=(1, 2)).min() > 0.0
+    scale = ref.max(axis=(1, 2), keepdims=True)
+    assert np.max(np.abs(amap.data - ref) / scale) <= 1e-12
 
 
 def test_unknown_mechanism():

@@ -221,6 +221,18 @@ def test_maxpool_window_too_large():
         ad.maxpool2d(Tensor(np.zeros((1, 1, 1, 1))), window=2)
 
 
+@pytest.mark.parametrize("op, kwargs", [
+    (ad.maxpool2d, {"window": 0}),
+    (ad.maxpool2d, {"stride": 0}),
+    (ad.maxpool2d, {"stride": -1}),
+    (lambda x, **kw: ad.conv2d(x, Tensor(np.ones((1, 1, 1, 1))), **kw),
+     {"padding": -1}),
+], ids=["pool_window_0", "pool_stride_0", "pool_stride_-1", "conv_padding_-1"])
+def test_pool_and_conv_geometry_below_range_rejected(op, kwargs):
+    with pytest.raises(ShapeError):
+        op(Tensor(np.zeros((1, 1, 4, 4))), **kwargs)
+
+
 def test_matmul_basic():
     out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
     assert np.array_equal(out.data, [[11.0]])
@@ -551,8 +563,10 @@ def test_determinism_bit_identical():
 
 
 def test_tape_values_frozen_after_icasc_step():
-    """Op outputs go on the tape uncopied, so each must be frozen in place:
-    no node value or recorded operand of a full step can be written."""
+    """Op outputs, routing masks and indices, and the float masks that the
+    relu and minimum rules multiply by go on the tape uncopied, so each must
+    be frozen in place: no node value, recorded operand or routing array of
+    a full step can be written."""
     model = helpers.tiny_model(channels=(4, 8), size=8)
     images = np.random.default_rng(3).random((3, 1, 8, 8))
     record = model.forward(images, tape=Tape())
@@ -561,10 +575,21 @@ def test_tape_values_frozen_after_icasc_step():
     assert bd.skip_rate < 1.0
     backward(bd.total_tensor, list(record.param_leaves.values()))
     assert len(tape) > 50
+    routing = Counter()
+    constants = 0
     for node in tape.nodes:
         assert not node.value.flags.writeable, node.kind
-        for _, data in node.inputs:
+        for handle, data in node.inputs:
             assert not data.flags.writeable, node.kind
+            constants += node.kind == "mul" and handle is None
+        for key in ("mask", "mask_first", "indices"):
+            if key in node.meta:
+                assert not node.meta[key].flags.writeable, (node.kind, key)
+                routing[key] += 1
+    # the objective's create_graph backwards ran the relu, minimum and pool
+    # rules, so their masks and constants were among the arrays checked
+    assert set(routing) == {"mask", "mask_first", "indices"}
+    assert constants > 0
 
 
 @pytest.mark.parametrize("make", [lambda arr: Tensor(arr),
