@@ -768,7 +768,8 @@ def maxpool2d(x, window: int = 2, stride: int = 2) -> Tensor:
     # each tap is read from its strided view once, into a contiguous buffer
     cur = np.empty_like(value)
     # winners move as bit patterns, so the value is exactly the input
-    # element that the index names
+    # element that the index names; int64 steps wrap, so
+    # bits + (cur_bits - bits) is cur_bits for any pair of patterns
     bits, cur_bits = value.view(np.int64), cur.view(np.int64)
     stay = np.empty(value.shape, dtype=bool)
     known = np.empty(value.shape, dtype=bool)
