@@ -71,22 +71,40 @@ def maxpool_argmax(x, window, stride):
     return value.reshape(n, c, oh, ow), indices
 
 
-def maxpool_grad_loops(x, g, window, stride):
-    """Adjoint of max pooling: each window's upstream value added, window by
-    window in row-major order, at the window's first maximum."""
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h, w))
+def _maxpool_routes(x, window, stride, oh, ow):
+    """Yield ``(b, k, i, j, y, x)``: window ``(i, j)`` of plane ``(b, k)``,
+    in row-major order, and the input pixel of its first maximum."""
+    n, c = x.shape[:2]
     for b in range(n):
         for k in range(c):
-            for i in range(g.shape[2]):
-                for j in range(g.shape[3]):
+            for i in range(oh):
+                for j in range(ow):
                     by, bx = i * stride, j * stride
                     for p in range(window):
                         for q in range(window):
                             y, xx = i * stride + p, j * stride + q
                             if x[b, k, y, xx] > x[b, k, by, bx]:
                                 by, bx = y, xx
-                    out[b, k, by, bx] += g[b, k, i, j]
+                    yield b, k, i, j, by, bx
+
+
+def maxpool_grad_loops(x, g, window, stride):
+    """Adjoint of max pooling: each window's upstream value added, window by
+    window in row-major order, at the window's first maximum."""
+    out = np.zeros(x.shape)
+    for b, k, i, j, y, xx in _maxpool_routes(x, window, stride, *g.shape[2:]):
+        out[b, k, y, xx] += g[b, k, i, j]
+    return out
+
+
+def maxpool_gather_loops(x, h, window, stride):
+    """Adjoint of ``maxpool_grad_loops`` in ``g``: each window reads ``h``
+    at the window's first maximum."""
+    n, c, hh, w = x.shape
+    oh, ow = (hh - window) // stride + 1, (w - window) // stride + 1
+    out = np.zeros((n, c, oh, ow))
+    for b, k, i, j, y, xx in _maxpool_routes(x, window, stride, oh, ow):
+        out[b, k, i, j] = h[b, k, y, xx]
     return out
 
 

@@ -191,6 +191,26 @@ def test_maxpool_overlapping_windows_gradient_vs_loop_oracle(window):
     assert np.array_equal(grad, ref)
 
 
+@pytest.mark.parametrize("window", [2, 3])
+def test_maxpool_double_backward_gathers_at_window_argmax(window):
+    """A create_graph backward records the pooling adjoint as a
+    ``pool_scatter`` of the seed ``g``; the gradient of ``sum(h * dL/dx)``
+    toward ``g`` runs that node's rule, which reads ``h`` at each window's
+    argmax.  Stride 1 makes windows share their argmax."""
+    rng = np.random.default_rng(10 + window)
+    x = rng.integers(0, 4, size=(2, 3, 6, 5)).astype(np.float64)
+    tape = Tape()
+    xt = leaf(tape, x)
+    out = ad.maxpool2d(xt, window=window, stride=1)
+    g = leaf(tape, rng.standard_normal(out.shape))
+    dx = backward(ad.reduce_sum(ad.mul(out, g)), [xt],
+                  create_graph=True)[xt.node]
+    assert tape.nodes[dx.node].kind == "pool_scatter"
+    h = rng.standard_normal(x.shape)
+    grad = backward(ad.reduce_sum(ad.mul(Tensor(h), dx)), [g])[g.node].data
+    assert np.array_equal(grad, oracles.maxpool_gather_loops(x, h, window, 1))
+
+
 # integer values tie inside windows, and -0.0 ties with 0.0; the special
 # values put NaN and +-inf among finite ones
 _POOL_VALUES = {
