@@ -796,24 +796,27 @@ def maxpool2d(x, window: int = 2, stride: int = 2) -> Tensor:
                  {"indices": offset, "in_shape": x.shape})
 
 
+def _plane_flat(indices: np.ndarray, in_shape) -> np.ndarray:
+    """``indices`` into each input plane, made flat indices into the whole
+    ``(N, C, H, W)`` input by adding each plane's offset."""
+    n, c, h, w = in_shape
+    return indices + (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+
+
 def _pool_scatter_op(g, indices: np.ndarray, in_shape) -> Tensor:
     g = _lift(g)
-    n, c, h, w = in_shape
-    # offset each plane's indices so that one bincount adds every window's
-    # value, in window order, including windows that share their argmax
-    flat = indices + (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
-    out = np.bincount(flat.ravel(), weights=g.data.ravel(), minlength=n * c * h * w)
+    # one bincount adds every window's value, in window order, including
+    # windows that share their argmax
+    out = np.bincount(_plane_flat(indices, in_shape).ravel(),
+                      weights=g.data.ravel(), minlength=int(np.prod(in_shape)))
     return _emit("pool_scatter", (g,), out.reshape(in_shape),
                  {"indices": indices, "in_shape": tuple(in_shape)})
 
 
 def _pool_gather_op(x, indices: np.ndarray) -> Tensor:
     x = _lift(x)
-    n, c = x.shape[0], x.shape[1]
-    flat = x.data.reshape(n, c, -1)
-    oh, ow = indices.shape[2], indices.shape[3]
-    value = np.take_along_axis(flat, indices.reshape(n, c, -1), axis=2)
-    return _emit("pool_gather", (x,), value.reshape(n, c, oh, ow),
+    value = np.take(x.data, _plane_flat(indices, x.shape))
+    return _emit("pool_gather", (x,), value,
                  {"indices": indices, "in_shape": x.shape})
 
 
