@@ -78,7 +78,6 @@ def build_parser() -> _Parser:
     p.add_argument("--channels", type=_int_tuple, default=None)
     p.add_argument("--mechanism", choices=MECHANISMS, default=None)
     p.add_argument("--baseline", action="store_true")
-    p.add_argument("--multi-label", action="store_true")
     p.add_argument("--flip", action="store_true")
     p.add_argument("--resume", action="store_true")
 
@@ -153,9 +152,8 @@ def cmd_train(args) -> int:
              if getattr(args, key) is not None}
     cfg = TrainConfig(
         data_dir=args.data, test_dir=args.test_data, out_dir=args.out,
-        baseline=args.baseline, multi_label=args.multi_label,
-        flip=args.flip, resume=args.resume, icasc=_resolved_icasc(args),
-        **given)
+        baseline=args.baseline, flip=args.flip, resume=args.resume,
+        icasc=_resolved_icasc(args), **given)
     result = train(cfg)
     last = result.log[-1]
     print(f"trained {cfg.epochs} epochs; final total={last.total:.4f} "
@@ -229,12 +227,13 @@ def cmd_attend(args) -> int:
         wanted = [s.id for s in dataset.samples[:4]]
 
     size = model.config.input_size
+    multi = dataset.multi_label
     manifest = []
     for sid in wanted:
         sample = by_id[sid]
         images = sample.image[None]
         tape = Tape()
-        record = model.forward(images, tape=tape)
+        record = model.forward(images, tape=tape, multi_label=multi)
         top = np.argsort(-record.probabilities[0], kind="stable")[:k]
         for class_id in top:
             # one backward serves both mechanisms

@@ -226,9 +226,10 @@ def load_dataset(path, n_classes: int | None = None) -> Dataset:
 
 
 def batch_iter(dataset: Dataset, batch_size: int, seed: int, epoch: int = 0,
-               shuffle: bool = True, flip: bool = False,
-               multi_label: bool = False):
+               shuffle: bool = True, flip: bool = False):
     """Yield (ids, images, labels) batches, deterministic given (seed, epoch).
+
+    Labels are class ids, or a binary (N, C) matrix if any row is multi-label.
 
     With ``flip`` each sample is horizontally mirrored with probability 0.5,
     re-drawn every epoch.
@@ -237,7 +238,7 @@ def batch_iter(dataset: Dataset, batch_size: int, seed: int, epoch: int = 0,
     rng = np.random.default_rng(np.random.SeedSequence([seed, epoch]))
     order = rng.permutation(n) if shuffle else np.arange(n)
     flips = rng.random(n) < 0.5 if flip else np.zeros(n, dtype=bool)
-    labels = dataset.label_array(multi_label)
+    labels = dataset.label_array(dataset.multi_label)
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
         images = np.stack([dataset.samples[i].image for i in idx])

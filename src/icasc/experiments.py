@@ -65,34 +65,26 @@ def evaluate_model(model: Model, test_set: dio.Dataset, seed: int, variant: str,
 
 def run_trend(work_dir, mechanism: str = "a-ch", seeds=(0, 1, 2, 3, 4),
               epochs: int = 12, batch_size: int = 32, lr: float = 0.08,
-              base_cfg: IcascConfig | None = None,
-              baseline_models: dict[int, Model] | None = None) -> TrendReport:
-    """Train baseline + ICASC per seed and collect the comparison metrics.
-
-    ``baseline_models`` lets a second mechanism's run reuse the baselines
-    (they do not depend on the mechanism).
-    """
+              base_cfg: IcascConfig | None = None) -> TrendReport:
+    """Train baseline + ICASC per seed and collect the comparison metrics."""
     work_dir = Path(work_dir)
     train_dir, test_dir = make_datasets(work_dir)
     test_set = dio.load_dataset(test_dir)
     icasc_cfg = replace(base_cfg or IcascConfig(), mechanism=mechanism)
 
     rows: list[VariantMetrics] = []
-    if baseline_models is None:
-        baseline_models = {}
     for seed in seeds:
         common = dict(data_dir=str(train_dir), test_dir=str(test_dir),
                       epochs=epochs, batch_size=batch_size, lr=lr, seed=seed,
                       channels=(8, 16), schedule="cosine", icasc=icasc_cfg)
-        if seed not in baseline_models:
-            cfg_b = TrainConfig(out_dir=str(work_dir / f"baseline_s{seed}"),
-                                baseline=True, **common)
-            baseline_models[seed] = train(cfg_b).model
-        cfg_i = TrainConfig(out_dir=str(work_dir / f"icasc_{mechanism}_s{seed}"),
-                            baseline=False, **common)
-        icasc_model = train(cfg_i).model
+        baseline_model = train(TrainConfig(
+            out_dir=str(work_dir / f"baseline_s{seed}"), baseline=True,
+            **common)).model
+        icasc_model = train(TrainConfig(
+            out_dir=str(work_dir / f"icasc_{mechanism}_s{seed}"),
+            baseline=False, **common)).model
 
-        rows.append(evaluate_model(baseline_models[seed], test_set, seed,
+        rows.append(evaluate_model(baseline_model, test_set, seed,
                                    "baseline", icasc_cfg))
         rows.append(evaluate_model(icasc_model, test_set, seed, "icasc",
                                    icasc_cfg))

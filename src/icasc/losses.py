@@ -317,9 +317,6 @@ def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
     """
     labels = np.asarray(labels)
     n, n_classes = record.logits.shape
-    if (labels.ndim == 2) != record.multi_label:
-        raise ValueError("label arity does not match the forward record mode")
-
     l_c = classification_loss(record.logits, labels)
     conf = context.conf if context else confusing_class(record.probabilities,
                                                         labels)

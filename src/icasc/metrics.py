@@ -31,8 +31,7 @@ def predict(model: Model, dataset: dio.Dataset, multi_label: bool = False,
     """
     probs = [model.forward(images, tape=None, multi_label=multi_label).probabilities
              for _, images, _ in dio.batch_iter(dataset, batch_size, seed=0,
-                                                shuffle=False,
-                                                multi_label=multi_label)]
+                                                shuffle=False)]
     return np.concatenate(probs), dataset.label_array(multi_label)
 
 
@@ -231,8 +230,7 @@ def attention_overlap_report(model: Model, dataset: dio.Dataset,
     in the skip rate.
     """
     rows = [row for ids, images, labels in
-            dio.batch_iter(dataset, batch_size, seed=0, shuffle=False,
-                           multi_label=dataset.multi_label)
+            dio.batch_iter(dataset, batch_size, seed=0, shuffle=False)
             for row in _overlap_batch(model, ids, images, labels, config)]
     kept = [r for r in rows if not r.skipped]
     mean_las = float(np.mean([r.l_as_last for r in kept])) if kept else 0.0

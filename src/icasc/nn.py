@@ -94,7 +94,6 @@ class ForwardRecord:
     probabilities: np.ndarray         # softmax or per-class sigmoid, detached
     feats: dict                       # {"inner": Tensor, "last": Tensor}
     param_leaves: dict                # name -> leaf Tensor (empty when untaped)
-    multi_label: bool = False
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -165,8 +164,7 @@ class Model:
         logits = ad.add(logits, bias)
         probs = ad.sigmoid_array(logits.data) if multi_label else softmax(logits.data)
         return ForwardRecord(logits=logits, probabilities=probs, feats=feats,
-                             param_leaves=leaves if tape is not None else {},
-                             multi_label=multi_label)
+                             param_leaves=leaves if tape is not None else {})
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,6 @@ class TrainConfig:
     seed: int = 0
     channels: tuple[int, ...] = (8, 16)
     baseline: bool = False
-    multi_label: bool = False
     flip: bool = False
     resume: bool = False
     icasc: IcascConfig = field(default_factory=IcascConfig)
@@ -67,7 +66,6 @@ class TrainConfig:
             f"seed = {self.seed}",
             f"channels = {','.join(str(c) for c in self.channels)}",
             f"baseline = {'true' if self.baseline else 'false'}",
-            f"multi_label = {'true' if self.multi_label else 'false'}",
             f"flip = {'true' if self.flip else 'false'}",
         ]
         return "\n".join(lines) + "\n" + self.icasc.to_text()
@@ -119,12 +117,14 @@ def train(cfg: TrainConfig) -> TrainResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    # the training labels set the mode: a;b rows make it a multi-label run
     train_set = dio.load_dataset(cfg.data_dir)
-    if train_set.multi_label and not cfg.multi_label:
-        raise dio.DataError("labels file holds multi-label rows; "
-                            "pass multi_label")
+    multi = train_set.multi_label
     test_set = dio.load_dataset(cfg.test_dir, n_classes=train_set.n_classes) \
         if cfg.test_dir else None
+    if test_set and test_set.multi_label and not multi:
+        raise dio.DataError(f"{cfg.test_dir}: test labels hold multi-label "
+                            "rows, but the training set is single-label")
 
     sample = train_set.samples[0]
     model_cfg = ModelConfig(channels=cfg.channels,
@@ -168,9 +168,8 @@ def train(cfg: TrainConfig) -> TrainResult:
         seen = 0
         for _, images, labels in dio.batch_iter(
                 train_set, cfg.batch_size, cfg.seed, epoch, shuffle=True,
-                flip=cfg.flip, multi_label=cfg.multi_label):
-            record = model.forward(images, tape=Tape(),
-                                   multi_label=cfg.multi_label)
+                flip=cfg.flip):
+            record = model.forward(images, tape=Tape(), multi_label=multi)
             b = classification_objective(record, labels) if cfg.baseline \
                 else icasc_objective(record, labels, cfg.icasc)
             leaves = record.param_leaves
@@ -186,7 +185,7 @@ def train(cfg: TrainConfig) -> TrainResult:
                                   b.skip_rate])
 
         test_acc = evaluate_accuracy(model, test_set, cfg.batch_size,
-                                     cfg.multi_label) if test_set else float("nan")
+                                     multi) if test_set else float("nan")
         l_c, l_as_in, l_as_la, l_ac, total, train_acc, skip_rate = \
             (float(v) for v in sums / seen)
         stats = EpochStats(epoch, lr, l_c, l_as_in, l_as_la, l_ac, total,

@@ -28,7 +28,7 @@ def linear_record(tape: Tape, feat_arrays: dict, weights: dict,
         logits = piece if logits is None else ad.add(logits, piece)
     probs = ad.sigmoid_array(logits.data) if multi_label else softmax(logits.data)
     return ForwardRecord(logits=logits, probabilities=probs, feats=feats,
-                         param_leaves={}, multi_label=multi_label)
+                         param_leaves={})
 
 
 def tiny_model(seed: int = 0, channels=(4, 8), size: int = 8,

@@ -9,7 +9,7 @@ from icasc import cli
 from icasc import data as dio
 from icasc.losses import IcascConfig
 from icasc.nn import Model, ModelConfig, load_checkpoint, save_checkpoint
-from icasc.training import TrainConfig
+from icasc.training import LOG_COLUMNS, TrainConfig, read_log
 
 
 def digest(path: Path) -> str:
@@ -316,6 +316,85 @@ def test_ks_deterministic(trained, dataset, tmp_path):
         assert run("ks", "--checkpoint", str(trained), "--data",
                    str(dataset / "test"), "--out", str(out)) == 0
     assert digest(out1 / "ks_curve.csv") == digest(out2 / "ks_curve.csv")
+
+
+# --------------------------------------------------------------------------
+# multi-label sets: the labels, not a flag, set the mode
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def multi_label_data(dataset, tmp_path_factory):
+    """The test split with one sample relabelled ``2;0``."""
+    root = tmp_path_factory.mktemp("ml") / "d"
+    root.mkdir()
+    for f in (dataset / "test").glob("*.pgm"):
+        (root / f.name).write_bytes(f.read_bytes())
+    text = (dataset / "test" / "labels.csv").read_text()
+    assert "c2_0001,c2_0001.pgm,2\n" in text
+    (root / "labels.csv").write_text(
+        text.replace("c2_0001,c2_0001.pgm,2\n", "c2_0001,c2_0001.pgm,2;0\n"))
+    return root
+
+
+def test_multi_label_set_trains_without_a_flag_and_evals_ap(multi_label_data,
+                                                            tmp_path):
+    out = tmp_path / "run"
+    assert run("train", "--data", str(multi_label_data), "--test-data",
+               str(multi_label_data), "--out", str(out), "--epochs", "1",
+               "--batch-size", "8", "--channels", "4,8", "--lr", "0.01") == 0
+    (row,) = read_log(out / "train_log.csv")
+    assert all(np.isfinite(getattr(row, c)) for c in LOG_COLUMNS)
+    config = (out / "run_config.txt").read_text().splitlines()
+    assert not any(line.startswith("multi_label") for line in config)
+
+    ev = tmp_path / "eval"
+    assert run("eval", "--checkpoint", str(out / "final.ckpt"), "--data",
+               str(multi_label_data), "--out", str(ev)) == 0
+    rows = [r.split(",") for r in
+            (ev / "metrics.csv").read_text().strip().splitlines()[1:]]
+    assert [(m, c) for m, c, _ in rows] == [
+        ("average_precision", "0"), ("average_precision", "1"),
+        ("average_precision", "2"), ("average_precision", "all"),
+        ("auc", "all")]
+    assert all(0.0 <= float(v) <= 1.0 for _, _, v in rows)
+
+
+def test_multi_label_flag_is_unknown(multi_label_data, tmp_path, capsys):
+    assert run("train", "--data", str(multi_label_data), "--out",
+               str(tmp_path / "o"), "--multi-label") == 1
+    assert "--multi-label" in capsys.readouterr().err
+
+
+def test_single_label_run_with_multi_label_test_set_is_data_error(
+        dataset, multi_label_data, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("train", "--data", str(dataset / "train"), "--test-data",
+               str(multi_label_data), "--out", str(out), "--epochs", "1",
+               "--channels", "4,8") == 2
+    assert str(multi_label_data) in capsys.readouterr().err
+    assert not (out / "train_log.csv").exists()
+
+
+def test_attend_on_multi_label_set_writes_sigmoid_probability(
+        multi_label_data, tmp_path):
+    model = Model.build(ModelConfig(channels=(4, 8), input_size=16,
+                                    input_channels=1, n_classes=3), seed=2)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, model)
+    out = tmp_path / "maps"
+    assert run("attend", "--checkpoint", str(ckpt), "--data",
+               str(multi_label_data), "--out", str(out), "--classes", "3",
+               "--samples", "c2_0001") == 0
+    image = dio.load_dataset(multi_label_data).samples[9].image
+    logits = model.forward(image[None]).logits.data[0]
+    rows = (out / "manifest.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 3 * 2 * 2
+    for row in rows:
+        _, cls, _, _, _, prob = row.split(",")
+        z = logits[int(cls)]
+        assert float(prob) == pytest.approx(1.0 / (1.0 + np.exp(-z)),
+                                            rel=1e-12)
 
 
 # --------------------------------------------------------------------------

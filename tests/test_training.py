@@ -30,7 +30,7 @@ def test_multi_label_epoch_logs_finite_in_range_row(multi_label_set, tmp_path,
     result = train(TrainConfig(
         data_dir=str(multi_label_set), test_dir=str(multi_label_set),
         out_dir=str(tmp_path / "run"), epochs=1, batch_size=8,
-        channels=(4, 8), lr=0.01, baseline=baseline, multi_label=True))
+        channels=(4, 8), lr=0.01, baseline=baseline))
     (row,) = result.log
     assert all(math.isfinite(getattr(row, c)) for c in LOG_COLUMNS)
     assert row.l_c > 0
