@@ -33,6 +33,7 @@ only arrays a caller passes in (``Tensor(arr)``, ``Tape.leaf``,
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -808,7 +809,7 @@ def _pool_scatter_op(g, indices: np.ndarray, in_shape) -> Tensor:
     # one bincount adds every window's value, in window order, including
     # windows that share their argmax
     out = np.bincount(_plane_flat(indices, in_shape).ravel(),
-                      weights=g.data.ravel(), minlength=int(np.prod(in_shape)))
+                      weights=g.data.ravel(), minlength=math.prod(in_shape))
     return _emit("pool_scatter", (g,), out.reshape(in_shape),
                  {"indices": indices, "in_shape": tuple(in_shape)})
 

@@ -386,7 +386,8 @@ def test_attend_on_multi_label_set_writes_sigmoid_probability(
     assert run("attend", "--checkpoint", str(ckpt), "--data",
                str(multi_label_data), "--out", str(out), "--classes", "3",
                "--samples", "c2_0001") == 0
-    image = dio.load_dataset(multi_label_data).samples[9].image
+    (image,) = [s.image for s in dio.load_dataset(multi_label_data).samples
+                if s.id == "c2_0001"]
     logits = model.forward(image[None]).logits.data[0]
     rows = (out / "manifest.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 3 * 2 * 2
