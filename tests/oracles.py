@@ -36,6 +36,23 @@ def conv2d_loops(x, w, stride=1, padding=0):
     return out
 
 
+def im2col_padded(x, kh, kw, stride, padding):
+    """(N, Cin, H, W) -> (N, Cin, kh, kw, OH, OW) patches, read element by
+    element from an ``np.pad`` zero-padded copy of ``x``."""
+    n, cin, h, w = x.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, cin, kh, kw, oh, ow), dtype=x.dtype)
+    for p in range(kh):
+        for q in range(kw):
+            for i in range(oh):
+                for j in range(ow):
+                    cols[:, :, p, q, i, j] = xp[:, :, i * stride + p,
+                                                j * stride + q]
+    return cols
+
+
 def maxpool_loops(x, window=2, stride=2):
     n, c, h, w = x.shape
     oh = (h - window) // stride + 1

@@ -147,6 +147,21 @@ def test_conv_adjoint_identities(n, stride, padding):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2), st.integers(1, 7), st.integers(1, 7), st.data())
+def test_im2col_bit_equal_to_padded_reference(n, cin, stride, padding, h, w,
+                                              data):
+    kh = data.draw(st.integers(1, min(5, h + 2 * padding)))
+    kw = data.draw(st.integers(1, min(5, w + 2 * padding)))
+    x = data.draw(hnp.arrays(np.float64, (n, cin, h, w),
+                             elements=_POOL_VALUES["specials"]))
+    cols = ad._im2col(x, kh, kw, stride, padding)
+    ref = oracles.im2col_padded(x, kh, kw, stride, padding)
+    assert cols.shape == ref.shape and cols.dtype == ref.dtype
+    assert cols.tobytes() == ref.tobytes()
+
+
 def test_conv_channel_mismatch():
     with pytest.raises(ShapeError):
         ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
