@@ -484,7 +484,7 @@ def reduce_mean(x, axes=None) -> Tensor:
     x = _lift(x)
     axes = _norm_axes(axes, x.ndim)
     _check_extent(x, axes)
-    n = int(np.prod([x.shape[a] for a in axes])) if axes else 1
+    n = math.prod(x.shape[a] for a in axes)
     return _emit("reduce_mean", (x,), np.mean(x.data, axis=axes),
                  {"axes": axes, "in_shape": x.shape, "n": n})
 
@@ -613,7 +613,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nd
     n, cin, h, w = x.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = x
+    if padding:
+        xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
     cols = np.empty((n, cin, kh, kw, oh, ow))
     for a in range(kh):
         for b in range(kw):

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import platform
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -695,6 +699,45 @@ def test_count_flag_below_its_floor_is_usage_error(trained, dataset, tmp_path,
     assert rc == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+# --------------------------------------------------------------------------
+# allocator policy
+# --------------------------------------------------------------------------
+
+# Minor page faults of four rounds that allocate, touch and free 12 arrays of
+# 2 MiB, after the CLI has run once in the same process.  2 MiB is above
+# glibc's default mmap threshold and below the 4 MiB from which NumPy asks
+# for huge pages, so each faulted page is one 4 KiB page.
+_FAULT_ROUNDS = """
+import resource, sys
+import numpy as np
+from icasc import cli
+
+cli.main(["synth", "--classes", "2", "--per-class", "1", "--out", sys.argv[1]])
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(2**18) for _ in range(12)]
+    del arrays
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the CLI sets an allocator policy on glibc only")
+def test_cli_process_reuses_freed_heap_pages(tmp_path):
+    """A fresh process, so that what earlier tests allocated cannot move
+    glibc's dynamic thresholds.  With glibc's defaults every round faults
+    about 6,000 pages in again."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _FAULT_ROUNDS,
+                           str(tmp_path / "d")], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    first, *later = (int(line) for line in done.stdout.split()[-4:])
+    assert first > 3000           # the counter sees the first round's pages
+    assert all(faults < 64 for faults in later), (first, later)
 
 
 def test_usage_error_exit_code():
