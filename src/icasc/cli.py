@@ -167,13 +167,24 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    dataset = dio.load_dataset(args.data, n_classes=model.config.n_classes)
+    n_classes = model.config.n_classes
+    dataset = dio.load_dataset(args.data, n_classes=n_classes)
     multi = dataset.multi_label
+    if not multi:
+        k = min(5, n_classes) if args.topk is None else args.topk
+        if k > n_classes:
+            raise UsageError(f"topk {k} exceeds class count {n_classes}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    probs, labels = mx.predict(model, dataset, multi)
     echo = f"checkpoint = {args.checkpoint}\ndata = {args.data}\n"
+    if args.attention:
+        # the report's taped forwards also score accuracy: one pass, not two
+        icasc = _resolved_icasc(args)
+        report = mx.attention_overlap_report(model, dataset, icasc)
+        probs, labels = report.probabilities, dataset.label_array(multi)
+    else:
+        probs, labels = mx.predict(model, dataset, multi)
 
     rows: list[tuple[str, str, float]] = []
     if multi:
@@ -184,18 +195,12 @@ def cmd_eval(args) -> int:
         rows.append(("auc", "all", mx.macro_auc(probs, labels)))
     else:
         rows.append(("top1_accuracy", "all", mx.topk_accuracy(probs, labels, 1)))
-        k = min(5, model.config.n_classes) if args.topk is None else args.topk
-        if k > model.config.n_classes:
-            raise UsageError(f"topk {k} exceeds class count "
-                             f"{model.config.n_classes}")
         if k > 1:
             rows.append((f"top{k}_accuracy", "all",
                          mx.topk_accuracy(probs, labels, k)))
         echo += f"topk = {k}\n"
 
     if args.attention:
-        icasc = _resolved_icasc(args)
-        report = mx.attention_overlap_report(model, dataset, icasc)
         mx.write_overlap_csv(out / "attention_overlap.csv", report)
         echo += icasc.to_text()
         rows.append(("mean_l_as_last", "all", report.mean_l_as_last))
@@ -269,7 +274,8 @@ def cmd_ks(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    curve = mx.model_ks_chart(model, dataset, args.grid)
+    probs, labels = mx.predict(model, dataset)
+    curve = mx.model_ks_chart(probs, labels, args.grid)
     mx.write_ks_csv(out / "ks_curve.csv", curve)
     _echo(out, f"checkpoint = {args.checkpoint}\ndata = {args.data}\n"
                f"grid = {args.grid}\n")

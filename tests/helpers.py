@@ -36,3 +36,16 @@ def tiny_model(seed: int = 0, channels=(4, 8), size: int = 8,
     cfg = ModelConfig(channels=channels, input_size=size, input_channels=1,
                       n_classes=n_classes)
     return Model.build(cfg, seed)
+
+
+def count_forwards(monkeypatch) -> list[bool]:
+    """Spy on ``Model.forward``: each call appends whether it was taped."""
+    calls = []
+    forward = Model.forward
+
+    def spy(self, *args, **kwargs):
+        calls.append(kwargs.get("tape") is not None)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", spy)
+    return calls

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import platform
 import struct
@@ -14,6 +15,8 @@ from icasc import data as dio
 from icasc.losses import IcascConfig
 from icasc.nn import Model, ModelConfig, load_checkpoint, save_checkpoint
 from icasc.training import LOG_COLUMNS, TrainConfig, read_log
+
+import helpers
 
 
 def digest(path: Path) -> str:
@@ -247,6 +250,35 @@ def test_eval_topk_exceeding_classes_rejected(trained, dataset, tmp_path):
              str(dataset / "test"), "--out", str(tmp_path / "e"),
              "--topk", "5")
     assert rc == 1
+
+
+@pytest.mark.parametrize("flags, batch", [((), 64), (("--attention",), 32)],
+                         ids=["plain", "attention"])
+def test_eval_runs_one_pass_over_the_set(trained, tmp_path, monkeypatch,
+                                         flags, batch):
+    """``eval`` forwards each sample once: untaped at batch 64, or, with
+    ``--attention``, only in the overlap report's taped batches of 32."""
+    data = tmp_path / "d"
+    assert run("synth", "--classes", "3", "--per-class", "24", "--seed", "7",
+               "--canvas", "16", "--motif-size", "3", "--out", str(data)) == 0
+    calls = helpers.count_forwards(monkeypatch)
+    assert run("eval", "--checkpoint", str(trained), "--data", str(data),
+               "--out", str(tmp_path / "e"), *flags) == 0
+    assert calls == [bool(flags)] * math.ceil(72 / batch)
+
+
+@pytest.mark.parametrize("flags", [(), ("--attention",)],
+                         ids=["plain", "attention"])
+def test_eval_rejects_topk_before_any_forward(trained, dataset, tmp_path,
+                                              monkeypatch, capsys, flags):
+    def forward(*args, **kwargs):
+        raise AssertionError("forward pass before --topk was checked")
+
+    monkeypatch.setattr(Model, "forward", forward)
+    assert run("eval", "--checkpoint", str(trained), "--data",
+               str(dataset / "test"), "--out", str(tmp_path / "e"),
+               "--topk", "99", *flags) == 1
+    assert "topk 99 exceeds class count 3" in capsys.readouterr().err
 
 
 def test_attend_topk_exceeding_classes_rejected(trained, dataset, tmp_path,

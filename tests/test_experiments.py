@@ -1,4 +1,7 @@
 import csv
+import math
+
+import pytest
 
 from icasc import cli, experiments
 from icasc import data as dio
@@ -28,3 +31,27 @@ def test_evaluate_model_matches_cli_eval_and_ks(tmp_path, capsys):
     assert got.mean_l_as_last == rows["mean_l_as_last"]
     assert got.skip_rate == rows["attention_skip_rate"]
     assert f"ks_exact = {got.ks_exact:.6f} at" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("batch_size", [5, 50])
+def test_evaluate_model_runs_one_pass_over_the_set(tmp_path, monkeypatch,
+                                                   batch_size):
+    """Accuracy and KS come from the overlap report's own forwards."""
+    dio.generate_synth(dio.SynthSpec(n_classes=3, canvas=16, seed=1,
+                                     motif_size=3), 4, tmp_path / "d")
+    dataset = dio.load_dataset(tmp_path / "d")
+    model = helpers.tiny_model(5, channels=(4, 8), size=16, n_classes=3)
+    calls = helpers.count_forwards(monkeypatch)
+    experiments.evaluate_model(model, dataset, 0, "icasc", IcascConfig(),
+                               batch_size)
+    assert calls == [True] * math.ceil(len(dataset) / batch_size)
+
+
+def test_evaluate_model_rejects_a_multi_label_set(tmp_path):
+    dio.generate_synth(dio.SynthSpec(n_classes=3, canvas=16, seed=1,
+                                     motif_size=3), 2, tmp_path / "d")
+    dataset = dio.load_dataset(tmp_path / "d")
+    dataset.samples[-1].labels += (0,)
+    model = helpers.tiny_model(5, channels=(4, 8), size=16, n_classes=3)
+    with pytest.raises(dio.DataError, match="single-label"):
+        experiments.evaluate_model(model, dataset, 0, "icasc", IcascConfig())

@@ -244,6 +244,31 @@ def test_overlap_report_matches_objective_per_sample(tmp_path, multi_label):
             assert row.l_ac == pytest.approx(terms.l_ac, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("multi_label", [False, True])
+def test_overlap_report_probabilities_equal_predict(tmp_path, multi_label):
+    """The report's probabilities are ``predict``'s, in dataset order.
+
+    The set fits in one batch of either pass, so both run the same forward
+    on the same array and byte equality holds by construction.  Split into
+    batches of 2, the rows keep their order (the batch shapes change the
+    BLAS sums, so that comparison allows for rounding).
+    """
+    ds = synth_dataset(tmp_path, per_class=2)
+    if multi_label:
+        last = ds.samples[-1]
+        last.labels += ((last.labels[0] + 1) % ds.n_classes,)
+    assert ds.multi_label == multi_label
+    model = helpers.tiny_model(4, channels=(4, 8), size=16, n_classes=3)
+    report = mx.attention_overlap_report(model, ds, IcascConfig())
+    probs, _ = mx.predict(model, ds, multi_label)
+    assert report.probabilities.shape == (len(ds), ds.n_classes)
+    assert np.array_equal(report.probabilities, probs)
+    sums = report.probabilities.sum(axis=1)
+    assert np.allclose(sums, 1.0) != multi_label    # softmax vs sigmoid
+    split = mx.attention_overlap_report(model, ds, IcascConfig(), batch_size=2)
+    np.testing.assert_allclose(split.probabilities, probs, rtol=1e-12)
+
+
 def test_overlap_values_in_bounds(tmp_path):
     ds = synth_dataset(tmp_path)
     model = helpers.tiny_model(3, channels=(4, 8), size=16, n_classes=3)
