@@ -239,16 +239,20 @@ def attention_overlap_report(model: Model, dataset: dio.Dataset,
     against ``predict``'s 64 on every set tried, but up to 2.2e-16 apart
     at batches of 1 and 7.
     """
-    batches = [_overlap_batch(model, ids, images, labels, config)
-               for ids, images, labels in
-               dio.batch_iter(dataset, batch_size, seed=0, shuffle=False)]
-    rows = [row for batch_rows, _ in batches for row in batch_rows]
+    rows, probs = [], []
+    for ids, images, labels in dio.batch_iter(dataset, batch_size, seed=0,
+                                              shuffle=False):
+        batch_rows, batch_probs = _overlap_batch(model, ids, images, labels,
+                                                 config)
+        rows += batch_rows
+        probs.append(batch_probs)
     kept = [r for r in rows if not r.skipped]
     mean_las = float(np.mean([r.l_as_last for r in kept])) if kept else 0.0
     mean_lac = float(np.mean([r.l_ac for r in kept])) if kept else 0.0
     skip = float(np.mean([r.skipped for r in rows])) if rows else 0.0
     return OverlapReport(rows, mean_las, mean_lac, skip,
-                         np.concatenate([probs for _, probs in batches]))
+                         np.concatenate(probs) if probs
+                         else np.empty((0, model.config.n_classes)))
 
 
 def write_overlap_csv(path, report: OverlapReport) -> None:

@@ -269,6 +269,13 @@ def test_overlap_report_probabilities_equal_predict(tmp_path, multi_label):
     np.testing.assert_allclose(split.probabilities, probs, rtol=1e-12)
 
 
+def test_overlap_report_on_empty_set():
+    model = helpers.tiny_model(4, channels=(4, 8), size=16, n_classes=3)
+    report = mx.attention_overlap_report(model, dio.Dataset([], 3), IcascConfig())
+    assert (report.rows, report.skip_rate) == ([], 0.0)
+    assert report.probabilities.shape == (0, 3)
+
+
 def test_overlap_values_in_bounds(tmp_path):
     ds = synth_dataset(tmp_path)
     model = helpers.tiny_model(3, channels=(4, 8), size=16, n_classes=3)
