@@ -12,6 +12,9 @@ import pytest
 
 from icasc import cli
 from icasc import data as dio
+from icasc import metrics as mx
+from icasc.attention import LAYERS, MECHANISMS, class_gradients, compute_attention
+from icasc.autodiff import Tape
 from icasc.losses import IcascConfig
 from icasc.nn import Model, ModelConfig, load_checkpoint, save_checkpoint
 from icasc.training import LOG_COLUMNS, TrainConfig, read_log
@@ -322,11 +325,114 @@ def test_attend_default_classes_fit_the_model(dataset, tmp_path):
     assert "classes = 4\n" in (out / "resolved_config.txt").read_text()
 
 
-def test_attend_unknown_sample_is_data_error(trained, dataset, tmp_path):
+def test_attend_unknown_sample_is_data_error(trained, dataset, tmp_path,
+                                             monkeypatch):
+    def forward(*args, **kwargs):
+        raise AssertionError("forward pass before --samples was checked")
+
+    monkeypatch.setattr(Model, "forward", forward)
     rc = run("attend", "--checkpoint", str(trained), "--data",
              str(dataset / "test"), "--out", str(tmp_path / "a"),
-             "--classes", "1", "--samples", "ghost")
+             "--classes", "1", "--samples", "c0_0000,ghost")
     assert rc == 2
+    assert not (tmp_path / "a").exists()
+
+
+def test_attend_runs_one_forward_per_chunk_and_one_backward_per_rank(
+        trained, dataset, tmp_path, monkeypatch):
+    """9 samples in chunks of 4 make 3 taped forwards; 2 ranks per chunk
+    make 6 backwards (9 and 18 at batch 1)."""
+    forwards = helpers.count_forwards(monkeypatch)
+    backwards = []
+    class_gradients = cli.class_gradients
+
+    def spy(record, selector, layers, *args, **kwargs):
+        backwards.append(len(selector))
+        return class_gradients(record, selector, layers, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "class_gradients", spy)
+    ids = [s.id for s in dio.load_dataset(dataset / "test").samples[:9]]
+    assert run("attend", "--checkpoint", str(trained), "--data",
+               str(dataset / "test"), "--out", str(tmp_path / "a"),
+               "--classes", "2", "--samples", ",".join(ids)) == 0
+    assert forwards == [True] * 3
+    assert backwards == [4, 4, 4, 4, 1, 1]
+
+
+def reference_attend(checkpoint, data, wanted, k: int, color: bool, out: Path):
+    """``attend`` one sample at a time: a taped forward per sample and a
+    backward per class.  Writes the heatmaps into ``out`` and returns the
+    manifest rows without probabilities, and each written map in order."""
+    model, _ = load_checkpoint(checkpoint)
+    dataset = dio.load_dataset(data, n_classes=model.config.n_classes)
+    by_id = {s.id: s for s in dataset.samples}
+    size = model.config.input_size
+    ext = "ppm" if color else "pgm"
+    out.mkdir()
+    rows, maps = [], []
+    for sid in wanted:
+        record = model.forward(by_id[sid].image[None], tape=Tape(),
+                               multi_label=dataset.multi_label)
+        for class_id in np.argsort(-record.probabilities[0], kind="stable")[:k]:
+            grads = class_gradients(record, [class_id], LAYERS)
+            for layer in LAYERS:
+                for mech in MECHANISMS:
+                    amap = compute_attention(mech, record.feats[layer].detach(),
+                                             grads[layer]).data[0]
+                    fname = f"{sid}_c{class_id}_{layer}_{mech}.{ext}"
+                    mx.export_heatmap(amap, (size, size), out / fname,
+                                      color=color)
+                    rows.append([sid, str(class_id), layer, mech, fname])
+                    maps.append(amap)
+    return rows, maps
+
+
+@pytest.mark.parametrize("data_fixture, samples, flags", [
+    ("dataset", "c0_0000,c0_0001,c0_0002,c0_0003,c1_0000,c1_0001", ()),
+    ("dataset", "c0_0000,c0_0000", ()),
+    ("dataset", "c2_0003,c1_0002,c0_0001,c2_0000,c1_0003", ("--color",)),
+    ("multi_label_data", "c2_0001,c0_0002,c1_0001", ()),
+], ids=["partial-chunk", "repeated-id", "color", "multi-label"])
+def test_attend_matches_per_sample_reference(trained, tmp_path, monkeypatch,
+                                             request, data_fixture, samples,
+                                             flags):
+    data = request.getfixturevalue(data_fixture)
+    if data_fixture == "dataset":
+        data = data / "test"
+    wanted = samples.split(",")
+    color = "--color" in flags
+    ref_rows, ref_maps = reference_attend(trained, data, wanted, 3, color,
+                                          tmp_path / "ref")
+
+    written = []
+    export_heatmap = mx.export_heatmap
+
+    def spy(values, *args, **kwargs):
+        written.append(np.array(values))
+        return export_heatmap(values, *args, **kwargs)
+
+    monkeypatch.setattr(mx, "export_heatmap", spy)
+    out = tmp_path / "maps"
+    assert run("attend", "--checkpoint", str(trained), "--data", str(data),
+               "--out", str(out), "--classes", "3", "--samples", samples,
+               *flags) == 0
+
+    assert len(written) == len(ref_maps) == len(wanted) * 3 * 2 * 2
+    for got, want in zip(written, ref_maps):
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+    lines = (out / "manifest.csv").read_text().strip().splitlines()
+    assert lines[0] == "sample_id,class,layer,mechanism,file,probability"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:5] for row in rows] == ref_rows
+    for *_, fname in ref_rows:
+        assert (out / fname).read_bytes() == (tmp_path / "ref" / fname).read_bytes()
+
+    model, _ = load_checkpoint(trained)
+    dataset = dio.load_dataset(data)
+    probs, _ = mx.predict(model, dataset, dataset.multi_label)
+    index = {s.id: i for i, s in enumerate(dataset.samples)}
+    for sid, cls, *_, prob in rows:
+        assert abs(float(prob) - probs[index[sid], int(cls)]) <= 1e-15
 
 
 def test_ks_zero_for_uniform_model(dataset, tmp_path):
