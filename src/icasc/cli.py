@@ -220,39 +220,41 @@ _ATTEND_CHUNK = 4
 
 
 def _attend_chunk(model, samples, k: int, multi: bool, out: Path,
-                  color: bool) -> list[tuple]:
-    """Write the top-``k`` heatmaps of ``samples`` and return their manifest
-    rows, in sample, rank, layer, mechanism order.
+                  color: bool) -> list[list[tuple]]:
+    """Write the top-``k`` heatmaps of ``samples`` and return each sample's
+    manifest rows, in rank, layer, mechanism order.
 
     One taped forward serves the chunk, and one backward per rank gives
     every sample's gradient for its own class at that rank (the model has
-    no batch-coupling op).  The tape is freed when this returns.
+    no batch-coupling op).  Each (rank, layer, mechanism) stack of maps is
+    rendered in one call.  The tape is freed when this returns.
     """
     record = model.forward(np.stack([s.image for s in samples]), tape=Tape(),
                            multi_label=multi)
     probs = record.probabilities
     top = np.argsort(-probs, axis=1, kind="stable")[:, :k]
-    maps = {}
+    size = model.config.input_size
+    images = {}
     for rank in range(k):
         grads = class_gradients(record, top[:, rank], LAYERS)
         for layer in LAYERS:
             feats = record.feats[layer].detach()
             for mech in MECHANISMS:
-                maps[rank, layer, mech] = compute_attention(
-                    mech, feats, grads[layer]).data
+                images[rank, layer, mech] = mx.render_heatmaps(
+                    compute_attention(mech, feats, grads[layer]).data,
+                    (size, size), color)
 
-    size = model.config.input_size
-    ext = "ppm" if color else "pgm"
+    ext, write = ("ppm", dio.write_ppm) if color else ("pgm", dio.write_pgm)
     rows = []
     for i, sample in enumerate(samples):
+        rows.append([])
         for rank, class_id in enumerate(top[i]):
             for layer in LAYERS:
                 for mech in MECHANISMS:
                     fname = f"{sample.id}_c{class_id}_{layer}_{mech}.{ext}"
-                    mx.export_heatmap(maps[rank, layer, mech][i], (size, size),
-                                      out / fname, color=color)
-                    rows.append((sample.id, int(class_id), layer, mech, fname,
-                                 float(probs[i, class_id])))
+                    write(out / fname, images[rank, layer, mech][i])
+                    rows[i].append((sample.id, int(class_id), layer, mech,
+                                    fname, float(probs[i, class_id])))
     return rows
 
 
@@ -275,18 +277,22 @@ def cmd_attend(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    samples = [by_id[sid] for sid in wanted]
-    manifest = []
-    for start in range(0, len(samples), _ATTEND_CHUNK):
-        manifest += _attend_chunk(model, samples[start:start + _ATTEND_CHUNK],
-                                  k, dataset.multi_label, out, args.color)
+    # a repeated id is rendered once; the manifest keeps a row set per mention
+    distinct = [by_id[sid] for sid in dict.fromkeys(wanted)]
+    rows = {}
+    for start in range(0, len(distinct), _ATTEND_CHUNK):
+        chunk = distinct[start:start + _ATTEND_CHUNK]
+        rows.update(zip((s.id for s in chunk),
+                        _attend_chunk(model, chunk, k, dataset.multi_label,
+                                      out, args.color)))
+    manifest = [row for sid in wanted for row in rows[sid]]
     dio.write_csv(out / "manifest.csv", ("sample_id", "class", "layer",
                                          "mechanism", "file", "probability"),
                   manifest)
     _echo(out, f"checkpoint = {args.checkpoint}\ndata = {args.data}\n"
                f"samples = {','.join(wanted)}\nclasses = {k}\n"
                f"color = {'true' if args.color else 'false'}\n")
-    print(f"wrote {len(manifest)} heatmaps to {out}")
+    print(f"wrote {sum(map(len, rows.values()))} heatmaps to {out}")
     return 0
 
 

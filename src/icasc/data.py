@@ -32,26 +32,51 @@ class DataError(ValueError):
 # --------------------------------------------------------------------------
 
 
+def _overwrite_netpbm(path, magic: str, pixels: np.ndarray) -> None:
+    """Write a binary Netpbm file over ``path`` in place.
+
+    The file is opened without truncating it, written from the start, then
+    cut at the end of what was written, so a longer old file ends up exactly
+    as long as the new one.  Opening with truncation would empty a file that
+    has data, and on ext4 (``auto_da_alloc``, its default) closing such a
+    file starts its writeback at once: that made rewriting hundreds of small
+    files many times slower.  The write is not atomic, as it never was: a
+    crash part-way can leave the old bytes, the new ones or a mix of both
+    in the file, where a truncating open left it empty or part-written.
+    """
+    h, w = pixels.shape[:2]
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(pixels.tobytes())
+        fh.truncate()
+
+
 def write_pgm(path, gray: np.ndarray) -> None:
-    """Binary PGM (P5), maxval 255; gray is (H, W) uint8."""
+    """Binary PGM (P5), maxval 255; gray is (H, W) uint8.
+
+    An existing file is overwritten in place and cut to the new length, not
+    truncated first; after a crash mid-write it may hold old bytes (see
+    ``_overwrite_netpbm``).
+    """
     gray = np.asarray(gray, dtype=np.uint8)
     if gray.ndim != 2:
         raise DataError(f"PGM image must be 2-D, got {gray.shape}")
-    h, w = gray.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(gray.tobytes())
+    _overwrite_netpbm(path, "P5", gray)
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
-    """Binary PPM (P6), maxval 255; rgb is (H, W, 3) uint8."""
+    """Binary PPM (P6), maxval 255; rgb is (H, W, 3) uint8.
+
+    An existing file is overwritten in place and cut to the new length, not
+    truncated first; after a crash mid-write it may hold old bytes (see
+    ``_overwrite_netpbm``).
+    """
     rgb = np.asarray(rgb, dtype=np.uint8)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise DataError(f"PPM image must be (H, W, 3), got {rgb.shape}")
-    h, w = rgb.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
+    _overwrite_netpbm(path, "P6", rgb)
 
 
 def _read_header_tokens(fh, count: int, path) -> list[int]:

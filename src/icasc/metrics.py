@@ -279,9 +279,33 @@ def _blue_red_table() -> np.ndarray:
 COLORMAP_BLUE_RED = _blue_red_table()
 
 
+def render_heatmaps(values, target_size: tuple[int, int],
+                    color: bool = False) -> np.ndarray:
+    """Render an ``(N, h, w)`` stack of non-negative maps as uint8 images.
+
+    Each map is divided by its own peak (an all-zero map renders black),
+    upsampled bilinearly to ``target_size``, scaled to 0..255 and, with
+    ``color``, looked up in ``COLORMAP_BLUE_RED``.  The whole stack goes
+    through one resize, one round and one lookup; every pixel is computed
+    as it would be for the map alone.  Returns ``(N, H, W)`` grey or
+    ``(N, H, W, 3)`` RGB images.  The input is never modified.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 3:
+        raise ValueError(f"heatmaps expect an (N, h, w) stack, got {values.shape}")
+    if np.any(values < 0):
+        raise ValueError("heatmap map must be non-negative")
+    peaks = values.max(axis=(1, 2), keepdims=True)
+    norm = np.divide(values, peaks, out=np.zeros_like(values), where=peaks > 0)
+    resized = ad.bilinear_resize_array(norm, target_size[0], target_size[1])
+    gray = np.clip(np.round(resized * 255.0), 0, 255).astype(np.uint8)
+    return COLORMAP_BLUE_RED[gray] if color else gray
+
+
 def export_heatmap(values, target_size: tuple[int, int], out_path,
                    color: bool = False) -> np.ndarray:
-    """Normalize a non-negative map to [0, 1], upsample, write PGM/PPM.
+    """Render one non-negative map with ``render_heatmaps`` and write it as
+    PGM, or as PPM with ``color``.
 
     Returns the uint8 image that was written.  The input map is never
     modified.
@@ -291,18 +315,9 @@ def export_heatmap(values, target_size: tuple[int, int], out_path,
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"heatmap expects a 2-D map, got {values.shape}")
-    if np.any(values < 0):
-        raise ValueError("heatmap map must be non-negative")
-    peak = values.max()
-    norm = values / peak if peak > 0 else np.zeros_like(values)
-    resized = ad.bilinear_resize_array(norm, target_size[0], target_size[1])
-    gray = np.clip(np.round(resized * 255.0), 0, 255).astype(np.uint8)
-    if color:
-        rgb = COLORMAP_BLUE_RED[gray]
-        dio.write_ppm(out_path, rgb)
-        return rgb
-    dio.write_pgm(out_path, gray)
-    return gray
+    image = render_heatmaps(values[None], target_size, color)[0]
+    (dio.write_ppm if color else dio.write_pgm)(out_path, image)
+    return image
 
 
 def write_metrics_csv(path, rows: list[tuple[str, str, float]]) -> None:

@@ -404,21 +404,33 @@ def test_attend_matches_per_sample_reference(trained, tmp_path, monkeypatch,
     ref_rows, ref_maps = reference_attend(trained, data, wanted, 3, color,
                                           tmp_path / "ref")
 
-    written = []
-    export_heatmap = mx.export_heatmap
+    stacks = []
+    render_heatmaps = mx.render_heatmaps
 
     def spy(values, *args, **kwargs):
-        written.append(np.array(values))
-        return export_heatmap(values, *args, **kwargs)
+        stacks.append(np.array(values))
+        return render_heatmaps(values, *args, **kwargs)
 
-    monkeypatch.setattr(mx, "export_heatmap", spy)
+    monkeypatch.setattr(mx, "render_heatmaps", spy)
     out = tmp_path / "maps"
     assert run("attend", "--checkpoint", str(trained), "--data", str(data),
                "--out", str(out), "--classes", "3", "--samples", samples,
                *flags) == 0
 
-    assert len(written) == len(ref_maps) == len(wanted) * 3 * 2 * 2
-    for got, want in zip(written, ref_maps):
+    # a chunk renders one stack per (rank, layer, mechanism); unpack them
+    # into (sample, rank, layer, mechanism) order
+    per_chunk = 3 * len(LAYERS) * len(MECHANISMS)
+    written = [stack[i]
+               for c in range(0, len(stacks), per_chunk)
+               for i in range(len(stacks[c]))
+               for stack in stacks[c:c + per_chunk]]
+    # a repeated id is rendered once: compare with its first mention's maps
+    ref_first = {}
+    for row, amap in zip(ref_rows, ref_maps):
+        ref_first.setdefault(row[4], amap)
+    want_maps = list(ref_first.values())
+    assert len(written) == len(want_maps) == len(set(wanted)) * 3 * 2 * 2
+    for got, want in zip(written, want_maps):
         assert np.abs(got - want).max() <= 1e-12 * want.max()
     lines = (out / "manifest.csv").read_text().strip().splitlines()
     assert lines[0] == "sample_id,class,layer,mechanism,file,probability"
@@ -433,6 +445,49 @@ def test_attend_matches_per_sample_reference(trained, tmp_path, monkeypatch,
     index = {s.id: i for i, s in enumerate(dataset.samples)}
     for sid, cls, *_, prob in rows:
         assert abs(float(prob) - probs[index[sid], int(cls)]) <= 1e-15
+
+
+def test_attend_renders_a_repeated_id_once(trained, dataset, tmp_path,
+                                            monkeypatch):
+    """A repeated id keeps its manifest rows but is written once: 3 mentions
+    of 2 ids x 2 classes x 2 layers x 2 mechanisms are 24 rows, 16 files."""
+    writes = []
+    write_pgm = dio.write_pgm
+
+    def spy(path, *args, **kwargs):
+        writes.append(Path(path).name)
+        return write_pgm(path, *args, **kwargs)
+
+    monkeypatch.setattr(dio, "write_pgm", spy)
+    out = tmp_path / "maps"
+    assert run("attend", "--checkpoint", str(trained), "--data",
+               str(dataset / "test"), "--out", str(out), "--classes", "2",
+               "--samples", "c0_0000,c0_0000,c1_0003") == 0
+    rows = [line.split(",") for line in
+            (out / "manifest.csv").read_text().strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["c0_0000"] * 16 + ["c1_0003"] * 8
+    assert rows[:8] == rows[8:16]
+    assert len(writes) == len(set(writes)) == 16
+    assert set(writes) == {row[4] for row in rows}
+
+
+def test_attend_overwrites_longer_files_in_place(trained, dataset, tmp_path):
+    """Heatmap files that already hold longer junk end up byte-equal to a
+    run into a fresh directory."""
+    argv = ("attend", "--checkpoint", str(trained), "--data",
+            str(dataset / "test"), "--classes", "2",
+            "--samples", "c0_0000,c2_0001,c1_0003")
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert run(*argv, "--out", str(fresh)) == 0
+    names = sorted(f.name for f in fresh.iterdir())
+    reused.mkdir()
+    for name in names:
+        if name.endswith(".pgm"):
+            (reused / name).write_bytes(b"junk" * 4096)
+    assert run(*argv, "--out", str(reused)) == 0
+    assert sorted(f.name for f in reused.iterdir()) == names
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def test_ks_zero_for_uniform_model(dataset, tmp_path):

@@ -46,6 +46,35 @@ def test_ppm_roundtrip(tmp_path):
                           img)
 
 
+def test_write_pgm_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
+    rng = np.random.default_rng(2)
+    gray = rng.integers(0, 256, size=(3, 5), dtype=np.uint8)
+    fresh, reused = tmp_path / "fresh.pgm", tmp_path / "reused.pgm"
+    write_pgm(fresh, gray)
+    write_ppm(reused, rng.integers(0, 256, size=(8, 9, 3), dtype=np.uint8))
+    assert reused.stat().st_size > fresh.stat().st_size
+    write_pgm(reused, gray)
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_netpbm_writes_never_open_with_truncation(tmp_path, monkeypatch):
+    flags = []
+    os_open = dio.os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return os_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(dio.os, "open", spy)
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"old" * 100)
+    write_pgm(path, np.zeros((2, 2), dtype=np.uint8))
+    write_ppm(path, np.zeros((2, 2, 3), dtype=np.uint8))
+    assert len(flags) == 2
+    assert not any(flag & dio.os.O_TRUNC for flag in flags)
+    assert path.read_bytes() == b"P6\n2 2\n255\n" + bytes(12)
+
+
 def test_read_image_header_comments(tmp_path):
     path = tmp_path / "c.pgm"
     payload = bytes(range(6))

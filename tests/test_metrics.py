@@ -7,7 +7,7 @@ from icasc.autodiff import Tape
 from icasc.losses import IcascConfig, icasc_objective
 from icasc.metrics import (auc_score, average_precision, export_heatmap,
                            ks_chart, macro_auc, mean_average_precision,
-                           topk_accuracy)
+                           render_heatmaps, topk_accuracy)
 
 import helpers
 import oracles
@@ -330,3 +330,31 @@ def test_heatmap_color_ppm(tmp_path):
 def test_heatmap_rejects_negative():
     with pytest.raises(ValueError):
         export_heatmap(np.array([[-0.1, 0.2]]), (2, 2), "/tmp/never.pgm")
+
+
+@pytest.mark.parametrize("color", [False, True], ids=["grey", "color"])
+def test_render_heatmaps_matches_one_map_export(tmp_path, color):
+    rng = np.random.default_rng(9)
+    stack = np.stack([np.zeros((4, 4)), np.full((4, 4), 0.4),
+                      rng.random((4, 4)), 7.5 * rng.random((4, 4)),
+                      1e-300 * rng.random((4, 4))])
+    snapshot = stack.copy()
+    images = render_heatmaps(stack, (9, 7), color=color)
+    assert np.array_equal(stack, snapshot)
+    assert images.dtype == np.uint8
+    assert images.shape == ((5, 9, 7, 3) if color else (5, 9, 7))
+    for i, amap in enumerate(stack):
+        one = export_heatmap(amap, (9, 7), tmp_path / f"h{i}", color=color)
+        assert np.array_equal(images[i], one)
+
+
+def test_render_heatmaps_rejects_one_negative_entry():
+    stack = np.random.default_rng(10).random((3, 4, 4))
+    stack[1, 2, 3] = -1e-12
+    with pytest.raises(ValueError):
+        render_heatmaps(stack, (4, 4))
+
+
+def test_render_heatmaps_rejects_a_single_map():
+    with pytest.raises(ValueError, match="stack"):
+        render_heatmaps(np.ones((4, 4)), (4, 4))
