@@ -75,7 +75,7 @@ def a_ch(features: Tensor, gradients: Tensor) -> Tensor:
     pos = ad.reduce_sum(ad.relu(gradients), (2, 3))               # (N, C)
     weighted = ad.mul(ad.broadcast_axes(pos, features.shape, (2, 3)), features)
     pre = ad.reduce_sum(weighted, (1,))                           # (N, H, W)
-    return ad.scale(ad.relu(pre), 1.0 / (h * w))
+    return ad.mul(ad.relu(pre), 1.0 / (h * w))
 
 
 def compute_attention(mechanism: str, features: Tensor,

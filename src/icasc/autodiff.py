@@ -47,7 +47,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "backward",
-    "DIV_EPSILON",
     "add",
     "sub",
     "mul",
@@ -59,7 +58,6 @@ __all__ = [
     "exp",
     "log",
     "softplus",
-    "scale",
     "reduce_sum",
     "reduce_mean",
     "broadcast_axes",
@@ -70,11 +68,6 @@ __all__ = [
     "maxpool2d",
     "bilinear_resize_array",
 ]
-
-# Default safeguard added to every divide denominator; pass eps=0.0 to get a
-# strict division that raises on zero denominators.
-DIV_EPSILON = 1e-8
-
 
 class AutodiffError(Exception):
     """Base class for engine errors."""
@@ -305,15 +298,13 @@ def mul(a, b) -> Tensor:
     return _emit("mul", (a, b), _binary_value("mul", a, b, np.multiply))
 
 
-def div(a, b, eps: Optional[float] = None) -> Tensor:
+def div(a, b, eps: float) -> Tensor:
     """Divide with a safeguard: denominator becomes ``b + eps``.
 
-    ``eps=None`` uses DIV_EPSILON; ``eps=0.0`` disables the safeguard and a
-    zero denominator raises DomainError instead of producing inf/nan.
+    ``eps=0.0`` disables the safeguard, and a zero denominator raises
+    DomainError instead of producing inf/nan.
     """
     a, b = _lift(a), _lift(b)
-    if eps is None:
-        eps = DIV_EPSILON
     denom_check = b.data + eps
     if np.any(denom_check == 0.0):
         raise DomainError("divide: zero denominator" +
@@ -371,12 +362,6 @@ def softplus(x) -> Tensor:
     return _emit("softplus", (x,), np.logaddexp(0.0, x.data))
 
 
-def scale(x, c: float) -> Tensor:
-    x = _lift(x)
-    c = float(c)
-    return _emit("scale", (x,), x.data * c, {"c": c})
-
-
 @_rule("add")
 def _add_rule(node, g, inputs, out, need):
     a, b = inputs
@@ -388,7 +373,7 @@ def _add_rule(node, g, inputs, out, need):
 def _sub_rule(node, g, inputs, out, need):
     a, b = inputs
     return [_reduce_to(g, a.shape) if need[0] else None,
-            _reduce_to(scale(g, -1.0), b.shape) if need[1] else None]
+            _reduce_to(mul(g, -1.0), b.shape) if need[1] else None]
 
 
 @_rule("mul")
@@ -403,7 +388,7 @@ def _div_rule(node, g, inputs, out, need):
     a, b = inputs
     eps = node.meta["eps"]
     da = _reduce_to(div(g, b, eps=eps), a.shape) if need[0] else None
-    db = _reduce_to(scale(div(mul(g, out), b, eps=eps), -1.0), b.shape) \
+    db = _reduce_to(mul(div(mul(g, out), b, eps=eps), -1.0), b.shape) \
         if need[1] else None
     return [da, db]
 
@@ -440,11 +425,6 @@ def _log_rule(node, g, inputs, out, need):
 @_rule("softplus")
 def _softplus_rule(node, g, inputs, out, need):
     return [mul(g, sigmoid(inputs[0]))]
-
-
-@_rule("scale")
-def _scale_rule(node, g, inputs, out, need):
-    return [scale(g, node.meta["c"])]
 
 
 # --------------------------------------------------------------------------
@@ -534,7 +514,7 @@ def _reduce_sum_rule(node, g, inputs, out, need):
 @_rule("reduce_mean")
 def _reduce_mean_rule(node, g, inputs, out, need):
     spread = broadcast_axes(g, node.meta["in_shape"], node.meta["axes"])
-    return [scale(spread, 1.0 / node.meta["n"])]
+    return [mul(spread, 1.0 / node.meta["n"])]
 
 
 @_rule("broadcast_axes")

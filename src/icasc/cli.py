@@ -350,10 +350,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except ConfigError as e:
+    except (UsageError, ConfigError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (dio.DataError, FileNotFoundError) as e:

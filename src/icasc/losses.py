@@ -210,7 +210,7 @@ def separation_per_sample(target: Tensor, confusing: Tensor,
     overlap = ad.mul(ad.minimum(target, confusing), Tensor(mask))
     num = ad.reduce_sum(overlap, (1, 2))
     den = ad.reduce_sum(ad.add(target, confusing), (1, 2))
-    return ad.scale(ad.div(num, den, eps=eps), 2.0)
+    return ad.mul(ad.div(num, den, eps=eps), 2.0)
 
 
 def consistency_per_sample(inner_target: Tensor, mask: np.ndarray,
@@ -258,15 +258,6 @@ def per_sample_terms(a_tgt: dict[str, Tensor], a_conf: dict[str, Tensor],
 # --------------------------------------------------------------------------
 # the full objective
 # --------------------------------------------------------------------------
-
-
-def _masked_mean(vec: Tensor, keep: np.ndarray) -> Tensor:
-    """Mean of vec over keep==1 entries; exact 0.0 when none are kept."""
-    count = int(keep.sum())
-    if count == 0:
-        return Tensor(0.0)
-    picked = ad.reduce_sum(ad.mul(vec, Tensor(keep)))
-    return ad.scale(picked, 1.0 / count)
 
 
 def label_rounds(labels: np.ndarray, n_classes: int) -> list[np.ndarray]:
@@ -322,8 +313,9 @@ def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
                                                         labels)
     a_conf = class_attention(record, conf, config.mechanism, create_graph=True)
 
-    # per-sample (L_AS_last, L_AS_inner, L_AC), summed over the label rounds
-    acc: Optional[list[Tensor]] = None
+    # per-sample (L_AS_last, L_AS_inner, L_AC), summed over the label rounds;
+    # a round's keep selector zeroes the terms of a sample it skips
+    acc: list[Tensor] = []
     counts = np.zeros(n)
     rounds_out: list[RoundContext] = []
 
@@ -336,17 +328,19 @@ def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
 
         keep_t = Tensor(rc.keep)
         terms = [ad.mul(term, keep_t) for term in terms]
-        acc = terms if acc is None else [ad.add(a, t) for a, t in zip(acc, terms)]
+        acc = [ad.add(a, t) for a, t in zip(acc, terms)] if acc else terms
         counts += rc.keep
 
     skip_flags = counts == 0
-    kept = (~skip_flags).astype(np.float64)
-    if acc is None or not kept.any():
+    kept = int(np.count_nonzero(counts))
+    if kept == 0:
+        # nothing kept: no attention graph for the final backward to walk
         t_las_la = t_las_in = t_lac = Tensor(0.0)
     else:
         denom = Tensor(np.maximum(counts, 1.0))
         t_las_la, t_las_in, t_lac = (
-            _masked_mean(ad.div(a, denom, eps=0.0), kept) for a in acc)
+            ad.mul(ad.reduce_sum(ad.div(a, denom, eps=0.0)), 1.0 / kept)
+            for a in acc)
 
     weighted = {"L_C": (l_c, config.weight_lc),
                 "L_AS_inner": (t_las_in, config.weight_as_inner),
@@ -354,7 +348,7 @@ def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
                 "L_AC": (t_lac, config.weight_ac)}
     total = None
     for term, weight in weighted.values():
-        term = term if weight == 1.0 else ad.scale(term, weight)
+        term = term if weight == 1.0 else ad.mul(term, weight)
         total = term if total is None else ad.add(total, term)
 
     items = {name: term.item() for name, (term, _) in weighted.items()}

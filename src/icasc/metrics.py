@@ -1,6 +1,6 @@
 """Evaluation metrics: top-k accuracy, average precision, rank AUC,
 Kolmogorov-Smirnov separation charts, attention-overlap statistics, and
-heatmap export."""
+heatmap rendering."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data as dio
 from .attention import class_attention
-from .autodiff import Tape, Tensor
+from .autodiff import Tape
 from .losses import IcascConfig, confusing_class, label_rounds, per_sample_terms
 from .nn import Model
 
@@ -263,7 +263,7 @@ def write_overlap_csv(path, report: OverlapReport) -> None:
 
 
 # --------------------------------------------------------------------------
-# heatmap export
+# heatmap rendering
 # --------------------------------------------------------------------------
 
 def _blue_red_table() -> np.ndarray:
@@ -300,24 +300,6 @@ def render_heatmaps(values, target_size: tuple[int, int],
     resized = ad.bilinear_resize_array(norm, target_size[0], target_size[1])
     gray = np.clip(np.round(resized * 255.0), 0, 255).astype(np.uint8)
     return COLORMAP_BLUE_RED[gray] if color else gray
-
-
-def export_heatmap(values, target_size: tuple[int, int], out_path,
-                   color: bool = False) -> np.ndarray:
-    """Render one non-negative map with ``render_heatmaps`` and write it as
-    PGM, or as PPM with ``color``.
-
-    Returns the uint8 image that was written.  The input map is never
-    modified.
-    """
-    if isinstance(values, Tensor):
-        values = values.data
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError(f"heatmap expects a 2-D map, got {values.shape}")
-    image = render_heatmaps(values[None], target_size, color)[0]
-    (dio.write_ppm if color else dio.write_pgm)(out_path, image)
-    return image
 
 
 def write_metrics_csv(path, rows: list[tuple[str, str, float]]) -> None:

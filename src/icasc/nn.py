@@ -127,9 +127,6 @@ class Model:
         params["head.b"] = np.zeros(config.n_classes)
         return Model(config, params)
 
-    def num_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def forward(self, images: np.ndarray, tape: Optional[Tape] = None,
                 multi_label: bool = False) -> ForwardRecord:
         """Run the network; with a tape, parameters are registered as leaves
@@ -212,7 +209,7 @@ def multilabel_soft_margin(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ValueError("multi-label sample with no positive class "
                          "(confusing class undefined)")
     # -log sig(z) = softplus(-z); -log sig(-z) = softplus(z)
-    pos = ad.mul(Tensor(targets), ad.softplus(ad.scale(logits, -1.0)))
+    pos = ad.mul(Tensor(targets), ad.softplus(ad.mul(logits, -1.0)))
     neg = ad.mul(Tensor(1.0 - targets), ad.softplus(logits))
     return ad.reduce_mean(ad.add(pos, neg))
 

@@ -367,7 +367,7 @@ def reference_attend(checkpoint, data, wanted, k: int, color: bool, out: Path):
     dataset = dio.load_dataset(data, n_classes=model.config.n_classes)
     by_id = {s.id: s for s in dataset.samples}
     size = model.config.input_size
-    ext = "ppm" if color else "pgm"
+    ext, write = ("ppm", dio.write_ppm) if color else ("pgm", dio.write_pgm)
     out.mkdir()
     rows, maps = [], []
     for sid in wanted:
@@ -380,8 +380,8 @@ def reference_attend(checkpoint, data, wanted, k: int, color: bool, out: Path):
                     amap = compute_attention(mech, record.feats[layer].detach(),
                                              grads[layer]).data[0]
                     fname = f"{sid}_c{class_id}_{layer}_{mech}.{ext}"
-                    mx.export_heatmap(amap, (size, size), out / fname,
-                                      color=color)
+                    write(out / fname,
+                          mx.render_heatmaps(amap[None], (size, size), color)[0])
                     rows.append([sid, str(class_id), layer, mech, fname])
                     maps.append(amap)
     return rows, maps

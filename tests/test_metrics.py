@@ -5,9 +5,9 @@ from icasc import data as dio
 from icasc import metrics as mx
 from icasc.autodiff import Tape
 from icasc.losses import IcascConfig, icasc_objective
-from icasc.metrics import (auc_score, average_precision, export_heatmap,
-                           ks_chart, macro_auc, mean_average_precision,
-                           render_heatmaps, topk_accuracy)
+from icasc.metrics import (auc_score, average_precision, ks_chart,
+                           macro_auc, mean_average_precision, render_heatmaps,
+                           topk_accuracy)
 
 import helpers
 import oracles
@@ -288,52 +288,55 @@ def test_overlap_values_in_bounds(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# heatmap export
+# heatmap rendering
 # --------------------------------------------------------------------------
 
 
-def test_heatmap_constant_positive_map_is_white(tmp_path):
-    path = tmp_path / "h.pgm"
-    img = export_heatmap(np.full((3, 3), 0.4), (6, 6), path)
-    assert np.array_equal(img, np.full((6, 6), 255, dtype=np.uint8))
+def test_heatmap_constant_positive_map_is_white():
+    img = render_heatmaps(np.full((1, 3, 3), 0.4), (6, 6))
+    assert np.array_equal(img, np.full((1, 6, 6), 255, dtype=np.uint8))
 
 
-def test_heatmap_all_zero_is_black(tmp_path):
-    path = tmp_path / "h.pgm"
-    img = export_heatmap(np.zeros((3, 3)), (5, 5), path)
-    assert np.array_equal(img, np.zeros((5, 5), dtype=np.uint8))
+def test_heatmap_all_zero_is_black():
+    img = render_heatmaps(np.zeros((1, 3, 3)), (5, 5))
+    assert np.array_equal(img, np.zeros((1, 5, 5), dtype=np.uint8))
 
 
 def test_heatmap_file_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     path = tmp_path / "h.pgm"
-    written = export_heatmap(rng.random((4, 4)), (8, 8), path)
+    written = render_heatmaps(rng.random((1, 4, 4)), (8, 8))[0]
+    dio.write_pgm(path, written)
     back = dio.read_image(path)
     assert np.array_equal(np.round(back[0] * 255).astype(np.uint8), written)
 
 
-def test_heatmap_does_not_modify_input(tmp_path):
-    values = np.random.default_rng(8).random((4, 4))
+def test_heatmap_does_not_modify_input():
+    values = np.random.default_rng(8).random((1, 4, 4))
     snapshot = values.copy()
-    export_heatmap(values, (4, 4), tmp_path / "h.pgm")
+    render_heatmaps(values, (4, 4))
     assert np.array_equal(values, snapshot)
 
 
 def test_heatmap_color_ppm(tmp_path):
     path = tmp_path / "h.ppm"
-    rgb = export_heatmap(np.array([[0.0, 1.0]]), (1, 2), path, color=True)
+    rgb = render_heatmaps(np.array([[[0.0, 1.0]]]), (1, 2), color=True)[0]
+    dio.write_ppm(path, rgb)
     assert rgb.shape == (1, 2, 3)
     assert tuple(rgb[0, 0]) == (0, 0, 255)    # cold end is blue
     assert tuple(rgb[0, 1]) == (255, 0, 0)    # hot end is red
+    back = dio.read_image(path)
+    assert np.array_equal(np.round(back * 255).astype(np.uint8),
+                          rgb.transpose(2, 0, 1))
 
 
 def test_heatmap_rejects_negative():
     with pytest.raises(ValueError):
-        export_heatmap(np.array([[-0.1, 0.2]]), (2, 2), "/tmp/never.pgm")
+        render_heatmaps(np.array([[[-0.1, 0.2]]]), (2, 2))
 
 
 @pytest.mark.parametrize("color", [False, True], ids=["grey", "color"])
-def test_render_heatmaps_matches_one_map_export(tmp_path, color):
+def test_render_heatmaps_matches_one_map_export(color):
     rng = np.random.default_rng(9)
     stack = np.stack([np.zeros((4, 4)), np.full((4, 4), 0.4),
                       rng.random((4, 4)), 7.5 * rng.random((4, 4)),
@@ -344,8 +347,8 @@ def test_render_heatmaps_matches_one_map_export(tmp_path, color):
     assert images.dtype == np.uint8
     assert images.shape == ((5, 9, 7, 3) if color else (5, 9, 7))
     for i, amap in enumerate(stack):
-        one = export_heatmap(amap, (9, 7), tmp_path / f"h{i}", color=color)
-        assert np.array_equal(images[i], one)
+        one = render_heatmaps(amap[None], (9, 7), color=color)
+        assert np.array_equal(images[i:i + 1], one)
 
 
 def test_render_heatmaps_rejects_one_negative_entry():

@@ -33,7 +33,7 @@ def test_parameter_count_closed_form():
     # conv blocks: (out*in*3*3 + out) each; head: 64*10 + 10
     expected = (16 * 3 * 9 + 16) + (32 * 16 * 9 + 32) + (64 * 32 * 9 + 64) \
         + (64 * 10 + 10)
-    assert model.num_params() == expected
+    assert sum(p.size for p in model.params.values()) == expected
 
 
 def test_same_seed_bit_identical():
