@@ -170,7 +170,16 @@ def cmd_eval(args) -> int:
     n_classes = model.config.n_classes
     dataset = dio.load_dataset(args.data, n_classes=n_classes)
     multi = dataset.multi_label
-    if not multi:
+    labels = dataset.label_array(multi)
+    if multi:
+        # every class's AP needs a positive sample and its AUC a negative
+        positives = labels.sum(axis=0)
+        for c in range(n_classes):
+            if not 0 < positives[c] < len(labels):
+                side = "positive" if positives[c] == 0 else "negative"
+                raise dio.DataError(f"{args.data}: class {c} has no {side} "
+                                    "sample, so its AP and AUC are undefined")
+    else:
         k = min(5, n_classes) if args.topk is None else args.topk
         if k > n_classes:
             raise UsageError(f"topk {k} exceeds class count {n_classes}")
@@ -182,9 +191,9 @@ def cmd_eval(args) -> int:
         # the report's taped forwards also score accuracy: one pass, not two
         icasc = _resolved_icasc(args)
         report = mx.attention_overlap_report(model, dataset, icasc)
-        probs, labels = report.probabilities, dataset.label_array(multi)
+        probs = report.probabilities
     else:
-        probs, labels = mx.predict(model, dataset, multi)
+        probs, _ = mx.predict(model, dataset, multi)
 
     rows: list[tuple[str, str, float]] = []
     if multi:

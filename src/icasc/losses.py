@@ -169,15 +169,16 @@ def confusing_class(probabilities: np.ndarray, labels) -> np.ndarray:
     """Most probable non-ground-truth class per sample; ties -> lowest id."""
     probs = np.asarray(probabilities, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] < 2:
-        raise ValueError(f"need (N, C>=2) probabilities, got {probs.shape}")
+        raise DataError(f"need (N, C>=2) probabilities, got {probs.shape}: "
+                        "a confusing class needs at least 2 classes")
     labels = np.asarray(labels)
     masked = probs.copy()
     if labels.ndim == 1:
         masked[np.arange(labels.size), labels] = -np.inf
     elif labels.shape == probs.shape:
         if np.any(labels.sum(axis=1) >= probs.shape[1]):
-            raise ValueError("ground-truth set covers every class; "
-                             "confusing class undefined")
+            raise DataError("ground-truth set covers every class; "
+                            "confusing class undefined")
         masked[labels.astype(bool)] = -np.inf
     else:
         raise ValueError(f"labels shape {labels.shape} does not match "

@@ -114,11 +114,13 @@ def evaluate_accuracy(model: Model, dataset: dio.Dataset, batch_size: int,
 def train(cfg: TrainConfig) -> TrainResult:
     """Run (or resume from final.ckpt) a training job; writes the log and
     checkpoints."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     # the training labels set the mode: a;b rows make it a multi-label run
     train_set = dio.load_dataset(cfg.data_dir)
+    if train_set.n_classes < 2:
+        # no confusing class, so neither the objective nor KS is defined
+        raise dio.DataError(f"{cfg.data_dir}: the labels name "
+                            f"{train_set.n_classes} class; training needs "
+                            "at least 2")
     multi = train_set.multi_label
     test_set = dio.load_dataset(cfg.test_dir, n_classes=train_set.n_classes) \
         if cfg.test_dir else None
@@ -132,6 +134,7 @@ def train(cfg: TrainConfig) -> TrainResult:
                             input_channels=sample.image.shape[0],
                             n_classes=train_set.n_classes)
 
+    out = Path(cfg.out_dir)
     optimizer = SgdOptimizer(cfg.momentum, cfg.weight_decay)
     start_epoch = 0
     log: list[EpochStats] = []
@@ -152,6 +155,8 @@ def train(cfg: TrainConfig) -> TrainResult:
     else:
         model = Model.build(model_cfg, cfg.seed)
 
+    # created only once the data and any resume point have been checked
+    out.mkdir(parents=True, exist_ok=True)
     (out / "run_config.txt").write_text(cfg.to_kv(), encoding="utf-8")
 
     best_acc, best_epoch = -1.0, -1

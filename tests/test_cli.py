@@ -155,6 +155,23 @@ def test_train_missing_data_is_data_error(tmp_path, capsys):
              str(tmp_path / "o"))
     assert rc == 2
     assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [(), ("--baseline",)],
+                         ids=["icasc", "baseline"])
+def test_train_on_one_class_set_is_data_error(dataset, tmp_path, capsys,
+                                              flags):
+    """Labels that name only class 0 leave no confusing class for the
+    objective, nor for scoring the checkpoint with ks or eval --attention."""
+    data = relabel(dataset / "train", tmp_path / "d",
+                   {f"c0_000{i}": "0" for i in range(4)})
+    out = tmp_path / "o"
+    assert run("train", "--data", str(data), "--out", str(out), "--epochs",
+               "1", "--channels", "4,8", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "at least 2" in err
+    assert not out.exists()
 
 
 def test_train_defaults_come_from_train_config(dataset, tmp_path):
@@ -282,6 +299,24 @@ def test_eval_rejects_topk_before_any_forward(trained, dataset, tmp_path,
                str(dataset / "test"), "--out", str(tmp_path / "e"),
                "--topk", "99", *flags) == 1
     assert "topk 99 exceeds class count 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels, message", [
+    ({"c0_0000": "0", "c0_0001": "0;1", "c1_0000": "1", "c1_0001": "1"},
+     "class 2 has no positive sample"),
+    ({"c0_0000": "0", "c1_0000": "1;0", "c2_0000": "2;0"},
+     "class 0 has no negative sample"),
+], ids=["no-positive", "no-negative"])
+def test_eval_rejects_an_undefined_ap_or_auc_before_any_forward(
+        trained, dataset, tmp_path, monkeypatch, capsys, labels, message):
+    data = relabel(dataset / "test", tmp_path / "d", labels)
+    calls = helpers.count_forwards(monkeypatch)
+    assert run("eval", "--checkpoint", str(trained), "--data", str(data),
+               "--out", str(tmp_path / "e")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err
+    assert calls == []
+    assert not (tmp_path / "e").exists()
 
 
 def test_attend_topk_exceeding_classes_rejected(trained, dataset, tmp_path,
@@ -598,6 +633,44 @@ def test_attend_on_multi_label_set_writes_sigmoid_probability(
 # --------------------------------------------------------------------------
 # malformed inputs exit 2 and name what is wrong
 # --------------------------------------------------------------------------
+
+
+def relabel(src: Path, dst: Path, labels: dict[str, str]) -> Path:
+    """A set in ``dst`` holding the images of ``labels``' ids from ``src``,
+    each id with the given label field (``"2;0"`` for a multi-label row)."""
+    dst.mkdir(parents=True)
+    rows = ["id,filename,label"]
+    for sid, label in labels.items():
+        (dst / f"{sid}.pgm").write_bytes((src / f"{sid}.pgm").read_bytes())
+        rows.append(f"{sid},{sid}.pgm,{label}")
+    (dst / "labels.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return dst
+
+
+def test_eval_attention_on_a_row_covering_every_class_is_data_error(
+        dataset, tmp_path, capsys):
+    """A 2-class model and a ``0;1`` row: that sample has no confusing
+    class."""
+    model = helpers.tiny_model(1, channels=(4, 8), size=16, n_classes=2)
+    save_checkpoint(tmp_path / "m.ckpt", model)
+    data = relabel(dataset / "test", tmp_path / "d",
+                   {"c0_0000": "0", "c0_0001": "0;1", "c1_0000": "1",
+                    "c1_0001": "1"})
+    assert run("eval", "--checkpoint", str(tmp_path / "m.ckpt"), "--data",
+               str(data), "--out", str(tmp_path / "e"), "--attention") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "covers every class" in err
+
+
+def test_ks_of_a_one_class_model_is_data_error(dataset, tmp_path, capsys):
+    model = helpers.tiny_model(1, channels=(4, 8), size=16, n_classes=1)
+    save_checkpoint(tmp_path / "m.ckpt", model)
+    data = relabel(dataset / "test", tmp_path / "d",
+                   {f"c0_000{i}": "0" for i in range(4)})
+    assert run("ks", "--checkpoint", str(tmp_path / "m.ckpt"), "--data",
+               str(data), "--out", str(tmp_path / "k")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "at least 2 classes" in err
 
 
 def test_mixed_image_sizes_is_data_error(trained, tmp_path, capsys):

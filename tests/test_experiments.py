@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import astuple, fields
 
 import pytest
 
@@ -55,3 +56,33 @@ def test_evaluate_model_rejects_a_multi_label_set(tmp_path):
     model = helpers.tiny_model(5, channels=(4, 8), size=16, n_classes=3)
     with pytest.raises(dio.DataError, match="single-label"):
         experiments.evaluate_model(model, dataset, 0, "icasc", IcascConfig())
+
+
+def run_tiny_trend(work, **kwargs):
+    """``run_trend`` for 2 epochs on 8 training and 4 test samples per
+    class, which it reuses from ``make_datasets``."""
+    experiments.make_datasets(work, n_train=8, n_test=4)
+    return experiments.run_trend(work, epochs=2, **kwargs)
+
+
+def test_run_trend_writes_one_row_per_seed_and_variant(tmp_path):
+    report = run_tiny_trend(tmp_path / "a", seeds=(0, 1))
+    with open(tmp_path / "a" / "trend_a-ch.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [f.name for f in fields(experiments.VariantMetrics)]
+    assert [(r.seed, r.variant) for r in report.rows] == [
+        (0, "baseline"), (0, "icasc"), (1, "baseline"), (1, "icasc")]
+    assert rows == [[str(v) if isinstance(v, (int, str)) else repr(v)
+                     for v in astuple(r)] for r in report.rows]
+    assert all(r.mechanism == "a-ch" for r in report.rows)
+
+    run_tiny_trend(tmp_path / "b", seeds=(0, 1))
+    assert (tmp_path / "a" / "trend_a-ch.csv").read_bytes() == \
+        (tmp_path / "b" / "trend_a-ch.csv").read_bytes()
+
+
+def test_run_trend_names_its_csv_after_the_mechanism(tmp_path):
+    report = run_tiny_trend(tmp_path, seeds=(0,), mechanism="grad-cam")
+    assert report.mechanism == "grad-cam"
+    assert (tmp_path / "trend_grad-cam.csv").is_file()
+    assert not (tmp_path / "trend_a-ch.csv").exists()
