@@ -173,10 +173,9 @@ def cmd_eval(args) -> int:
     labels = dataset.label_array(multi)
     if multi:
         # every class's AP needs a positive sample and its AUC a negative
-        positives = labels.sum(axis=0)
-        for c in range(n_classes):
-            if not 0 < positives[c] < len(labels):
-                side = "positive" if positives[c] == 0 else "negative"
+        for c, n_pos in enumerate(labels.sum(axis=0)):
+            if n_pos in (0, len(labels)):
+                side = "positive" if n_pos == 0 else "negative"
                 raise dio.DataError(f"{args.data}: class {c} has no {side} "
                                     "sample, so its AP and AUC are undefined")
     else:
