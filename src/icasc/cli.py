@@ -165,12 +165,29 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _require_confusing_class(checkpoint, n_classes: int) -> None:
+    """``ks`` and ``eval --attention`` score each sample against its most
+    probable other class, which a one-class model lacks."""
+    if n_classes < 2:
+        raise dio.DataError(f"{checkpoint}: the model has {n_classes} class; "
+                            "a confusing class needs at least 2 classes")
+
+
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     n_classes = model.config.n_classes
     dataset = dio.load_dataset(args.data, n_classes=n_classes)
     multi = dataset.multi_label
     labels = dataset.label_array(multi)
+    if args.attention:
+        _require_confusing_class(args.checkpoint, n_classes)
+        if multi:
+            full = np.flatnonzero(labels.sum(axis=1) >= n_classes)
+            if full.size:
+                sid = dataset.samples[full[0]].id
+                raise dio.DataError(f"{args.data}: the label set of {sid} "
+                                    "covers every class; confusing class "
+                                    "undefined")
     if multi:
         # every class's AP needs a positive sample and its AUC a negative
         for c, n_pos in enumerate(labels.sum(axis=0)):
@@ -309,6 +326,7 @@ def cmd_ks(args) -> int:
     dataset = dio.load_dataset(args.data, n_classes=model.config.n_classes)
     if dataset.multi_label:
         raise dio.DataError("ks command expects a single-label dataset")
+    _require_confusing_class(args.checkpoint, model.config.n_classes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -660,6 +660,8 @@ def test_eval_attention_on_a_row_covering_every_class_is_data_error(
                str(data), "--out", str(tmp_path / "e"), "--attention") == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "covers every class" in err
+    assert "c0_0001" in err
+    assert not (tmp_path / "e").exists()
 
 
 def test_ks_of_a_one_class_model_is_data_error(dataset, tmp_path, capsys):
@@ -671,6 +673,21 @@ def test_ks_of_a_one_class_model_is_data_error(dataset, tmp_path, capsys):
                str(data), "--out", str(tmp_path / "k")) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "at least 2 classes" in err
+    assert str(tmp_path / "m.ckpt") in err and "1 class;" in err
+    assert not (tmp_path / "k").exists()
+
+
+def test_eval_attention_of_a_one_class_model_is_data_error(dataset, tmp_path,
+                                                          capsys):
+    model = helpers.tiny_model(1, channels=(4, 8), size=16, n_classes=1)
+    save_checkpoint(tmp_path / "m.ckpt", model)
+    data = relabel(dataset / "test", tmp_path / "d",
+                   {f"c0_000{i}": "0" for i in range(4)})
+    assert run("eval", "--checkpoint", str(tmp_path / "m.ckpt"), "--data",
+               str(data), "--out", str(tmp_path / "e"), "--attention") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "1 class;" in err
+    assert not (tmp_path / "e").exists()
 
 
 def test_mixed_image_sizes_is_data_error(trained, tmp_path, capsys):

@@ -7,9 +7,10 @@ from icasc import autodiff as ad
 from icasc import data as dio
 from icasc import nn
 from icasc.autodiff import Tape, Tensor, backward
-from icasc.nn import (ConfigError, Model, ModelConfig, NumericalError,
-                      SgdOptimizer, cross_entropy, lr_schedule,
-                      multilabel_soft_margin)
+from icasc.losses import IcascConfig, icasc_objective
+from icasc.nn import (ConfigError, ForwardRecord, Model, ModelConfig,
+                      NumericalError, SgdOptimizer, cross_entropy,
+                      lr_schedule, multilabel_soft_margin)
 from icasc.training import TrainConfig, train
 
 import oracles
@@ -134,6 +135,85 @@ def test_forward_vs_loop_oracle(taped):
     assert np.max(np.abs(record.logits.data - logits)) < 1e-12
     for layer in ("inner", "last"):
         assert np.max(np.abs(record.feats[layer].data - feats[layer])) < 1e-12
+
+
+def relu_then_pool_forward(model, images, tape):
+    """``Model.forward`` with each block built in the order ReLU, then max
+    pool; returns the record and each block's pre-activation tensor."""
+    leaves = {name: tape.leaf(arr) for name, arr in model.params.items()}
+    n_blocks = model.config.n_blocks
+    x = Tensor(images)
+    feats, pre = {}, []
+    for i in range(n_blocks):
+        x = ad.conv2d(x, leaves[f"block{i}.w"], stride=1, padding=1)
+        x = ad.add(x, ad.broadcast_axes(leaves[f"block{i}.b"], x.shape,
+                                        (0, 2, 3)))
+        pre.append(x)
+        x = ad.maxpool2d(ad.relu(x), window=2, stride=2)
+        feats["inner" if i == n_blocks - 2 else "last"] = x
+    logits = ad.matmul(ad.reduce_mean(x, (2, 3)), leaves["head.w"])
+    logits = ad.add(logits, ad.broadcast_axes(leaves["head.b"], logits.shape,
+                                              (0,)))
+    return ForwardRecord(logits, nn.softmax(logits.data), feats, leaves), pre
+
+
+def pool_inputs(tape):
+    """Tensors for the inputs of the tape's ``pool_gather`` nodes."""
+    handles = [node.inputs[0][0] for node in tape.nodes
+               if node.kind == "pool_gather"]
+    return [Tensor(tape.nodes[h].value, tape, h, _own=True) for h in handles]
+
+
+def test_forward_pools_before_relu():
+    model = tiny_model(2)
+    tape = Tape()
+    model.forward(np.random.default_rng(4).random((2, 1, 8, 8)), tape=tape)
+    relus = [node for node in tape.nodes if node.kind == "relu"]
+    assert len(relus) == model.config.n_blocks
+    for node in relus:
+        pooled = tape.nodes[node.inputs[0][0]]
+        assert pooled.kind == "pool_gather"
+        assert tape.nodes[pooled.inputs[0][0]].kind == "add"
+
+
+@pytest.mark.parametrize("mechanism", ["a-ch", "grad-cam"])
+def test_pool_then_relu_matches_relu_then_pool(mechanism):
+    """Max commutes with ReLU: the values are byte-equal and every parameter
+    gradient of the objective is equal.  Negative biases give windows with
+    no positive pre-activation; under a negative upstream gradient the old
+    order leaves -0.0 in their pre-activation gradient, the new one +0.0."""
+    rng = np.random.default_rng(9)
+    model = Model.build(ModelConfig(channels=(4, 8), input_size=16,
+                                    input_channels=1, n_classes=3), 1)
+    for i in range(2):
+        model.params[f"block{i}.b"] = rng.normal(-0.3, 0.3, (4 * 2 ** i,))
+    images = rng.normal(0.0, 1.0, (6, 1, 16, 16))
+    labels = np.array([0, 1, 2, 0, 1, 2])
+    config = IcascConfig(mechanism=mechanism)
+
+    new = model.forward(images, tape=Tape())
+    old, old_pre = relu_then_pool_forward(model, images, Tape())
+    assert new.logits.data.tobytes() == old.logits.data.tobytes()
+    for layer in ("inner", "last"):
+        assert new.feats[layer].data.tobytes() == old.feats[layer].data.tobytes()
+
+    new_bd = icasc_objective(new, labels, config)
+    old_bd = icasc_objective(old, labels, config)
+    assert new_bd.total == old_bd.total
+    assert not new_bd.skip_flags.all()
+    new_pre = pool_inputs(new.logits.tape)[:2]
+    new_g = backward(new_bd.total_tensor,
+                     [*new.param_leaves.values(), *new_pre])
+    old_g = backward(old_bd.total_tensor,
+                     [*old.param_leaves.values(), *old_pre])
+    for name in model.params:
+        assert np.array_equal(new_g[new.param_leaves[name].node].data,
+                              old_g[old.param_leaves[name].node].data), name
+    for a, b in zip(new_pre, old_pre):
+        ga, gb = new_g[a.node].data, old_g[b.node].data
+        assert np.array_equal(ga, gb)
+        assert np.any((gb == 0) & np.signbit(gb))          # the -0.0 case
+        assert not np.any((ga == 0) & np.signbit(ga))
 
 
 def test_forward_shape_mismatch():
