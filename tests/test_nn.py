@@ -157,13 +157,6 @@ def relu_then_pool_forward(model, images, tape):
     return ForwardRecord(logits, nn.softmax(logits.data), feats, leaves), pre
 
 
-def pool_inputs(tape):
-    """Tensors for the inputs of the tape's ``pool_gather`` nodes."""
-    handles = [node.inputs[0][0] for node in tape.nodes
-               if node.kind == "pool_gather"]
-    return [Tensor(tape.nodes[h].value, tape, h, _own=True) for h in handles]
-
-
 def test_forward_pools_before_relu():
     model = tiny_model(2)
     tape = Tape()
@@ -185,13 +178,18 @@ def test_pool_then_relu_matches_relu_then_pool(mechanism):
     rng = np.random.default_rng(9)
     model = Model.build(ModelConfig(channels=(4, 8), input_size=16,
                                     input_channels=1, n_classes=3), 1)
-    for i in range(2):
-        model.params[f"block{i}.b"] = rng.normal(-0.3, 0.3, (4 * 2 ** i,))
+    for name in ("block0.b", "block1.b"):
+        model.params[name] = rng.normal(-0.3, 0.3, model.params[name].shape)
     images = rng.normal(0.0, 1.0, (6, 1, 16, 16))
     labels = np.array([0, 1, 2, 0, 1, 2])
     config = IcascConfig(mechanism=mechanism)
 
-    new = model.forward(images, tape=Tape())
+    tape = Tape()
+    new = model.forward(images, tape=tape)
+    # the new order's pre-activations are the inputs of its pool nodes
+    new_pre = [Tensor(tape.nodes[node.inputs[0][0]].value, tape,
+                      node.inputs[0][0], _own=True)
+               for node in tape.nodes if node.kind == "pool_gather"]
     old, old_pre = relu_then_pool_forward(model, images, Tape())
     assert new.logits.data.tobytes() == old.logits.data.tobytes()
     for layer in ("inner", "last"):
@@ -201,7 +199,6 @@ def test_pool_then_relu_matches_relu_then_pool(mechanism):
     old_bd = icasc_objective(old, labels, config)
     assert new_bd.total == old_bd.total
     assert not new_bd.skip_flags.all()
-    new_pre = pool_inputs(new.logits.tape)[:2]
     new_g = backward(new_bd.total_tensor,
                      [*new.param_leaves.values(), *new_pre])
     old_g = backward(old_bd.total_tensor,
