@@ -90,16 +90,17 @@ def compute_attention(mechanism: str, features: Tensor,
 
 
 def class_attention(record: ForwardRecord, selector, mechanism: str,
-                    create_graph: bool) -> dict[str, Tensor]:
-    """Attention maps of the selected classes at both tracked layers.
+                    create_graph: bool, layers=LAYERS) -> dict[str, Tensor]:
+    """Attention maps of the selected classes at the tracked ``layers``.
 
-    With ``create_graph`` the maps stay on the tape, so a loss built from
-    them is differentiable; without it the features are detached and the
-    maps are plain values.
+    One backward serves every layer; asked for ``("last",)`` alone it stops
+    at the head and never reaches a conv block.  With ``create_graph`` the
+    maps stay on the tape, so a loss built from them is differentiable;
+    without it the features are detached and the maps are plain values.
     """
-    grads = class_gradients(record, selector, LAYERS, create_graph)
+    grads = class_gradients(record, selector, layers, create_graph)
     maps = {}
-    for layer in LAYERS:
+    for layer in layers:
         feats = record.feats[layer]
         maps[layer] = compute_attention(
             mechanism, feats if create_graph else feats.detach(), grads[layer])

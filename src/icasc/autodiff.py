@@ -862,7 +862,10 @@ def backward(root: Tensor, wrt: Iterable[Tensor],
     input.  The reverse walk visits only live nodes, and each rule gets a
     ``need`` tuple that says which of its inputs are live; the partial
     adjoints of the others are never built.  UnsupportedOpError is raised
-    only for a visited node with a needed input and no rule.
+    only for a visited node with a needed input and no rule.  A node's
+    adjoint is dropped once its rule has run, unless the node is in
+    ``wrt``, so a first-order walk holds a few adjoints at a time, not one
+    per node.
     """
     if root.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
@@ -891,11 +894,13 @@ def backward(root: Tensor, wrt: Iterable[Tensor],
         if any(hin in live for hin, _ in tape.nodes[h].inputs):
             live.add(h)
 
+    wanted = set(handles)
     adjoints: dict[int, Tensor] = {}
     if root.node in live:
         adjoints[root.node] = constant(np.ones_like(root.data))
     for h in range(root.node, start - 1, -1):
-        if h not in adjoints:
+        adjoint = adjoints.get(h) if h in wanted else adjoints.pop(h, None)
+        if adjoint is None:
             continue
         node = tape.nodes[h]
         need = tuple(hin in live for hin, _ in node.inputs)
@@ -905,7 +910,7 @@ def backward(root: Tensor, wrt: Iterable[Tensor],
         if rule is None:
             raise UnsupportedOpError(f"op '{node.kind}' has no derivative rule")
         inputs = [operand(data, hin) for hin, data in node.inputs]
-        grads = rule(node, adjoints[h], inputs, operand(node.value, h), need)
+        grads = rule(node, adjoint, inputs, operand(node.value, h), need)
         for (hin, _), g in zip(node.inputs, grads):
             if g is None:
                 continue

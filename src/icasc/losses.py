@@ -8,7 +8,8 @@ region masks are plain (N, H, W) arrays.
   ``mask = sigmoid(omega * (A - sigma))`` with ``sigma = sigma_factor * max(A)``
   per sample (the mask is detached: it acts as a region label, so no
   gradient may flow through it and let the model shrink its own mask);
-* separation at each tracked layer:
+* separation at each tracked layer (the objective tracks both; a report
+  that prints only the last layer's asks for that one):
   ``L_AS = 2 * sum(min(A_T, A_Conf) * mask) / (sum(A_T + A_Conf) + eps)``;
 * cross-layer consistency on the inner-layer ground-truth attention:
   ``L_AC = theta - sum(A_in * mask_in) / (sum(A_in) + eps)``.
@@ -231,14 +232,16 @@ def consistency_per_sample(inner_target: Tensor, mask: np.ndarray,
 def per_sample_terms(a_tgt: dict[str, Tensor], a_conf: dict[str, Tensor],
                      active: np.ndarray, config: IcascConfig,
                      round_context: Optional[RoundContext] = None
-                     ) -> tuple[Tensor, Tensor, Tensor, RoundContext]:
-    """Last- and inner-layer separation and consistency, one value per sample.
+                     ) -> tuple[dict[str, Tensor], Tensor, RoundContext]:
+    """Separation at each layer of ``a_conf`` and consistency, per sample.
 
-    The region masks come from the last-layer target attention, and a
-    sample is kept when it is ``active`` and that attention carries at least
+    ``a_tgt`` holds the target maps at both layers; ``a_conf`` the
+    confusing-class maps at the layers whose separation is wanted.  The
+    region masks come from the last-layer target attention, and a sample is
+    kept when it is ``active`` and that attention carries at least
     ``skip_threshold`` mass.  With ``round_context`` those detached
     quantities are reused instead.  The terms are not yet multiplied by the
-    keep selector: ``(L_AS_last, L_AS_inner, L_AC, context)``.
+    keep selector: ``({layer: L_AS}, L_AC, context)``.
     """
     rc = round_context
     if rc is None:
@@ -247,13 +250,13 @@ def per_sample_terms(a_tgt: dict[str, Tensor], a_conf: dict[str, Tensor],
         rc = RoundContext(region_mask(last, config),
                           region_mask(last, config, at_hw=a_tgt["inner"].shape[1:]),
                           keep.astype(np.float64))
-    las_la = separation_per_sample(a_tgt["last"], a_conf["last"],
-                                   rc.mask_last, config.epsilon)
-    las_in = separation_per_sample(a_tgt["inner"], a_conf["inner"],
-                                   rc.mask_inner, config.epsilon)
+    masks = {"last": rc.mask_last, "inner": rc.mask_inner}
+    las = {layer: separation_per_sample(a_tgt[layer], conf, masks[layer],
+                                        config.epsilon)
+           for layer, conf in a_conf.items()}
     lac = consistency_per_sample(a_tgt["inner"], rc.mask_inner,
                                  config.theta, config.epsilon, config.clamp_lac)
-    return las_la, las_in, lac, rc
+    return las, lac, rc
 
 
 # --------------------------------------------------------------------------
@@ -322,13 +325,13 @@ def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
 
     for round_no, hot in enumerate(label_rounds(labels, n_classes)):
         a_tgt = class_attention(record, hot, config.mechanism, create_graph=True)
-        *terms, rc = per_sample_terms(
+        las, lac, rc = per_sample_terms(
             a_tgt, a_conf, hot.sum(axis=1) > 0, config,
             context.rounds[round_no] if context else None)
         rounds_out.append(rc)
 
         keep_t = Tensor(rc.keep)
-        terms = [ad.mul(term, keep_t) for term in terms]
+        terms = [ad.mul(term, keep_t) for term in (las["last"], las["inner"], lac)]
         acc = [ad.add(a, t) for a, t in zip(acc, terms)] if acc else terms
         counts += rc.keep
 

@@ -213,10 +213,11 @@ def _overlap_batch(model: Model, ids, images, labels, config: IcascConfig
     target = label_rounds(labels, record.logits.shape[1])[0]
     conf = confusing_class(record.probabilities, labels)
     a_tgt = class_attention(record, target, config.mechanism, create_graph=False)
-    a_conf = class_attention(record, conf, config.mechanism, create_graph=False)
-    las, _, lac, rc = per_sample_terms(a_tgt, a_conf, np.ones(len(ids), bool),
-                                       config)
-    rows = [OverlapRow(sid, float(las.data[i]), float(lac.data[i]),
+    a_conf = class_attention(record, conf, config.mechanism, create_graph=False,
+                             layers=("last",))
+    las, lac, rc = per_sample_terms(a_tgt, a_conf, np.ones(len(ids), bool),
+                                    config)
+    rows = [OverlapRow(sid, float(las["last"].data[i]), float(lac.data[i]),
                        not rc.keep[i])
             for i, sid in enumerate(ids)]
     return rows, record.probabilities
@@ -230,7 +231,10 @@ def attention_overlap_report(model: Model, dataset: dio.Dataset,
     Each sample is scored with the training objective's terms for its first
     ground-truth class (its only one when single-label).  Skipped samples
     (degenerate target attention) are excluded from the means but counted
-    in the skip rate.
+    in the skip rate.  The report prints no inner-layer separation, so the
+    confusing class's map is taken at the last layer only: its backward
+    stops at the head, so the target's is each batch's one backward
+    through the inner conv block.
 
     The report also returns its forwards' class probabilities (softmax, or
     sigmoid on a multi-label set), so a caller that needs them makes no

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -429,6 +430,26 @@ def test_first_order_backward_appends_no_node():
     assert backward(z, [x])[x.node].node is None
     assert len(tape) == n
 
+
+
+def test_first_order_backward_frees_each_adjoint_once_used():
+    """A first-order walk drops a node's adjoint once its rule has run, so
+    a chain of 16 multiplies on a 1 MiB array peaks at a few arrays, not
+    one adjoint per node."""
+    tape = Tape()
+    x = leaf(tape, np.linspace(0.5, 1.5, 1 << 17))
+    y = x
+    for _ in range(16):
+        y = ad.mul(y, 1.01)
+    root = ad.reduce_sum(y)
+    tracemalloc.start()
+    try:
+        grad = backward(root, [x])[x.node]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(grad.data, 1.01 ** 16, rtol=1e-14)
+    assert peak < 4 * x.data.nbytes
 
 def test_mixed_tapes_rejected():
     t1, t2 = Tape(), Tape()

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from icasc import autodiff as ad
 from icasc import data as dio
 from icasc import metrics as mx
+from icasc.attention import MECHANISMS, class_attention
 from icasc.autodiff import Tape
-from icasc.losses import IcascConfig, icasc_objective
+from icasc.losses import (IcascConfig, confusing_class, icasc_objective,
+                          label_rounds, per_sample_terms)
 from icasc.metrics import (auc_score, average_precision, ks_chart,
                            macro_auc, mean_average_precision, render_heatmaps,
                            topk_accuracy)
@@ -243,6 +246,62 @@ def test_overlap_report_matches_objective_per_sample(tmp_path, multi_label):
                                                   rel=1e-9, abs=1e-12)
             assert row.l_ac == pytest.approx(terms.l_ac, rel=1e-9, abs=1e-12)
 
+
+
+def _overlap_rows_from_both_layers(model, ds, cfg, batch_size):
+    """The report's rows as the objective builds its terms: both classes'
+    maps at both layers, then ``per_sample_terms``."""
+    rows = []
+    for ids, images, labels in dio.batch_iter(ds, batch_size, seed=0,
+                                              shuffle=False):
+        record = model.forward(images, tape=Tape(), multi_label=labels.ndim == 2)
+        target = label_rounds(labels, ds.n_classes)[0]
+        conf = confusing_class(record.probabilities, labels)
+        a_tgt = class_attention(record, target, cfg.mechanism, create_graph=False)
+        a_conf = class_attention(record, conf, cfg.mechanism, create_graph=False)
+        las, lac, rc = per_sample_terms(a_tgt, a_conf, np.ones(len(ids), bool),
+                                        cfg)
+        rows += [(sid, float(las["last"].data[i]), float(lac.data[i]),
+                  not rc.keep[i]) for i, sid in enumerate(ids)]
+    return rows
+
+
+@pytest.mark.parametrize("multi_label", [False, True])
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_overlap_report_runs_one_inner_backward_per_batch(tmp_path, monkeypatch,
+                                                          mechanism, multi_label):
+    """The report takes the confusing class's map at the last layer only, so
+    each batch makes one ``conv2d_dx`` (the target's backward through the
+    inner block), and every row and mean equals the one built from both
+    classes' maps at both layers.  Class 0's head column is zero, so its
+    samples have no target attention and are skipped."""
+    ds = synth_dataset(tmp_path, per_class=2)
+    if multi_label:
+        last = ds.samples[-1]
+        last.labels += ((last.labels[0] + 1) % ds.n_classes,)
+    assert ds.multi_label == multi_label
+    model = helpers.tiny_model(4, channels=(4, 8), size=16, n_classes=3)
+    model.params["head.w"][:, 0] = 0.0
+    cfg = IcascConfig(mechanism=mechanism)
+    batches = []
+    conv_dx = ad._conv_dx
+
+    def counted(g, *args):
+        batches.append(g.shape[0])
+        return conv_dx(g, *args)
+
+    monkeypatch.setattr(ad, "_conv_dx", counted)
+    report = mx.attention_overlap_report(model, ds, cfg, batch_size=4)
+    assert batches == [4, 2]
+
+    expected = _overlap_rows_from_both_layers(model, ds, cfg, batch_size=4)
+    assert [(r.sample_id, r.l_as_last, r.l_ac, r.skipped)
+            for r in report.rows] == expected
+    kept = [row for row in expected if not row[3]]
+    assert 0 < len(kept) < len(expected)
+    assert report.mean_l_as_last == float(np.mean([row[1] for row in kept]))
+    assert report.mean_l_ac == float(np.mean([row[2] for row in kept]))
+    assert report.skip_rate == float(np.mean([row[3] for row in expected]))
 
 @pytest.mark.parametrize("multi_label", [False, True])
 def test_overlap_report_probabilities_equal_predict(tmp_path, multi_label):
