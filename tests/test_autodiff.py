@@ -431,7 +431,6 @@ def test_first_order_backward_appends_no_node():
     assert len(tape) == n
 
 
-
 def test_first_order_backward_frees_each_adjoint_once_used():
     """A first-order walk drops a node's adjoint once its rule has run, so
     a chain of 16 multiplies on a 1 MiB array peaks at a few arrays, not
@@ -450,6 +449,7 @@ def test_first_order_backward_frees_each_adjoint_once_used():
         tracemalloc.stop()
     np.testing.assert_allclose(grad.data, 1.01 ** 16, rtol=1e-14)
     assert peak < 4 * x.data.nbytes
+
 
 def test_mixed_tapes_rejected():
     t1, t2 = Tape(), Tape()

@@ -247,7 +247,6 @@ def test_overlap_report_matches_objective_per_sample(tmp_path, multi_label):
             assert row.l_ac == pytest.approx(terms.l_ac, rel=1e-9, abs=1e-12)
 
 
-
 def _overlap_rows_from_both_layers(model, ds, cfg, batch_size):
     """The report's rows as the objective builds its terms: both classes'
     maps at both layers, then ``per_sample_terms``."""
@@ -302,6 +301,7 @@ def test_overlap_report_runs_one_inner_backward_per_batch(tmp_path, monkeypatch,
     assert report.mean_l_as_last == float(np.mean([row[1] for row in kept]))
     assert report.mean_l_ac == float(np.mean([row[2] for row in kept]))
     assert report.skip_rate == float(np.mean([row[3] for row in expected]))
+
 
 @pytest.mark.parametrize("multi_label", [False, True])
 def test_overlap_report_probabilities_equal_predict(tmp_path, multi_label):
