@@ -18,8 +18,6 @@ backpropagation).
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Tensor
 from .nn import ForwardRecord, one_hot
@@ -32,18 +30,15 @@ def class_gradients(record: ForwardRecord, selector, layers,
                     create_graph: bool = False) -> dict[str, Tensor]:
     """Per-sample gradients of the selected logits w.r.t. tracked layers.
 
-    ``selector`` is class ids (N,) or an (N, C) selection matrix whose zero
-    rows select nothing.  Because the forward pass has no batch-coupling
-    ops, the gradient of the summed selected logits equals the stack of
-    per-sample single-logit gradients, so one backward pass serves the whole
-    batch and every layer.
+    ``selector`` holds one class id per sample.  Because the forward pass
+    has no batch-coupling ops, the gradient of the summed selected logits
+    equals the stack of per-sample single-logit gradients, so one backward
+    pass serves the whole batch and every layer.
     """
     for layer in layers:
         if layer not in record.feats:
             raise KeyError(f"layer '{layer}' is not tracked in this record")
-    hot = np.asarray(selector)
-    if hot.ndim == 1:
-        hot = one_hot(hot, record.logits.shape[1])
+    hot = one_hot(selector, record.logits.shape[1])
     root = ad.reduce_sum(ad.mul(record.logits, Tensor(hot)))
     feats = [record.feats[layer] for layer in layers]
     grads = ad.backward(root, feats, create_graph=create_graph)

@@ -53,11 +53,9 @@ __all__ = [
     "div",
     "minimum",
     "relu",
-    "sigmoid",
     "sigmoid_array",
     "exp",
     "log",
-    "softplus",
     "reduce_sum",
     "reduce_mean",
     "broadcast_axes",
@@ -340,11 +338,6 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(x) -> Tensor:
-    x = _lift(x)
-    return _emit("sigmoid", (x,), sigmoid_array(x.data))
-
-
 def exp(x) -> Tensor:
     x = _lift(x)
     return _emit("exp", (x,), np.exp(x.data))
@@ -355,11 +348,6 @@ def log(x) -> Tensor:
     if np.any(x.data <= 0.0):
         raise DomainError("log: non-positive input")
     return _emit("log", (x,), np.log(x.data))
-
-
-def softplus(x) -> Tensor:
-    x = _lift(x)
-    return _emit("softplus", (x,), np.logaddexp(0.0, x.data))
 
 
 @_rule("add")
@@ -407,11 +395,6 @@ def _relu_rule(node, g, inputs, out, need):
     return [mul(g, _own(node.meta["mask"].astype(np.float64)))]
 
 
-@_rule("sigmoid")
-def _sigmoid_rule(node, g, inputs, out, need):
-    return [mul(g, mul(out, sub(1.0, out)))]
-
-
 @_rule("exp")
 def _exp_rule(node, g, inputs, out, need):
     return [mul(g, out)]
@@ -420,11 +403,6 @@ def _exp_rule(node, g, inputs, out, need):
 @_rule("log")
 def _log_rule(node, g, inputs, out, need):
     return [div(g, inputs[0], eps=0.0)]
-
-
-@_rule("softplus")
-def _softplus_rule(node, g, inputs, out, need):
-    return [mul(g, sigmoid(inputs[0]))]
 
 
 # --------------------------------------------------------------------------

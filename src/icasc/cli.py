@@ -177,53 +177,28 @@ def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     n_classes = model.config.n_classes
     dataset = dio.load_dataset(args.data, n_classes=n_classes)
-    multi = dataset.multi_label
-    labels = dataset.label_array(multi)
+    labels = dataset.label_array()
     if args.attention:
         _require_confusing_class(args.checkpoint, n_classes)
-        if multi:
-            full = np.flatnonzero(labels.sum(axis=1) >= n_classes)
-            if full.size:
-                sid = dataset.samples[full[0]].id
-                raise dio.DataError(f"{args.data}: the label set of {sid} "
-                                    "covers every class; confusing class "
-                                    "undefined")
-    if multi:
-        # every class's AP needs a positive sample and its AUC a negative
-        for c, n_pos in enumerate(labels.sum(axis=0)):
-            if n_pos in (0, len(labels)):
-                side = "positive" if n_pos == 0 else "negative"
-                raise dio.DataError(f"{args.data}: class {c} has no {side} "
-                                    "sample, so its AP and AUC are undefined")
-    else:
-        k = min(5, n_classes) if args.topk is None else args.topk
-        if k > n_classes:
-            raise UsageError(f"topk {k} exceeds class count {n_classes}")
+    k = min(5, n_classes) if args.topk is None else args.topk
+    if k > n_classes:
+        raise UsageError(f"topk {k} exceeds class count {n_classes}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    echo = f"checkpoint = {args.checkpoint}\ndata = {args.data}\n"
+    echo = f"checkpoint = {args.checkpoint}\ndata = {args.data}\ntopk = {k}\n"
     if args.attention:
         # the report's taped forwards also score accuracy: one pass, not two
         icasc = _resolved_icasc(args)
         report = mx.attention_overlap_report(model, dataset, icasc)
         probs = report.probabilities
     else:
-        probs, _ = mx.predict(model, dataset, multi)
+        probs, _ = mx.predict(model, dataset)
 
-    rows: list[tuple[str, str, float]] = []
-    if multi:
-        aps, mean_ap = mx.mean_average_precision(probs, labels)
-        for c, ap in enumerate(aps):
-            rows.append(("average_precision", str(c), ap))
-        rows.append(("average_precision", "all", mean_ap))
-        rows.append(("auc", "all", mx.macro_auc(probs, labels)))
-    else:
-        rows.append(("top1_accuracy", "all", mx.topk_accuracy(probs, labels, 1)))
-        if k > 1:
-            rows.append((f"top{k}_accuracy", "all",
-                         mx.topk_accuracy(probs, labels, k)))
-        echo += f"topk = {k}\n"
+    rows = [("top1_accuracy", "all", mx.topk_accuracy(probs, labels, 1))]
+    if k > 1:
+        rows.append((f"top{k}_accuracy", "all",
+                     mx.topk_accuracy(probs, labels, k)))
 
     if args.attention:
         mx.write_overlap_csv(out / "attention_overlap.csv", report)
@@ -244,7 +219,7 @@ def cmd_eval(args) -> int:
 _ATTEND_CHUNK = 4
 
 
-def _attend_chunk(model, samples, k: int, multi: bool, out: Path,
+def _attend_chunk(model, samples, k: int, out: Path,
                   color: bool) -> list[list[tuple]]:
     """Write the top-``k`` heatmaps of ``samples`` and return each sample's
     manifest rows, in rank, layer, mechanism order.
@@ -254,8 +229,7 @@ def _attend_chunk(model, samples, k: int, multi: bool, out: Path,
     no batch-coupling op).  Each (rank, layer, mechanism) stack of maps is
     rendered in one call.  The tape is freed when this returns.
     """
-    record = model.forward(np.stack([s.image for s in samples]), tape=Tape(),
-                           multi_label=multi)
+    record = model.forward(np.stack([s.image for s in samples]), tape=Tape())
     probs = record.probabilities
     top = np.argsort(-probs, axis=1, kind="stable")[:, :k]
     size = model.config.input_size
@@ -308,8 +282,7 @@ def cmd_attend(args) -> int:
     for start in range(0, len(distinct), _ATTEND_CHUNK):
         chunk = distinct[start:start + _ATTEND_CHUNK]
         rows.update(zip((s.id for s in chunk),
-                        _attend_chunk(model, chunk, k, dataset.multi_label,
-                                      out, args.color)))
+                        _attend_chunk(model, chunk, k, out, args.color)))
     manifest = [row for sid in wanted for row in rows[sid]]
     dio.write_csv(out / "manifest.csv", ("sample_id", "class", "layer",
                                          "mechanism", "file", "probability"),
@@ -324,8 +297,6 @@ def cmd_attend(args) -> int:
 def cmd_ks(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     dataset = dio.load_dataset(args.data, n_classes=model.config.n_classes)
-    if dataset.multi_label:
-        raise dio.DataError("ks command expects a single-label dataset")
     _require_confusing_class(args.checkpoint, model.config.n_classes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

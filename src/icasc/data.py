@@ -1,8 +1,8 @@
 """Dataset formats and the synthetic confusable-classes generator.
 
 On-disk format: a directory with ``labels.csv`` (columns id, filename,
-label; multi-label values semicolon-joined) plus binary 8-bit PGM (P5) or
-PPM (P6) images, maxval 255.  Chosen for zero-dependency parsing.
+label; a label is one class id) plus binary 8-bit PGM (P5) or PPM (P6)
+images, maxval 255.  Chosen for zero-dependency parsing.
 
 The synthetic generator produces a dataset where one designated class pair
 shares a "confounder" motif drawn identically (same noise field, same
@@ -179,7 +179,7 @@ def write_csv(path, header, rows, comment=None) -> None:
 class Sample:
     id: str
     image: np.ndarray              # (C, H, W) in [0, 1]
-    labels: tuple[int, ...]
+    label: int
 
 
 @dataclass
@@ -190,17 +190,8 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def multi_label(self) -> bool:
-        return any(len(s.labels) > 1 for s in self.samples)
-
-    def label_array(self, multi_label: bool) -> np.ndarray:
-        if multi_label:
-            out = np.zeros((len(self.samples), self.n_classes))
-            for i, s in enumerate(self.samples):
-                out[i, list(s.labels)] = 1.0
-            return out
-        return np.array([s.labels[0] for s in self.samples], dtype=np.int64)
+    def label_array(self) -> np.ndarray:
+        return np.array([s.label for s in self.samples], dtype=np.int64)
 
 
 def load_dataset(path, n_classes: int | None = None) -> Dataset:
@@ -223,11 +214,11 @@ def load_dataset(path, n_classes: int | None = None) -> Dataset:
                                 "3 fields id,filename,label")
             sid = row["id"]
             try:
-                labels = tuple(int(tok) for tok in row["label"].split(";"))
+                label = int(row["label"])
             except ValueError:
-                raise DataError(f"sample '{sid}': malformed label "
-                                f"'{row['label']}'") from None
-            if any(l < 0 for l in labels):
+                raise DataError(f"sample '{sid}': label '{row['label']}' is "
+                                "not one class id") from None
+            if label < 0:
                 raise DataError(f"sample '{sid}': negative label")
             img_path = root / row["filename"]
             try:
@@ -238,8 +229,8 @@ def load_dataset(path, n_classes: int | None = None) -> Dataset:
                 raise DataError(f"sample '{sid}': image shape {image.shape} "
                                 f"differs from {samples[0].image.shape} of "
                                 f"sample '{samples[0].id}'")
-            max_label = max(max_label, max(labels))
-            samples.append(Sample(sid, image, labels))
+            max_label = max(max_label, label)
+            samples.append(Sample(sid, image, label))
     if not samples:
         raise DataError(f"{labels_file}: no samples listed")
     inferred = max_label + 1
@@ -252,9 +243,8 @@ def load_dataset(path, n_classes: int | None = None) -> Dataset:
 
 def batch_iter(dataset: Dataset, batch_size: int, seed: int, epoch: int = 0,
                shuffle: bool = True, flip: bool = False):
-    """Yield (ids, images, labels) batches, deterministic given (seed, epoch).
-
-    Labels are class ids, or a binary (N, C) matrix if any row is multi-label.
+    """Yield (ids, images, labels) batches, deterministic given (seed, epoch);
+    labels are class ids.
 
     With ``flip`` each sample is horizontally mirrored with probability 0.5,
     re-drawn every epoch.
@@ -263,7 +253,7 @@ def batch_iter(dataset: Dataset, batch_size: int, seed: int, epoch: int = 0,
     rng = np.random.default_rng(np.random.SeedSequence([seed, epoch]))
     order = rng.permutation(n) if shuffle else np.arange(n)
     flips = rng.random(n) < 0.5 if flip else np.zeros(n, dtype=bool)
-    labels = dataset.label_array(dataset.multi_label)
+    labels = dataset.label_array()
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
         images = np.stack([dataset.samples[i].image for i in idx])
@@ -304,11 +294,16 @@ class SynthSpec:
             raise ValueError("need at least 2 classes")
         if self.n_classes > len(_ANCHOR_FACTORS):
             raise ValueError(f"at most {len(_ANCHOR_FACTORS)} classes supported")
+        if len(self.confusable_pair) != 2:
+            raise ValueError("confusable_pair must be two class ids, got "
+                             f"{self.confusable_pair}")
         a, b = self.confusable_pair
         if a == b or not (0 <= a < self.n_classes and 0 <= b < self.n_classes):
             raise ValueError(f"invalid confusable pair {self.confusable_pair}")
         if not 0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        if self.motif_size < 1:
+            raise ValueError(f"motif_size must be >= 1, got {self.motif_size}")
         if self.box_edge > self.canvas // 2:
             raise ValueError(f"motif_size: motif box {self.box_edge} does not "
                              f"fit a {self.canvas}-pixel canvas half")

@@ -34,8 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .attention import MECHANISMS, class_attention
 from .data import DataError
-from .nn import (ConfigError, ForwardRecord, NumericalError,
-                 classification_loss, one_hot)
+from .nn import ConfigError, ForwardRecord, NumericalError, cross_entropy
 
 
 @dataclass(frozen=True)
@@ -56,17 +55,14 @@ class IcascConfig:
         if self.mechanism not in MECHANISMS:
             raise ConfigError(f"mechanism must be one of {MECHANISMS}, "
                               f"got '{self.mechanism}'")
-        if not self.omega > 0:
-            raise ConfigError("omega must be > 0")
+        if not 0 < self.omega < np.inf:
+            raise ConfigError(f"omega must be finite and > 0, got {self.omega!r}")
         if not 0 < self.sigma_factor < 1:
             raise ConfigError("sigma_factor must lie in (0, 1)")
         if not 0 < self.theta <= 1:
             raise ConfigError("theta must lie in (0, 1]")
-        for key in ("epsilon", "skip_threshold"):
-            value = getattr(self, key)
-            if not value >= 0:
-                raise ConfigError(f"{key} must be >= 0, got {value!r}")
-        for key in ("weight_lc", "weight_as_inner", "weight_as_last", "weight_ac"):
+        for key in ("epsilon", "skip_threshold", "weight_lc",
+                    "weight_as_inner", "weight_as_last", "weight_ac"):
             value = getattr(self, key)
             if not 0 <= value < np.inf:
                 raise ConfigError(f"{key} must be finite and >= 0, got {value!r}")
@@ -120,15 +116,6 @@ def parse_kv_file(path) -> dict:
 
 
 @dataclass
-class RoundContext:
-    """Detached per-round quantities: masks and the keep selector."""
-
-    mask_last: np.ndarray          # (N, Hl, Wl)
-    mask_inner: np.ndarray         # (N, Hi, Wi)
-    keep: np.ndarray               # (N,) 0/1
-
-
-@dataclass
 class ObjectiveContext:
     """Every detached decision the objective made.
 
@@ -140,7 +127,9 @@ class ObjectiveContext:
     """
 
     conf: np.ndarray               # (N,) confusing class ids
-    rounds: list[RoundContext]
+    mask_last: np.ndarray          # (N, Hl, Wl)
+    mask_inner: np.ndarray         # (N, Hi, Wi)
+    keep: np.ndarray               # (N,) 0/1
 
 
 @dataclass
@@ -173,17 +162,11 @@ def confusing_class(probabilities: np.ndarray, labels) -> np.ndarray:
         raise DataError(f"need (N, C>=2) probabilities, got {probs.shape}: "
                         "a confusing class needs at least 2 classes")
     labels = np.asarray(labels)
-    masked = probs.copy()
-    if labels.ndim == 1:
-        masked[np.arange(labels.size), labels] = -np.inf
-    elif labels.shape == probs.shape:
-        if np.any(labels.sum(axis=1) >= probs.shape[1]):
-            raise DataError("ground-truth set covers every class; "
-                            "confusing class undefined")
-        masked[labels.astype(bool)] = -np.inf
-    else:
+    if labels.shape != probs.shape[:1]:
         raise ValueError(f"labels shape {labels.shape} does not match "
                          f"probabilities {probs.shape}")
+    masked = probs.copy()
+    masked[np.arange(labels.size), labels] = -np.inf
     return np.argmax(masked, axis=1)   # first max = lowest class id
 
 
@@ -230,33 +213,33 @@ def consistency_per_sample(inner_target: Tensor, mask: np.ndarray,
 
 
 def per_sample_terms(a_tgt: dict[str, Tensor], a_conf: dict[str, Tensor],
-                     active: np.ndarray, config: IcascConfig,
-                     round_context: Optional[RoundContext] = None
-                     ) -> tuple[dict[str, Tensor], Tensor, RoundContext]:
+                     conf: np.ndarray, config: IcascConfig,
+                     context: Optional[ObjectiveContext] = None
+                     ) -> tuple[dict[str, Tensor], Tensor, ObjectiveContext]:
     """Separation at each layer of ``a_conf`` and consistency, per sample.
 
-    ``a_tgt`` holds the target maps at both layers; ``a_conf`` the
-    confusing-class maps at the layers whose separation is wanted.  The
-    region masks come from the last-layer target attention, and a sample is
-    kept when it is ``active`` and that attention carries at least
-    ``skip_threshold`` mass.  With ``round_context`` those detached
-    quantities are reused instead.  The terms are not yet multiplied by the
-    keep selector: ``({layer: L_AS}, L_AC, context)``.
+    ``a_tgt`` holds the target maps at both layers; ``a_conf`` the maps of
+    the confusing classes ``conf`` at the layers whose separation is wanted.
+    The region masks come from the last-layer target attention, and a
+    sample is kept when that attention carries at least ``skip_threshold``
+    mass.  With ``context`` those detached quantities are reused instead.
+    The terms are not yet multiplied by the keep selector:
+    ``({layer: L_AS}, L_AC, context)``.
     """
-    rc = round_context
-    if rc is None:
+    if context is None:
         last = a_tgt["last"].data
-        keep = active & (last.sum(axis=(1, 2)) >= config.skip_threshold)
-        rc = RoundContext(region_mask(last, config),
-                          region_mask(last, config, at_hw=a_tgt["inner"].shape[1:]),
-                          keep.astype(np.float64))
-    masks = {"last": rc.mask_last, "inner": rc.mask_inner}
-    las = {layer: separation_per_sample(a_tgt[layer], conf, masks[layer],
+        keep = last.sum(axis=(1, 2)) >= config.skip_threshold
+        context = ObjectiveContext(
+            conf, region_mask(last, config),
+            region_mask(last, config, at_hw=a_tgt["inner"].shape[1:]),
+            keep.astype(np.float64))
+    masks = {"last": context.mask_last, "inner": context.mask_inner}
+    las = {layer: separation_per_sample(a_tgt[layer], maps, masks[layer],
                                         config.epsilon)
-           for layer, conf in a_conf.items()}
-    lac = consistency_per_sample(a_tgt["inner"], rc.mask_inner,
+           for layer, maps in a_conf.items()}
+    lac = consistency_per_sample(a_tgt["inner"], context.mask_inner,
                                  config.theta, config.epsilon, config.clamp_lac)
-    return las, lac, rc
+    return las, lac, context
 
 
 # --------------------------------------------------------------------------
@@ -264,33 +247,10 @@ def per_sample_terms(a_tgt: dict[str, Tensor], a_conf: dict[str, Tensor],
 # --------------------------------------------------------------------------
 
 
-def label_rounds(labels: np.ndarray, n_classes: int) -> list[np.ndarray]:
-    """Per-round one-hot selectors covering every ground-truth class.
-
-    Single-label input (1-D ids) yields one round.  Multi-label input
-    (binary matrix) yields max-positives rounds; inactive samples get a
-    zero row, which makes their gradient slice exactly zero.
-    """
-    labels = np.asarray(labels)
-    n = labels.shape[0]
-    if labels.ndim == 1:
-        return [one_hot(labels, n_classes)]
-    rounds = []
-    per_sample = [np.flatnonzero(row) for row in labels]
-    max_pos = max((len(p) for p in per_sample), default=0)
-    for r in range(max_pos):
-        hot = np.zeros((n, n_classes))
-        for i, pos in enumerate(per_sample):
-            if r < len(pos):
-                hot[i, pos[r]] = 1.0
-        rounds.append(hot)
-    return rounds
-
-
 def classification_objective(record: ForwardRecord, labels) -> LossBreakdown:
     """The classification loss alone: zero attention terms, no skipped
     sample."""
-    l_c = classification_loss(record.logits, labels)
+    l_c = cross_entropy(record.logits, labels)
     value = l_c.item()
     return LossBreakdown(value, 0.0, 0.0, 0.0, value,
                          np.zeros(len(labels), dtype=bool), l_c)
@@ -300,51 +260,32 @@ def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
                     context: Optional[ObjectiveContext] = None) -> LossBreakdown:
     """Classification loss plus the three attention terms.
 
-    Attention for the ground-truth class(es) and the shared confusing class
-    is computed at the inner and last tracked layers with gradients that
-    stay on the tape, so the whole objective is differentiable end to end.
-    Multi-label batches average the attention terms over each sample's
-    ground-truth classes.
+    Attention for the ground-truth and the confusing class is computed at
+    the inner and last tracked layers with gradients that stay on the tape,
+    so the whole objective is differentiable end to end.
 
     With ``context`` the detached quantities (masks, confusing classes,
     skip selection) are reused instead of recomputed; the returned
     breakdown always carries the context it used.
     """
-    labels = np.asarray(labels)
-    n, n_classes = record.logits.shape
-    l_c = classification_loss(record.logits, labels)
+    l_c = cross_entropy(record.logits, labels)
     conf = context.conf if context else confusing_class(record.probabilities,
                                                         labels)
     a_conf = class_attention(record, conf, config.mechanism, create_graph=True)
+    a_tgt = class_attention(record, labels, config.mechanism, create_graph=True)
+    las, lac, ctx = per_sample_terms(a_tgt, a_conf, conf, config, context)
 
-    # per-sample (L_AS_last, L_AS_inner, L_AC), summed over the label rounds;
-    # a round's keep selector zeroes the terms of a sample it skips
-    acc: list[Tensor] = []
-    counts = np.zeros(n)
-    rounds_out: list[RoundContext] = []
-
-    for round_no, hot in enumerate(label_rounds(labels, n_classes)):
-        a_tgt = class_attention(record, hot, config.mechanism, create_graph=True)
-        las, lac, rc = per_sample_terms(
-            a_tgt, a_conf, hot.sum(axis=1) > 0, config,
-            context.rounds[round_no] if context else None)
-        rounds_out.append(rc)
-
-        keep_t = Tensor(rc.keep)
-        terms = [ad.mul(term, keep_t) for term in (las["last"], las["inner"], lac)]
-        acc = [ad.add(a, t) for a, t in zip(acc, terms)] if acc else terms
-        counts += rc.keep
-
-    skip_flags = counts == 0
-    kept = int(np.count_nonzero(counts))
+    # per-sample (L_AS_last, L_AS_inner, L_AC); the keep selector zeroes the
+    # terms of a sample it skips
+    keep_t = Tensor(ctx.keep)
+    terms = [ad.mul(term, keep_t) for term in (las["last"], las["inner"], lac)]
+    kept = int(np.count_nonzero(ctx.keep))
     if kept == 0:
         # nothing kept: no attention graph for the final backward to walk
         t_las_la = t_las_in = t_lac = Tensor(0.0)
     else:
-        denom = Tensor(np.maximum(counts, 1.0))
-        t_las_la, t_las_in, t_lac = (
-            ad.mul(ad.reduce_sum(ad.div(a, denom, eps=0.0)), 1.0 / kept)
-            for a in acc)
+        t_las_la, t_las_in, t_lac = (ad.mul(ad.reduce_sum(term), 1.0 / kept)
+                                     for term in terms)
 
     weighted = {"L_C": (l_c, config.weight_lc),
                 "L_AS_inner": (t_las_in, config.weight_as_inner),
@@ -362,5 +303,4 @@ def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
             raise NumericalError(f"non-finite loss term {name}={value} "
                                  f"(all terms: {items})")
 
-    return LossBreakdown(*items.values(), skip_flags, total,
-                         ObjectiveContext(conf, rounds_out))
+    return LossBreakdown(*items.values(), ctx.keep == 0, total, ctx)

@@ -1,6 +1,5 @@
-"""Evaluation metrics: top-k accuracy, average precision, rank AUC,
-Kolmogorov-Smirnov separation charts, attention-overlap statistics, and
-heatmap rendering."""
+"""Evaluation metrics: top-k accuracy, Kolmogorov-Smirnov separation
+charts, attention-overlap statistics, and heatmap rendering."""
 
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from . import autodiff as ad
 from . import data as dio
 from .attention import class_attention
 from .autodiff import Tape
-from .losses import IcascConfig, confusing_class, label_rounds, per_sample_terms
+from .losses import IcascConfig, confusing_class, per_sample_terms
 from .nn import Model
 
 
@@ -21,7 +20,7 @@ from .nn import Model
 # --------------------------------------------------------------------------
 
 
-def predict(model: Model, dataset: dio.Dataset, multi_label: bool = False,
+def predict(model: Model, dataset: dio.Dataset,
             batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Untaped forward passes over the dataset in order, ``batch_size``
     samples at a time; returns (probabilities, labels).
@@ -29,10 +28,10 @@ def predict(model: Model, dataset: dio.Dataset, multi_label: bool = False,
     The chunk size sets the peak memory of the pass, which is why the
     training loop's test pass keeps its own batch size.
     """
-    probs = [model.forward(images, tape=None, multi_label=multi_label).probabilities
+    probs = [model.forward(images, tape=None).probabilities
              for _, images, _ in dio.batch_iter(dataset, batch_size, seed=0,
                                                 shuffle=False)]
-    return np.concatenate(probs), dataset.label_array(multi_label)
+    return np.concatenate(probs), dataset.label_array()
 
 
 # --------------------------------------------------------------------------
@@ -52,67 +51,6 @@ def topk_accuracy(probabilities: np.ndarray, labels: np.ndarray, k: int) -> floa
     order = np.argsort(-probs, axis=1, kind="stable")   # stable -> lowest id wins ties
     hits = (order[:, :k] == labels[:, None]).any(axis=1)
     return float(np.mean(hits))
-
-
-def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
-    """AP for one class: mean of precision at each positive's rank.
-
-    Scores sort descending; ties keep the lowest sample index first.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if labels.sum() == 0:
-        raise ValueError("average precision needs at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    ranked = labels[order].astype(bool)
-    cum_pos = np.cumsum(ranked)
-    ranks = np.arange(1, len(ranked) + 1)
-    precisions = cum_pos[ranked] / ranks[ranked]
-    return float(precisions.mean())
-
-
-def mean_average_precision(scores: np.ndarray, labels: np.ndarray
-                           ) -> tuple[np.ndarray, float]:
-    """Per-class AP plus the mean over classes (classes with no positive
-    are an error, matching the per-class contract)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    aps = np.array([average_precision(scores[:, c], labels[:, c])
-                    for c in range(scores.shape[1])])
-    return aps, float(aps.mean())
-
-
-def _rankdata(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
-def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based (Mann-Whitney) AUC for one class, ties averaged."""
-    scores = np.asarray(scores, dtype=np.float64)
-    pos = np.asarray(labels).astype(bool)
-    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs both positives and negatives")
-    ranks = _rankdata(scores)
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
-
-
-def macro_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Macro-averaged rank AUC over classes."""
-    return float(np.mean([auc_score(scores[:, c], labels[:, c])
-                          for c in range(scores.shape[1])]))
 
 
 # --------------------------------------------------------------------------
@@ -208,17 +146,14 @@ class OverlapReport:
 
 def _overlap_batch(model: Model, ids, images, labels, config: IcascConfig
                    ) -> tuple[list[OverlapRow], np.ndarray]:
-    labels = np.asarray(labels)
-    record = model.forward(images, tape=Tape(), multi_label=labels.ndim == 2)
-    target = label_rounds(labels, record.logits.shape[1])[0]
+    record = model.forward(images, tape=Tape())
     conf = confusing_class(record.probabilities, labels)
-    a_tgt = class_attention(record, target, config.mechanism, create_graph=False)
+    a_tgt = class_attention(record, labels, config.mechanism, create_graph=False)
     a_conf = class_attention(record, conf, config.mechanism, create_graph=False,
                              layers=("last",))
-    las, lac, rc = per_sample_terms(a_tgt, a_conf, np.ones(len(ids), bool),
-                                    config)
+    las, lac, ctx = per_sample_terms(a_tgt, a_conf, conf, config)
     rows = [OverlapRow(sid, float(las["last"].data[i]), float(lac.data[i]),
-                       not rc.keep[i])
+                       not ctx.keep[i])
             for i, sid in enumerate(ids)]
     return rows, record.probabilities
 
@@ -228,20 +163,18 @@ def attention_overlap_report(model: Model, dataset: dio.Dataset,
                              batch_size: int = 32) -> OverlapReport:
     """Per-sample last-layer separation and consistency on frozen weights.
 
-    Each sample is scored with the training objective's terms for its first
-    ground-truth class (its only one when single-label).  Skipped samples
-    (degenerate target attention) are excluded from the means but counted
-    in the skip rate.  The report prints no inner-layer separation, so the
-    confusing class's map is taken at the last layer only: its backward
-    stops at the head, so the target's is each batch's one backward
-    through the inner conv block.
+    Each sample is scored with the training objective's terms.  Skipped
+    samples (degenerate target attention) are excluded from the means but
+    counted in the skip rate.  The report prints no inner-layer separation,
+    so the confusing class's map is taken at the last layer only: its
+    backward stops at the head, so the target's is each batch's one
+    backward through the inner conv block.
 
-    The report also returns its forwards' class probabilities (softmax, or
-    sigmoid on a multi-label set), so a caller that needs them makes no
-    second pass.  They equal ``predict``'s up to the last bit only where
-    the batch sizes give the same BLAS sums: byte-equal at 32 and 50
-    against ``predict``'s 64 on every set tried, but up to 2.2e-16 apart
-    at batches of 1 and 7.
+    The report also returns its forwards' class probabilities, so a caller
+    that needs them makes no second pass.  They equal ``predict``'s up to
+    the last bit only where the batch sizes give the same BLAS sums:
+    byte-equal at 32 and 50 against ``predict``'s 64 on every set tried,
+    but up to 2.2e-16 apart at batches of 1 and 7.
     """
     rows, probs = [], []
     for ids, images, labels in dio.batch_iter(dataset, batch_size, seed=0,

@@ -93,7 +93,7 @@ class ForwardRecord:
     """Everything one forward pass produces that later stages need."""
 
     logits: Tensor                    # (N, n_classes), tape-live
-    probabilities: np.ndarray         # softmax or per-class sigmoid, detached
+    probabilities: np.ndarray         # softmax, detached
     feats: dict                       # {"inner": Tensor, "last": Tensor}
     param_leaves: dict                # name -> leaf Tensor (empty when untaped)
 
@@ -129,8 +129,8 @@ class Model:
         params["head.b"] = np.zeros(config.n_classes)
         return Model(config, params)
 
-    def forward(self, images: np.ndarray, tape: Optional[Tape] = None,
-                multi_label: bool = False) -> ForwardRecord:
+    def forward(self, images: np.ndarray,
+                tape: Optional[Tape] = None) -> ForwardRecord:
         """Run the network; with a tape, parameters are registered as leaves
         and the inner/last block outputs stay live for attention gradients."""
         images = np.asarray(images, dtype=np.float64)
@@ -162,8 +162,8 @@ class Model:
         logits = ad.matmul(ad.reduce_mean(x, (2, 3)), leaves["head.w"])
         bias = ad.broadcast_axes(leaves["head.b"], logits.shape, (0,))
         logits = ad.add(logits, bias)
-        probs = ad.sigmoid_array(logits.data) if multi_label else softmax(logits.data)
-        return ForwardRecord(logits=logits, probabilities=probs, feats=feats,
+        return ForwardRecord(logits=logits, probabilities=softmax(logits.data),
+                             feats=feats,
                              param_leaves=leaves if tape is not None else {})
 
 
@@ -196,33 +196,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     lse = ad.add(ad.log(ad.reduce_sum(ad.exp(shifted), (1,))), Tensor(m))
     picked = ad.reduce_sum(ad.mul(logits, Tensor(hot)), (1,))     # (N,)
     return ad.reduce_mean(ad.sub(lse, picked))
-
-
-def multilabel_soft_margin(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean over classes of -[y*log sig(z) + (1-y)*log sig(-z)], batch-averaged.
-
-    Written with softplus so large logits cannot underflow the log.
-    """
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != logits.shape:
-        raise ad.ShapeError(f"targets shape {targets.shape} != logits {logits.shape}")
-    if not np.all((targets == 0) | (targets == 1)):
-        raise ValueError("multi-label targets must be binary")
-    if np.any(targets.sum(axis=1) == 0):
-        raise ValueError("multi-label sample with no positive class "
-                         "(confusing class undefined)")
-    # -log sig(z) = softplus(-z); -log sig(-z) = softplus(z)
-    pos = ad.mul(Tensor(targets), ad.softplus(ad.mul(logits, -1.0)))
-    neg = ad.mul(Tensor(1.0 - targets), ad.softplus(logits))
-    return ad.reduce_mean(ad.add(pos, neg))
-
-
-def classification_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Cross-entropy for class ids (1-D labels), the multi-label soft margin
-    for a binary (N, C) target matrix."""
-    if np.ndim(labels) == 2:
-        return multilabel_soft_margin(logits, labels)
-    return cross_entropy(logits, labels)
 
 
 # --------------------------------------------------------------------------

@@ -98,35 +98,23 @@ class TrainResult:
     best_acc: float
 
 
-def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy for class ids; per-class 0.5-threshold accuracy for a
-    binary (N, C) label matrix."""
-    if labels.ndim == 2:
-        return float(np.mean((probs >= 0.5) == labels.astype(bool)))
-    return topk_accuracy(probs, labels, 1)
-
-
-def evaluate_accuracy(model: Model, dataset: dio.Dataset, batch_size: int,
-                      multi_label: bool) -> float:
-    return _accuracy(*predict(model, dataset, multi_label, batch_size))
+def evaluate_accuracy(model: Model, dataset: dio.Dataset,
+                      batch_size: int) -> float:
+    """Top-1 accuracy of ``model`` on ``dataset``."""
+    return topk_accuracy(*predict(model, dataset, batch_size), 1)
 
 
 def train(cfg: TrainConfig) -> TrainResult:
     """Run (or resume from final.ckpt) a training job; writes the log and
     checkpoints."""
-    # the training labels set the mode: a;b rows make it a multi-label run
     train_set = dio.load_dataset(cfg.data_dir)
     if train_set.n_classes < 2:
         # no confusing class, so neither the objective nor KS is defined
         raise dio.DataError(f"{cfg.data_dir}: the labels name "
                             f"{train_set.n_classes} class; training needs "
                             "at least 2")
-    multi = train_set.multi_label
     test_set = dio.load_dataset(cfg.test_dir, n_classes=train_set.n_classes) \
         if cfg.test_dir else None
-    if test_set and test_set.multi_label and not multi:
-        raise dio.DataError(f"{cfg.test_dir}: test labels hold multi-label "
-                            "rows, but the training set is single-label")
 
     sample = train_set.samples[0]
     model_cfg = ModelConfig(channels=cfg.channels,
@@ -174,7 +162,7 @@ def train(cfg: TrainConfig) -> TrainResult:
         for _, images, labels in dio.batch_iter(
                 train_set, cfg.batch_size, cfg.seed, epoch, shuffle=True,
                 flip=cfg.flip):
-            record = model.forward(images, tape=Tape(), multi_label=multi)
+            record = model.forward(images, tape=Tape())
             b = classification_objective(record, labels) if cfg.baseline \
                 else icasc_objective(record, labels, cfg.icasc)
             leaves = record.param_leaves
@@ -186,11 +174,11 @@ def train(cfg: TrainConfig) -> TrainResult:
             seen += n
             sums += n * np.array([b.l_c, b.l_as_inner, b.l_as_last, b.l_ac,
                                   b.total,
-                                  _accuracy(record.probabilities, labels),
+                                  topk_accuracy(record.probabilities, labels, 1),
                                   b.skip_rate])
 
-        test_acc = evaluate_accuracy(model, test_set, cfg.batch_size,
-                                     multi) if test_set else float("nan")
+        test_acc = evaluate_accuracy(model, test_set, cfg.batch_size) \
+            if test_set else float("nan")
         l_c, l_as_in, l_as_la, l_ac, total, train_acc, skip_rate = \
             (float(v) for v in sums / seen)
         stats = EpochStats(epoch, lr, l_c, l_as_in, l_as_la, l_ac, total,

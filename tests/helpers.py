@@ -9,8 +9,7 @@ from icasc.autodiff import Tape, Tensor
 from icasc.nn import ForwardRecord, Model, ModelConfig, softmax
 
 
-def linear_record(tape: Tape, feat_arrays: dict, weights: dict,
-                  multi_label: bool = False) -> ForwardRecord:
+def linear_record(tape: Tape, feat_arrays: dict, weights: dict) -> ForwardRecord:
     """A toy record whose logits are sums of w . flatten(F) over layers.
 
     The per-class gradient w.r.t. each feature map is then the
@@ -26,8 +25,8 @@ def linear_record(tape: Tape, feat_arrays: dict, weights: dict,
         flat = ad.reshape(f, (n, arr[0].size))
         piece = ad.matmul(flat, Tensor(weights[layer]))
         logits = piece if logits is None else ad.add(logits, piece)
-    probs = ad.sigmoid_array(logits.data) if multi_label else softmax(logits.data)
-    return ForwardRecord(logits=logits, probabilities=probs, feats=feats,
+    return ForwardRecord(logits=logits, probabilities=softmax(logits.data),
+                         feats=feats,
                          param_leaves={})
 
 

@@ -208,33 +208,7 @@ def cross_entropy_mp(logits, labels, dps=50):
         return float(total / len(labels))
 
 
-def multilabel_soft_margin_mp(logits, targets, dps=50):
-    import mpmath as mp
-    with mp.workdps(dps):
-        total = mp.mpf(0)
-        count = 0
-        for row, trow in zip(logits, targets):
-            for z, y in zip(row, trow):
-                zz = mp.mpf(float(z))
-                sig = 1 / (1 + mp.e ** (-zz))
-                total += -(mp.mpf(float(y)) * mp.log(sig)
-                           + (1 - mp.mpf(float(y))) * mp.log(1 - sig))
-                count += 1
-        return float(total / count)
-
-
-# -- ranking metrics ----------------------------------------------------------
-
-
-def average_precision_walk(scores, labels):
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    hits = 0
-    precisions = []
-    for rank, i in enumerate(order, 1):
-        if labels[i]:
-            hits += 1
-            precisions.append(hits / rank)
-    return sum(precisions) / hits
+# -- KS chart -----------------------------------------------------------------
 
 
 def ks_brute(target, conf):

@@ -12,7 +12,7 @@ from icasc.attention import class_gradients
 from icasc.autodiff import (DomainError, ShapeError, Tape, Tensor,
                             UnsupportedOpError, backward)
 from icasc.losses import IcascConfig, icasc_objective
-from icasc.nn import classification_loss
+from icasc.nn import cross_entropy
 
 import helpers
 import oracles
@@ -38,7 +38,7 @@ def test_relu_values():
 
 
 def test_sigmoid_midpoint():
-    assert ad.sigmoid(Tensor(0.0)).item() == 0.5
+    assert ad.sigmoid_array(np.array([0.0]))[0] == 0.5
 
 
 def test_binary_shape_mismatch_rejected():
@@ -479,12 +479,16 @@ def _composite(tape, x, lift=Tensor):
     p = ad.maxpool2d(ad.relu(c))
     up = ad.matmul(ad.reshape(p, (1, 4)), lift(_UPSAMPLE_2_TO_4))
     u = ad.reshape(up, (4, 4))
-    m = ad.minimum(u, ad.sigmoid(ad.reshape(x, (4, 4))))
+    # a sigmoid of x, written as 1 / (1 + exp(-x))
+    sig = ad.div(1.0, ad.add(ad.exp(ad.mul(ad.reshape(x, (4, 4)), -1.0)), 1.0),
+                 eps=0.0)
+    m = ad.minimum(u, sig)
     flat = ad.reshape(m, (1, 16))
     h = ad.matmul(flat, lift(np.linspace(-1, 1, 32).reshape(16, 2)))
     s = ad.reduce_sum(ad.exp(ad.mul(h, 0.3)))
     q = ad.div(ad.reduce_sum(ad.mul(u, u)), s, eps=1e-8)
-    return ad.add(q, ad.reduce_mean(ad.softplus(h)))
+    # a softplus of h, written as log(1 + exp(h))
+    return ad.add(q, ad.reduce_mean(ad.log(ad.add(ad.exp(h), 1.0))))
 
 
 @settings(max_examples=20, deadline=None)
@@ -567,7 +571,7 @@ def test_parameter_backward_skips_the_image_adjoint():
     images = np.random.default_rng(1).standard_normal((3, 1, 8, 8))
     record = model.forward(images, tape=Tape())
     tape = record.logits.tape
-    loss = classification_loss(record.logits, np.array([0, 1, 2]))
+    loss = cross_entropy(record.logits, np.array([0, 1, 2]))
     leaves = list(record.param_leaves.values())
     kinds = _appended_kinds(tape, lambda: backward(loss, leaves, create_graph=True))
     assert kinds["conv2d_dx"] == 1
@@ -583,8 +587,9 @@ def test_hessian_vector_product_matches_fd():
         t = Tape()
         x = t.leaf(vec)
         e = ad.exp(ad.mul(x, 0.5))
+        # the denominator sums log(1 + exp(x)), a softplus of x
         y = ad.div(ad.reduce_sum(ad.mul(ad.mul(x, x), e)),
-                   ad.reduce_sum(ad.sigmoid(x)), eps=1e-8)
+                   ad.reduce_sum(ad.log(ad.add(ad.exp(x), 1.0))), eps=1e-8)
         return t, x, y
 
     t, x, y = build(x0)

@@ -71,6 +71,20 @@ def test_synth_invalid_motif_size_names_field(tmp_path, capsys):
     assert "motif_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--motif-size", "-3", "motif_size"), ("--motif-size", "0", "motif_size"),
+    ("--pair", "0,1,2", "confusable_pair"), ("--pair", "0", "confusable_pair"),
+])
+def test_synth_bad_motif_size_or_pair_is_usage_error(tmp_path, capsys, flag,
+                                                     value, field):
+    rc = run("synth", "--per-class", "1", flag, value,
+             "--out", str(tmp_path / "d"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and field in err
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
 def test_synth_bad_noise_std_is_usage_error(tmp_path, capsys, value):
     rc = run("synth", "--per-class", "1", "--noise-std", value,
@@ -301,24 +315,6 @@ def test_eval_rejects_topk_before_any_forward(trained, dataset, tmp_path,
     assert "topk 99 exceeds class count 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("labels, message", [
-    ({"c0_0000": "0", "c0_0001": "0;1", "c1_0000": "1", "c1_0001": "1"},
-     "class 2 has no positive sample"),
-    ({"c0_0000": "0", "c1_0000": "1;0", "c2_0000": "2;0"},
-     "class 0 has no negative sample"),
-], ids=["no-positive", "no-negative"])
-def test_eval_rejects_an_undefined_ap_or_auc_before_any_forward(
-        trained, dataset, tmp_path, monkeypatch, capsys, labels, message):
-    data = relabel(dataset / "test", tmp_path / "d", labels)
-    calls = helpers.count_forwards(monkeypatch)
-    assert run("eval", "--checkpoint", str(trained), "--data", str(data),
-               "--out", str(tmp_path / "e")) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("data error:") and message in err
-    assert calls == []
-    assert not (tmp_path / "e").exists()
-
-
 def test_attend_topk_exceeding_classes_rejected(trained, dataset, tmp_path,
                                                 capsys):
     rc = run("attend", "--checkpoint", str(trained), "--data",
@@ -406,8 +402,7 @@ def reference_attend(checkpoint, data, wanted, k: int, color: bool, out: Path):
     out.mkdir()
     rows, maps = [], []
     for sid in wanted:
-        record = model.forward(by_id[sid].image[None], tape=Tape(),
-                               multi_label=dataset.multi_label)
+        record = model.forward(by_id[sid].image[None], tape=Tape())
         for class_id in np.argsort(-record.probabilities[0], kind="stable")[:k]:
             grads = class_gradients(record, [class_id], LAYERS)
             for layer in LAYERS:
@@ -422,18 +417,14 @@ def reference_attend(checkpoint, data, wanted, k: int, color: bool, out: Path):
     return rows, maps
 
 
-@pytest.mark.parametrize("data_fixture, samples, flags", [
-    ("dataset", "c0_0000,c0_0001,c0_0002,c0_0003,c1_0000,c1_0001", ()),
-    ("dataset", "c0_0000,c0_0000", ()),
-    ("dataset", "c2_0003,c1_0002,c0_0001,c2_0000,c1_0003", ("--color",)),
-    ("multi_label_data", "c2_0001,c0_0002,c1_0001", ()),
-], ids=["partial-chunk", "repeated-id", "color", "multi-label"])
-def test_attend_matches_per_sample_reference(trained, tmp_path, monkeypatch,
-                                             request, data_fixture, samples,
-                                             flags):
-    data = request.getfixturevalue(data_fixture)
-    if data_fixture == "dataset":
-        data = data / "test"
+@pytest.mark.parametrize("samples, flags", [
+    ("c0_0000,c0_0001,c0_0002,c0_0003,c1_0000,c1_0001", ()),
+    ("c0_0000,c0_0000", ()),
+    ("c2_0003,c1_0002,c0_0001,c2_0000,c1_0003", ("--color",)),
+], ids=["partial-chunk", "repeated-id", "color"])
+def test_attend_matches_per_sample_reference(trained, dataset, tmp_path,
+                                             monkeypatch, samples, flags):
+    data = dataset / "test"
     wanted = samples.split(",")
     color = "--color" in flags
     ref_rows, ref_maps = reference_attend(trained, data, wanted, 3, color,
@@ -476,7 +467,7 @@ def test_attend_matches_per_sample_reference(trained, tmp_path, monkeypatch,
 
     model, _ = load_checkpoint(trained)
     dataset = dio.load_dataset(data)
-    probs, _ = mx.predict(model, dataset, dataset.multi_label)
+    probs, _ = mx.predict(model, dataset)
     index = {s.id: i for i, s in enumerate(dataset.samples)}
     for sid, cls, *_, prob in rows:
         assert abs(float(prob) - probs[index[sid], int(cls)]) <= 1e-15
@@ -551,14 +542,14 @@ def test_ks_deterministic(trained, dataset, tmp_path):
 
 
 # --------------------------------------------------------------------------
-# multi-label sets: the labels, not a flag, set the mode
+# a label is one class id: an a;b row is a data error
 # --------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def multi_label_data(dataset, tmp_path_factory):
+def two_label_data(dataset, tmp_path_factory):
     """The test split with one sample relabelled ``2;0``."""
-    root = tmp_path_factory.mktemp("ml") / "d"
+    root = tmp_path_factory.mktemp("two_label") / "d"
     root.mkdir()
     for f in (dataset / "test").glob("*.pgm"):
         (root / f.name).write_bytes(f.read_bytes())
@@ -569,65 +560,40 @@ def multi_label_data(dataset, tmp_path_factory):
     return root
 
 
-def test_multi_label_set_trains_without_a_flag_and_evals_ap(multi_label_data,
-                                                            tmp_path):
-    out = tmp_path / "run"
-    assert run("train", "--data", str(multi_label_data), "--test-data",
-               str(multi_label_data), "--out", str(out), "--epochs", "1",
-               "--batch-size", "8", "--channels", "4,8", "--lr", "0.01") == 0
-    (row,) = read_log(out / "train_log.csv")
-    assert all(np.isfinite(getattr(row, c)) for c in LOG_COLUMNS)
-    config = (out / "run_config.txt").read_text().splitlines()
-    assert not any(line.startswith("multi_label") for line in config)
-
-    ev = tmp_path / "eval"
-    assert run("eval", "--checkpoint", str(out / "final.ckpt"), "--data",
-               str(multi_label_data), "--out", str(ev)) == 0
-    rows = [r.split(",") for r in
-            (ev / "metrics.csv").read_text().strip().splitlines()[1:]]
-    assert [(m, c) for m, c, _ in rows] == [
-        ("average_precision", "0"), ("average_precision", "1"),
-        ("average_precision", "2"), ("average_precision", "all"),
-        ("auc", "all")]
-    assert all(0.0 <= float(v) <= 1.0 for _, _, v in rows)
+@pytest.mark.parametrize("command, flags", [
+    ("train", ()), ("eval", ()), ("eval", ("--attention",)), ("attend", ()),
+    ("ks", ()),
+], ids=["train", "eval", "eval-attention", "attend", "ks"])
+def test_a_row_with_two_labels_is_data_error(trained, two_label_data, tmp_path,
+                                             capsys, command, flags):
+    out = tmp_path / "o"
+    if command == "train":
+        args = ("train", "--data", str(two_label_data), "--epochs", "1",
+                "--channels", "4,8")
+    else:
+        args = (command, "--checkpoint", str(trained), "--data",
+                str(two_label_data))
+    assert run(*args, *flags, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "sample 'c2_0001': label '2;0' is not one class id" in err
+    assert not out.exists()
 
 
-def test_multi_label_flag_is_unknown(multi_label_data, tmp_path, capsys):
-    assert run("train", "--data", str(multi_label_data), "--out",
+def test_multi_label_flag_is_unknown(dataset, tmp_path, capsys):
+    assert run("train", "--data", str(dataset / "train"), "--out",
                str(tmp_path / "o"), "--multi-label") == 1
     assert "--multi-label" in capsys.readouterr().err
 
 
 def test_single_label_run_with_multi_label_test_set_is_data_error(
-        dataset, multi_label_data, tmp_path, capsys):
+        dataset, two_label_data, tmp_path, capsys):
     out = tmp_path / "o"
     assert run("train", "--data", str(dataset / "train"), "--test-data",
-               str(multi_label_data), "--out", str(out), "--epochs", "1",
+               str(two_label_data), "--out", str(out), "--epochs", "1",
                "--channels", "4,8") == 2
-    assert str(multi_label_data) in capsys.readouterr().err
-    assert not (out / "train_log.csv").exists()
-
-
-def test_attend_on_multi_label_set_writes_sigmoid_probability(
-        multi_label_data, tmp_path):
-    model = Model.build(ModelConfig(channels=(4, 8), input_size=16,
-                                    input_channels=1, n_classes=3), seed=2)
-    ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(ckpt, model)
-    out = tmp_path / "maps"
-    assert run("attend", "--checkpoint", str(ckpt), "--data",
-               str(multi_label_data), "--out", str(out), "--classes", "3",
-               "--samples", "c2_0001") == 0
-    (image,) = [s.image for s in dio.load_dataset(multi_label_data).samples
-                if s.id == "c2_0001"]
-    logits = model.forward(image[None]).logits.data[0]
-    rows = (out / "manifest.csv").read_text().strip().splitlines()[1:]
-    assert len(rows) == 3 * 2 * 2
-    for row in rows:
-        _, cls, _, _, _, prob = row.split(",")
-        z = logits[int(cls)]
-        assert float(prob) == pytest.approx(1.0 / (1.0 + np.exp(-z)),
-                                            rel=1e-12)
+    assert "sample 'c2_0001'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------
@@ -637,7 +603,7 @@ def test_attend_on_multi_label_set_writes_sigmoid_probability(
 
 def relabel(src: Path, dst: Path, labels: dict[str, str]) -> Path:
     """A set in ``dst`` holding the images of ``labels``' ids from ``src``,
-    each id with the given label field (``"2;0"`` for a multi-label row)."""
+    each id with the given label field."""
     dst.mkdir(parents=True)
     rows = ["id,filename,label"]
     for sid, label in labels.items():
@@ -649,8 +615,8 @@ def relabel(src: Path, dst: Path, labels: dict[str, str]) -> Path:
 
 def test_eval_attention_on_a_row_covering_every_class_is_data_error(
         dataset, tmp_path, capsys):
-    """A 2-class model and a ``0;1`` row: that sample has no confusing
-    class."""
+    """A 2-class model and a ``0;1`` row: a label is one class id, so the
+    row is refused before a confusing class is looked for."""
     model = helpers.tiny_model(1, channels=(4, 8), size=16, n_classes=2)
     save_checkpoint(tmp_path / "m.ckpt", model)
     data = relabel(dataset / "test", tmp_path / "d",
@@ -659,7 +625,7 @@ def test_eval_attention_on_a_row_covering_every_class_is_data_error(
     assert run("eval", "--checkpoint", str(tmp_path / "m.ckpt"), "--data",
                str(data), "--out", str(tmp_path / "e"), "--attention") == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and "covers every class" in err
+    assert err.startswith("data error:") and "not one class id" in err
     assert "c0_0001" in err
     assert not (tmp_path / "e").exists()
 
@@ -925,6 +891,9 @@ def test_huge_train_state_length_field_is_data_error(dataset, tmp_path, capsys,
     ("mechanism = cam", 1, "usage error: mechanism"),
     ("epsilon = -1", 1, "usage error: epsilon"),
     ("skip_threshold = -1e-6", 1, "usage error: skip_threshold"),
+    ("omega = inf", 1, "usage error: omega"),
+    ("epsilon = inf", 1, "usage error: epsilon"),
+    ("skip_threshold = inf", 1, "usage error: skip_threshold"),
     ("weight_lc = nan", 1, "usage error: weight_lc"),
     ("weight_as_inner = -1", 1, "usage error: weight_as_inner"),
     ("weight_as_last = inf", 1, "usage error: weight_as_last"),

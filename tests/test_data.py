@@ -144,7 +144,7 @@ def test_synth_counts(tmp_path):
     ds = load_dataset(tmp_path / "d")
     assert len(ds) == 40
     assert ds.n_classes == 4
-    assert sorted({s.labels[0] for s in ds.samples}) == [0, 1, 2, 3]
+    assert sorted({s.label for s in ds.samples}) == [0, 1, 2, 3]
 
 
 def test_synth_confusable_pair_differs_only_in_motif_boxes(tmp_path):
@@ -166,13 +166,15 @@ def test_synth_confusable_pair_differs_only_in_motif_boxes(tmp_path):
 
 
 def test_synth_motif_overflow_rejected():
-    with pytest.raises(ValueError):
-        SynthSpec(canvas=16, motif_size=15)
+    for motif_size in (15, 0, -3):
+        with pytest.raises(ValueError, match="motif_size"):
+            SynthSpec(canvas=16, motif_size=motif_size)
 
 
 def test_synth_invalid_pair_rejected():
-    with pytest.raises(ValueError):
-        SynthSpec(confusable_pair=(0, 0))
+    for pair in ((0, 0), (0, 1, 2), (0,)):
+        with pytest.raises(ValueError, match="pair"):
+            SynthSpec(confusable_pair=pair)
 
 
 def test_synth_roundtrip_quantization(tmp_path):
@@ -180,7 +182,7 @@ def test_synth_roundtrip_quantization(tmp_path):
     generate_synth(spec, 2, tmp_path / "d")
     ds = load_dataset(tmp_path / "d")
     for s in ds.samples:
-        raw = dio._render(spec, int(s.labels[0]), int(s.id.split("_")[1]))
+        raw = dio._render(spec, s.label, int(s.id.split("_")[1]))
         assert np.max(np.abs(s.image[0] - raw / 255.0)) <= 1.0 / 255.0
 
 
@@ -221,13 +223,14 @@ def test_row_field_count_differs_from_header(tmp_path, row):
 
 
 def test_multilabel_parsing(tmp_path):
+    """A label is one class id: an ``a;b`` row is a data error naming the
+    sample."""
     write_pgm(tmp_path / "a.pgm", np.zeros((4, 4), dtype=np.uint8))
     (tmp_path / "labels.csv").write_text(
-        "id,filename,label\ns1,a.pgm,0;2\n", encoding="utf-8")
-    ds = load_dataset(tmp_path)
-    assert ds.multi_label
-    assert ds.samples[0].labels == (0, 2)
-    assert np.array_equal(ds.label_array(True), [[1.0, 0.0, 1.0]])
+        "id,filename,label\ns0,a.pgm,1\ns1,a.pgm,0;2\n", encoding="utf-8")
+    with pytest.raises(DataError, match="sample 's1': label '0;2' is not "
+                                        "one class id"):
+        load_dataset(tmp_path)
 
 
 def test_batch_iter_deterministic(tmp_path):

@@ -48,16 +48,6 @@ def test_evaluate_model_runs_one_pass_over_the_set(tmp_path, monkeypatch,
     assert calls == [True] * math.ceil(len(dataset) / batch_size)
 
 
-def test_evaluate_model_rejects_a_multi_label_set(tmp_path):
-    dio.generate_synth(dio.SynthSpec(n_classes=3, canvas=16, seed=1,
-                                     motif_size=3), 2, tmp_path / "d")
-    dataset = dio.load_dataset(tmp_path / "d")
-    dataset.samples[-1].labels += (0,)
-    model = helpers.tiny_model(5, channels=(4, 8), size=16, n_classes=3)
-    with pytest.raises(dio.DataError, match="single-label"):
-        experiments.evaluate_model(model, dataset, 0, "icasc", IcascConfig())
-
-
 def run_tiny_trend(work, **kwargs):
     """``run_trend`` for 2 epochs on 8 training and 4 test samples per
     class, which it reuses from ``make_datasets``."""

@@ -7,10 +7,8 @@ from icasc import metrics as mx
 from icasc.attention import MECHANISMS, class_attention
 from icasc.autodiff import Tape
 from icasc.losses import (IcascConfig, confusing_class, icasc_objective,
-                          label_rounds, per_sample_terms)
-from icasc.metrics import (auc_score, average_precision, ks_chart,
-                           macro_auc, mean_average_precision, render_heatmaps,
-                           topk_accuracy)
+                          per_sample_terms)
+from icasc.metrics import ks_chart, render_heatmaps, topk_accuracy
 
 import helpers
 import oracles
@@ -50,71 +48,6 @@ def test_topk_hand_counted():
 def test_topk_invalid_k():
     with pytest.raises(ValueError):
         topk_accuracy(np.eye(3), np.arange(3), 4)
-
-
-# --------------------------------------------------------------------------
-# average precision / AUC
-# --------------------------------------------------------------------------
-
-
-def test_ap_all_positives_first():
-    scores = np.array([0.9, 0.8, 0.1, 0.05])
-    labels = np.array([1, 1, 0, 0])
-    assert average_precision(scores, labels) == 1.0
-
-
-def test_ap_single_positive_second():
-    assert average_precision(np.array([0.9, 0.1]), np.array([0, 1])) == 0.5
-
-
-def test_ap_vs_rank_walk_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        scores = np.round(rng.random(20), 2)   # ties likely
-        labels = (rng.random(20) < 0.3).astype(int)
-        if labels.sum() == 0:
-            labels[0] = 1
-        assert average_precision(scores, labels) == pytest.approx(
-            oracles.average_precision_walk(scores.tolist(), labels.tolist()),
-            abs=1e-12)
-
-
-def test_ap_requires_positive():
-    with pytest.raises(ValueError):
-        average_precision(np.array([0.1, 0.2]), np.array([0, 0]))
-
-
-def test_ap_monotone_transform_invariant():
-    rng = np.random.default_rng(1)
-    scores = rng.random(30)
-    labels = (rng.random(30) < 0.4).astype(int)
-    labels[0] = 1
-    a = average_precision(scores, labels)
-    b = average_precision(np.exp(3 * scores), labels)
-    assert a == b
-
-
-def test_mean_ap_and_macro_auc():
-    rng = np.random.default_rng(2)
-    scores = rng.random((40, 3))
-    labels = (rng.random((40, 3)) < 0.5).astype(float)
-    labels[0] = 1.0
-    aps, mean_ap = mean_average_precision(scores, labels)
-    assert mean_ap == pytest.approx(np.mean(aps))
-    auc = macro_auc(scores, labels)
-    assert 0.0 <= auc <= 1.0
-
-
-def test_auc_separable():
-    scores = np.array([0.9, 0.8, 0.2, 0.1])
-    labels = np.array([1, 1, 0, 0])
-    assert auc_score(scores, labels) == 1.0
-
-
-def test_auc_ties_average():
-    scores = np.array([0.5, 0.5])
-    labels = np.array([1, 0])
-    assert auc_score(scores, labels) == 0.5
 
 
 # --------------------------------------------------------------------------
@@ -214,31 +147,18 @@ def test_overlap_report_deterministic(tmp_path):
            (r2.mean_l_as_last, r2.mean_l_ac, r2.skip_rate)
 
 
-@pytest.mark.parametrize("multi_label", [False, True])
-def test_overlap_report_matches_objective_per_sample(tmp_path, multi_label):
-    """The report scores each sample with the training objective's terms.
-
-    In the multi-label case one sample gets a second positive, which puts
-    the whole batch in multi-label mode; every other sample keeps one
-    positive, so its first ground-truth class is its only one.
-    """
+def test_overlap_report_matches_objective_per_sample(tmp_path):
+    """The report scores each sample with the training objective's terms."""
     ds = synth_dataset(tmp_path, per_class=2)
-    if multi_label:
-        last = ds.samples[-1]
-        last.labels += ((last.labels[0] + 1) % ds.n_classes,)
-    assert ds.multi_label == multi_label
     model = helpers.tiny_model(4, channels=(4, 8), size=16, n_classes=3)
     cfg = IcascConfig()
     report = mx.attention_overlap_report(model, ds, cfg)
-    labels = ds.label_array(multi_label)
+    labels = ds.label_array()
     assert len(report.rows) == len(ds) <= 32        # one report batch
     assert not all(row.skipped for row in report.rows)
     for i, row in enumerate(report.rows):
         assert row.sample_id == ds.samples[i].id
-        if len(ds.samples[i].labels) > 1:
-            continue
-        record = model.forward(ds.samples[i].image[None], tape=Tape(),
-                               multi_label=multi_label)
+        record = model.forward(ds.samples[i].image[None], tape=Tape())
         terms = icasc_objective(record, labels[i:i + 1], cfg)
         assert row.skipped == bool(terms.skip_flags[0])
         if not row.skipped:
@@ -253,32 +173,25 @@ def _overlap_rows_from_both_layers(model, ds, cfg, batch_size):
     rows = []
     for ids, images, labels in dio.batch_iter(ds, batch_size, seed=0,
                                               shuffle=False):
-        record = model.forward(images, tape=Tape(), multi_label=labels.ndim == 2)
-        target = label_rounds(labels, ds.n_classes)[0]
+        record = model.forward(images, tape=Tape())
         conf = confusing_class(record.probabilities, labels)
-        a_tgt = class_attention(record, target, cfg.mechanism, create_graph=False)
+        a_tgt = class_attention(record, labels, cfg.mechanism, create_graph=False)
         a_conf = class_attention(record, conf, cfg.mechanism, create_graph=False)
-        las, lac, rc = per_sample_terms(a_tgt, a_conf, np.ones(len(ids), bool),
-                                        cfg)
+        las, lac, ctx = per_sample_terms(a_tgt, a_conf, conf, cfg)
         rows += [(sid, float(las["last"].data[i]), float(lac.data[i]),
-                  not rc.keep[i]) for i, sid in enumerate(ids)]
+                  not ctx.keep[i]) for i, sid in enumerate(ids)]
     return rows
 
 
-@pytest.mark.parametrize("multi_label", [False, True])
 @pytest.mark.parametrize("mechanism", MECHANISMS)
 def test_overlap_report_runs_one_inner_backward_per_batch(tmp_path, monkeypatch,
-                                                          mechanism, multi_label):
+                                                          mechanism):
     """The report takes the confusing class's map at the last layer only, so
     each batch makes one ``conv2d_dx`` (the target's backward through the
     inner block), and every row and mean equals the one built from both
     classes' maps at both layers.  Class 0's head column is zero, so its
     samples have no target attention and are skipped."""
     ds = synth_dataset(tmp_path, per_class=2)
-    if multi_label:
-        last = ds.samples[-1]
-        last.labels += ((last.labels[0] + 1) % ds.n_classes,)
-    assert ds.multi_label == multi_label
     model = helpers.tiny_model(4, channels=(4, 8), size=16, n_classes=3)
     model.params["head.w"][:, 0] = 0.0
     cfg = IcascConfig(mechanism=mechanism)
@@ -303,8 +216,7 @@ def test_overlap_report_runs_one_inner_backward_per_batch(tmp_path, monkeypatch,
     assert report.skip_rate == float(np.mean([row[3] for row in expected]))
 
 
-@pytest.mark.parametrize("multi_label", [False, True])
-def test_overlap_report_probabilities_equal_predict(tmp_path, multi_label):
+def test_overlap_report_probabilities_equal_predict(tmp_path):
     """The report's probabilities are ``predict``'s, in dataset order.
 
     The set fits in one batch of either pass, so both run the same forward
@@ -313,17 +225,12 @@ def test_overlap_report_probabilities_equal_predict(tmp_path, multi_label):
     BLAS sums, so that comparison allows for rounding).
     """
     ds = synth_dataset(tmp_path, per_class=2)
-    if multi_label:
-        last = ds.samples[-1]
-        last.labels += ((last.labels[0] + 1) % ds.n_classes,)
-    assert ds.multi_label == multi_label
     model = helpers.tiny_model(4, channels=(4, 8), size=16, n_classes=3)
     report = mx.attention_overlap_report(model, ds, IcascConfig())
-    probs, _ = mx.predict(model, ds, multi_label)
+    probs, _ = mx.predict(model, ds)
     assert report.probabilities.shape == (len(ds), ds.n_classes)
     assert np.array_equal(report.probabilities, probs)
-    sums = report.probabilities.sum(axis=1)
-    assert np.allclose(sums, 1.0) != multi_label    # softmax vs sigmoid
+    assert np.allclose(report.probabilities.sum(axis=1), 1.0)
     split = mx.attention_overlap_report(model, ds, IcascConfig(), batch_size=2)
     np.testing.assert_allclose(split.probabilities, probs, rtol=1e-12)
 

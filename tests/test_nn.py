@@ -10,7 +10,7 @@ from icasc.autodiff import Tape, Tensor, backward
 from icasc.losses import IcascConfig, icasc_objective
 from icasc.nn import (ConfigError, ForwardRecord, Model, ModelConfig,
                       NumericalError, SgdOptimizer, cross_entropy,
-                      lr_schedule, multilabel_soft_margin)
+                      lr_schedule)
 from icasc.training import TrainConfig, train
 
 import oracles
@@ -242,22 +242,6 @@ def test_cross_entropy_vs_extended_precision_oracle():
     labels = rng.integers(0, 5, size=6)
     ours = cross_entropy(Tensor(logits), labels).item()
     assert abs(ours - oracles.cross_entropy_mp(logits, labels)) < 1e-10
-
-
-def test_multilabel_soft_margin_vs_oracle():
-    rng = np.random.default_rng(6)
-    logits = rng.standard_normal((4, 6)) * 2
-    targets = (rng.random((4, 6)) < 0.4).astype(float)
-    targets[targets.sum(axis=1) == 0, 0] = 1.0
-    ours = multilabel_soft_margin(Tensor(logits), targets).item()
-    assert abs(ours - oracles.multilabel_soft_margin_mp(logits, targets)) < 1e-10
-
-
-def test_multilabel_rejects_all_zero_row():
-    logits = Tensor(np.zeros((2, 3)))
-    targets = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        multilabel_soft_margin(logits, targets)
 
 
 def test_label_out_of_range():

@@ -9,26 +9,18 @@ from icasc.training import LOG_COLUMNS, TrainConfig, read_log, train
 
 
 @pytest.fixture(scope="module")
-def multi_label_set(tmp_path_factory):
-    """Synthetic set in which two samples get a second positive class."""
-    root = tmp_path_factory.mktemp("ml") / "d"
+def synth_set(tmp_path_factory):
+    root = tmp_path_factory.mktemp("synth") / "d"
     dio.generate_synth(dio.SynthSpec(n_classes=3, canvas=16, motif_size=3,
                                      seed=2), 4, root)
-    labels = root / "labels.csv"
-    lines = labels.read_text().splitlines()
-    lines[1] = lines[1].rsplit(",", 1)[0] + ",0;2"
-    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",2;1"
-    labels.write_text("\n".join(lines) + "\n")
-    assert dio.load_dataset(root).multi_label
     return root
 
 
 @pytest.mark.parametrize("baseline", [True, False])
-def test_multi_label_epoch_logs_finite_in_range_row(multi_label_set, tmp_path,
-                                                    baseline):
+def test_epoch_logs_finite_in_range_row(synth_set, tmp_path, baseline):
     theta = IcascConfig().theta
     result = train(TrainConfig(
-        data_dir=str(multi_label_set), test_dir=str(multi_label_set),
+        data_dir=str(synth_set), test_dir=str(synth_set),
         out_dir=str(tmp_path / "run"), epochs=1, batch_size=8,
         channels=(4, 8), lr=0.01, baseline=baseline))
     (row,) = result.log
