@@ -23,7 +23,7 @@ from . import metrics as mx
 from .attention import LAYERS, MECHANISMS, class_gradients, compute_attention
 from .autodiff import Tape
 from .losses import IcascConfig, parse_kv_file
-from .nn import ConfigError, NumericalError, load_checkpoint
+from .nn import SCHEDULES, ConfigError, NumericalError, load_checkpoint
 from .training import TrainConfig, train
 
 
@@ -76,7 +76,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--momentum", type=float, default=None)
     p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--schedule", choices=("step", "cosine"), default=None)
+    p.add_argument("--schedule", choices=SCHEDULES, default=None)
     p.add_argument("--milestones", type=_int_tuple, default=None)
     p.add_argument("--channels", type=_int_tuple, default=None)
     p.add_argument("--mechanism", choices=MECHANISMS, default=None)
@@ -151,12 +151,15 @@ _TRAIN_FIELDS = ("epochs", "batch_size", "lr", "momentum", "weight_decay",
 
 
 def cmd_train(args) -> int:
+    if args.baseline and (args.config or args.mechanism):
+        raise UsageError("--baseline trains without the attention objective, "
+                         "so it takes no --config or --mechanism")
     given = {key: getattr(args, key) for key in _TRAIN_FIELDS
              if getattr(args, key) is not None}
     cfg = TrainConfig(
         data_dir=args.data, test_dir=args.test_data, out_dir=args.out,
-        baseline=args.baseline, flip=args.flip, resume=args.resume,
-        icasc=_resolved_icasc(args), **given)
+        flip=args.flip, resume=args.resume,
+        icasc=None if args.baseline else _resolved_icasc(args), **given)
     result = train(cfg)
     last = result.log[-1]
     print(f"trained {cfg.epochs} epochs; final total={last.total:.4f} "

@@ -201,6 +201,7 @@ def load_dataset(path, n_classes: int | None = None) -> Dataset:
     if not labels_file.is_file():
         raise DataError(f"{labels_file}: labels file not found")
     samples: list[Sample] = []
+    seen: set[str] = set()
     max_label = -1
     with open(labels_file, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -212,14 +213,16 @@ def load_dataset(path, n_classes: int | None = None) -> Dataset:
             if None in row or None in row.values():
                 raise DataError(f"{labels_file}:{reader.line_num}: row needs "
                                 "3 fields id,filename,label")
-            sid = row["id"]
-            try:
-                label = int(row["label"])
-            except ValueError:
-                raise DataError(f"sample '{sid}': label '{row['label']}' is "
-                                "not one class id") from None
-            if label < 0:
-                raise DataError(f"sample '{sid}': negative label")
+            sid, text = row["id"], row["label"]
+            if sid in seen:
+                raise DataError(f"sample '{sid}': id repeated at "
+                                f"{labels_file}:{reader.line_num}")
+            seen.add(sid)
+            # digits only: int() would also take '1_0', ' +1 ' or '-1'
+            if not (text.isascii() and text.isdigit()):
+                raise DataError(f"sample '{sid}': label '{text}' is not one "
+                                "class id")
+            label = int(text)
             img_path = root / row["filename"]
             try:
                 image = read_image(img_path)

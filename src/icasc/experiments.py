@@ -1,15 +1,19 @@
-"""Trend experiment: ICASC versus a shared-initialization baseline.
+"""Trend experiment: named training variants from shared initialisations.
 
-Trains baseline and attention-supervised models from identical seeds on the
-synthetic confusable dataset, then compares test accuracy, mean last-layer
-attention separation, and the exact KS statistic between target-class and
-confusing-class probability distributions.
+Each variant is an :class:`IcascConfig`, or ``None`` for the baseline.  Per
+seed every variant trains from the same initial weights on the synthetic
+confusable dataset, and each model is scored with the default
+``IcascConfig()`` for test accuracy, mean last-layer attention separation,
+and the exact KS statistic between target-class and confusing-class
+probability distributions.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from collections.abc import Mapping
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
+from types import MappingProxyType
 
 from . import data as dio
 from . import metrics as mx
@@ -20,22 +24,19 @@ from .training import TrainConfig, train
 DATA_SEED_TRAIN = 1234
 DATA_SEED_TEST = 4321
 
+# the paper's comparison; read-only, since it is run_trend's default
+VARIANTS: Mapping[str, IcascConfig | None] = MappingProxyType(
+    {"baseline": None, "icasc": IcascConfig()})
+
 
 @dataclass
 class VariantMetrics:
     seed: int
-    variant: str                  # "baseline" | "icasc"
-    mechanism: str                # attention mechanism used for the L_AS metric
+    variant: str                  # the variant's name in run_trend
     test_accuracy: float
     mean_l_as_last: float
     skip_rate: float
     ks_exact: float
-
-
-@dataclass
-class TrendReport:
-    mechanism: str
-    rows: list[VariantMetrics]
 
 
 def make_datasets(work_dir, n_train: int = 200, n_test: int = 100,
@@ -54,48 +55,42 @@ def make_datasets(work_dir, n_train: int = 200, n_test: int = 100,
 
 
 def evaluate_model(model: Model, test_set: dio.Dataset, seed: int, variant: str,
-                   icasc_cfg: IcascConfig, batch_size: int = 50) -> VariantMetrics:
+                   batch_size: int = 50) -> VariantMetrics:
     """Score a model on a test set from one pass over it: the overlap
-    report's forwards also give the accuracy and KS probabilities."""
-    overlap = mx.attention_overlap_report(model, test_set, icasc_cfg, batch_size)
+    report's forwards, under ``IcascConfig()``, also give the accuracy and
+    KS probabilities."""
+    overlap = mx.attention_overlap_report(model, test_set, IcascConfig(),
+                                          batch_size)
     probs, labels = overlap.probabilities, test_set.label_array()
     acc = mx.topk_accuracy(probs, labels, 1)
     ks = mx.model_ks_chart(probs, labels).ks_exact
-    return VariantMetrics(seed, variant, icasc_cfg.mechanism, acc,
-                          overlap.mean_l_as_last, overlap.skip_rate, ks)
+    return VariantMetrics(seed, variant, acc, overlap.mean_l_as_last,
+                          overlap.skip_rate, ks)
 
 
-def run_trend(work_dir, mechanism: str = "a-ch", seeds=(0, 1, 2, 3, 4),
-              epochs: int = 12, batch_size: int = 32, lr: float = 0.08,
-              base_cfg: IcascConfig | None = None) -> TrendReport:
-    """Train baseline + ICASC per seed and collect the comparison metrics."""
+def run_trend(work_dir, variants: Mapping[str, IcascConfig | None] = VARIANTS,
+              seeds=(0, 1, 2, 3, 4), epochs: int = 12, batch_size: int = 32,
+              lr: float = 0.08) -> list[VariantMetrics]:
+    """Train every variant per seed into ``{name}_s{seed}``, seed-major in
+    the order of ``variants``; score each model and write ``trend.csv``."""
     work_dir = Path(work_dir)
     train_dir, test_dir = make_datasets(work_dir)
     test_set = dio.load_dataset(test_dir)
-    icasc_cfg = replace(base_cfg or IcascConfig(), mechanism=mechanism)
 
     rows: list[VariantMetrics] = []
     for seed in seeds:
-        common = dict(data_dir=str(train_dir), test_dir=str(test_dir),
-                      epochs=epochs, batch_size=batch_size, lr=lr, seed=seed,
-                      channels=(8, 16), schedule="cosine", icasc=icasc_cfg)
-        baseline_model = train(TrainConfig(
-            out_dir=str(work_dir / f"baseline_s{seed}"), baseline=True,
-            **common)).model
-        icasc_model = train(TrainConfig(
-            out_dir=str(work_dir / f"icasc_{mechanism}_s{seed}"),
-            baseline=False, **common)).model
-
-        rows.append(evaluate_model(baseline_model, test_set, seed,
-                                   "baseline", icasc_cfg))
-        rows.append(evaluate_model(icasc_model, test_set, seed, "icasc",
-                                   icasc_cfg))
-    report = TrendReport(mechanism, rows)
-    write_trend_csv(work_dir / f"trend_{mechanism}.csv", report)
-    return report
+        for name, icasc in variants.items():
+            model = train(TrainConfig(
+                data_dir=str(train_dir), test_dir=str(test_dir),
+                out_dir=str(work_dir / f"{name}_s{seed}"), epochs=epochs,
+                batch_size=batch_size, lr=lr, seed=seed, channels=(8, 16),
+                schedule="cosine", icasc=icasc)).model
+            rows.append(evaluate_model(model, test_set, seed, name))
+    write_trend_csv(work_dir / "trend.csv", rows)
+    return rows
 
 
-def write_trend_csv(path, report: TrendReport) -> None:
+def write_trend_csv(path, rows: list[VariantMetrics]) -> None:
     """One row per (seed, variant); the columns are VariantMetrics' fields."""
     dio.write_csv(path, [f.name for f in fields(VariantMetrics)],
-                  [astuple(r) for r in report.rows])
+                  [astuple(r) for r in rows])

@@ -45,8 +45,6 @@ class IcascConfig:
     theta: float = 0.8
     epsilon: float = 1e-8
     skip_threshold: float = 1e-6
-    clamp_lac: bool = False
-    weight_lc: float = 1.0
     weight_as_inner: float = 1.0
     weight_as_last: float = 1.0
     weight_ac: float = 1.0
@@ -61,27 +59,22 @@ class IcascConfig:
             raise ConfigError("sigma_factor must lie in (0, 1)")
         if not 0 < self.theta <= 1:
             raise ConfigError("theta must lie in (0, 1]")
-        for key in ("epsilon", "skip_threshold", "weight_lc",
-                    "weight_as_inner", "weight_as_last", "weight_ac"):
+        for key in ("epsilon", "skip_threshold", "weight_as_inner",
+                    "weight_as_last", "weight_ac"):
             value = getattr(self, key)
             if not 0 <= value < np.inf:
                 raise ConfigError(f"{key} must be finite and >= 0, got {value!r}")
 
     # -- key = value config file ------------------------------------------
     _FLOAT_KEYS = ("omega", "sigma_factor", "theta", "epsilon",
-                   "skip_threshold", "weight_lc", "weight_as_inner",
-                   "weight_as_last", "weight_ac")
+                   "skip_threshold", "weight_as_inner", "weight_as_last",
+                   "weight_ac")
 
     def to_text(self) -> str:
         lines = [f"mechanism = {self.mechanism}"]
         for key in self._FLOAT_KEYS:
             lines.append(f"{key} = {getattr(self, key)!r}")
-        lines.append(f"clamp_lac = {'true' if self.clamp_lac else 'false'}")
         return "\n".join(lines) + "\n"
-
-
-_BOOLS = {"true": True, "yes": True, "1": True,
-          "false": False, "no": False, "0": False}
 
 
 def parse_kv_file(path) -> dict:
@@ -99,11 +92,6 @@ def parse_kv_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "mechanism":
                 kv[key] = value
-            elif key == "clamp_lac":
-                if value.lower() not in _BOOLS:
-                    raise DataError(f"{where}: clamp_lac must be one of "
-                                    f"true/false/yes/no/1/0, got '{value}'")
-                kv[key] = _BOOLS[value.lower()]
             elif key in IcascConfig._FLOAT_KEYS:
                 try:
                     kv[key] = float(value)
@@ -199,8 +187,7 @@ def separation_per_sample(target: Tensor, confusing: Tensor,
 
 
 def consistency_per_sample(inner_target: Tensor, mask: np.ndarray,
-                           theta: float, eps: float,
-                           clamp: bool = False) -> Tensor:
+                           theta: float, eps: float) -> Tensor:
     """theta minus the in-mask attention fraction, per sample: (N,)."""
     if inner_target.shape != mask.shape:
         raise ad.ShapeError(f"consistency shapes differ: attention "
@@ -208,8 +195,7 @@ def consistency_per_sample(inner_target: Tensor, mask: np.ndarray,
     num = ad.reduce_sum(ad.mul(inner_target, Tensor(mask)), (1, 2))
     den = ad.reduce_sum(inner_target, (1, 2))
     ratio = ad.div(num, den, eps=eps)
-    out = ad.sub(theta, ratio)
-    return ad.relu(out) if clamp else out
+    return ad.sub(theta, ratio)
 
 
 def per_sample_terms(a_tgt: dict[str, Tensor], a_conf: dict[str, Tensor],
@@ -238,7 +224,7 @@ def per_sample_terms(a_tgt: dict[str, Tensor], a_conf: dict[str, Tensor],
                                         config.epsilon)
            for layer, maps in a_conf.items()}
     lac = consistency_per_sample(a_tgt["inner"], context.mask_inner,
-                                 config.theta, config.epsilon, config.clamp_lac)
+                                 config.theta, config.epsilon)
     return las, lac, context
 
 
@@ -258,7 +244,8 @@ def classification_objective(record: ForwardRecord, labels) -> LossBreakdown:
 
 def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
                     context: Optional[ObjectiveContext] = None) -> LossBreakdown:
-    """Classification loss plus the three attention terms.
+    """Classification loss plus the three attention terms, each times its
+    ``weight_*``.
 
     Attention for the ground-truth and the confusing class is computed at
     the inner and last tracked layers with gradients that stay on the tape,
@@ -287,17 +274,17 @@ def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
         t_las_la, t_las_in, t_lac = (ad.mul(ad.reduce_sum(term), 1.0 / kept)
                                      for term in terms)
 
-    weighted = {"L_C": (l_c, config.weight_lc),
-                "L_AS_inner": (t_las_in, config.weight_as_inner),
+    weighted = {"L_AS_inner": (t_las_in, config.weight_as_inner),
                 "L_AS_last": (t_las_la, config.weight_as_last),
                 "L_AC": (t_lac, config.weight_ac)}
-    total = None
+    total = l_c
     for term, weight in weighted.values():
         term = term if weight == 1.0 else ad.mul(term, weight)
-        total = term if total is None else ad.add(total, term)
+        total = ad.add(total, term)
 
-    items = {name: term.item() for name, (term, _) in weighted.items()}
-    items["total"] = total.item()
+    items = {"L_C": l_c.item(),
+             **{name: term.item() for name, (term, _) in weighted.items()},
+             "total": total.item()}
     for name, value in items.items():
         if not np.isfinite(value):
             raise NumericalError(f"non-finite loss term {name}={value} "

@@ -228,6 +228,9 @@ class SgdOptimizer:
             params[name] = p - lr * v
 
 
+SCHEDULES = ("step", "cosine")
+
+
 def lr_schedule(kind: str, epoch: int, total_epochs: int, base_lr: float,
                 milestones: tuple[int, ...] = ()) -> float:
     """Step decay (x0.1 at each passed milestone) or single-cycle cosine."""

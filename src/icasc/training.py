@@ -15,7 +15,7 @@ from . import data as dio
 from .autodiff import Tape
 from .losses import IcascConfig, classification_objective, icasc_objective
 from .metrics import predict, topk_accuracy
-from .nn import (ConfigError, Model, ModelConfig, SgdOptimizer,
+from .nn import (SCHEDULES, ConfigError, Model, ModelConfig, SgdOptimizer,
                  load_checkpoint, lr_schedule, save_checkpoint)
 
 
@@ -33,10 +33,10 @@ class TrainConfig:
     milestones: tuple[int, ...] = ()
     seed: int = 0
     channels: tuple[int, ...] = (8, 16)
-    baseline: bool = False
     flip: bool = False
     resume: bool = False
-    icasc: IcascConfig = field(default_factory=IcascConfig)
+    # the attention objective; None trains the baseline on L_C alone
+    icasc: Optional[IcascConfig] = field(default_factory=IcascConfig)
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -50,6 +50,9 @@ class TrainConfig:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not self.weight_decay >= 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
+        if self.schedule not in SCHEDULES:
+            raise ConfigError(f"schedule must be one of {SCHEDULES}, "
+                              f"got '{self.schedule}'")
 
     def to_kv(self) -> str:
         lines = [
@@ -65,10 +68,11 @@ class TrainConfig:
             f"milestones = {','.join(str(m) for m in self.milestones)}",
             f"seed = {self.seed}",
             f"channels = {','.join(str(c) for c in self.channels)}",
-            f"baseline = {'true' if self.baseline else 'false'}",
+            f"baseline = {'true' if self.icasc is None else 'false'}",
             f"flip = {'true' if self.flip else 'false'}",
         ]
-        return "\n".join(lines) + "\n" + self.icasc.to_text()
+        text = "\n".join(lines) + "\n"
+        return text if self.icasc is None else text + self.icasc.to_text()
 
 
 @dataclass
@@ -163,7 +167,7 @@ def train(cfg: TrainConfig) -> TrainResult:
                 train_set, cfg.batch_size, cfg.seed, epoch, shuffle=True,
                 flip=cfg.flip):
             record = model.forward(images, tape=Tape())
-            b = classification_objective(record, labels) if cfg.baseline \
+            b = classification_objective(record, labels) if cfg.icasc is None \
                 else icasc_objective(record, labels, cfg.icasc)
             leaves = record.param_leaves
             grads = ad.backward(b.total_tensor, list(leaves.values()))

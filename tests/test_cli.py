@@ -237,6 +237,22 @@ def test_config_file_mechanism_and_flag_precedence(dataset, tmp_path):
     assert "theta = 0.6" in text           # file beats default
 
 
+@pytest.mark.parametrize("flag", ["--mechanism", "--config"])
+def test_baseline_with_an_objective_setting_is_usage_error(dataset, tmp_path,
+                                                           capsys, flag):
+    """The baseline trains on L_C alone, so it has no objective to set."""
+    cfg_file = tmp_path / "loss.cfg"
+    cfg_file.write_text("theta = 0.6\n", encoding="utf-8")
+    value = {"--mechanism": "grad-cam", "--config": str(cfg_file)}[flag]
+    out = tmp_path / "o"
+    assert run("train", "--data", str(dataset / "train"), "--out", str(out),
+               "--baseline", flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--baseline" in err
+    assert flag in err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # eval / attend / ks
 # --------------------------------------------------------------------------
@@ -613,6 +629,39 @@ def relabel(src: Path, dst: Path, labels: dict[str, str]) -> Path:
     return dst
 
 
+@pytest.mark.parametrize("label", ["1_0", " +1 "],
+                         ids=["underscore", "signed"])
+def test_a_label_that_is_not_plain_digits_is_data_error(dataset, tmp_path,
+                                                        capsys, label):
+    """``int()`` would read ``1_0`` as class 10 and `` +1 `` as class 1."""
+    data = relabel(dataset / "train", tmp_path / "d",
+                   {"c0_0000": "0", "c1_0000": label})
+    out = tmp_path / "o"
+    assert run("train", "--data", str(data), "--out", str(out), "--epochs",
+               "1", "--channels", "4,8") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert f"sample 'c1_0000': label '{label}' is not one class id" in err
+    assert not out.exists()
+
+
+def test_a_repeated_sample_id_is_data_error(trained, dataset, tmp_path,
+                                            capsys):
+    """``attend`` finds samples by id, so a second row under one id would
+    render its image under the first row's name."""
+    data = relabel(dataset / "test", tmp_path / "d",
+                   {"c0_0000": "0", "c1_0000": "1"})
+    with open(data / "labels.csv", "a", encoding="utf-8") as fh:
+        fh.write("c0_0000,c1_0000.pgm,1\n")
+    out = tmp_path / "a"
+    assert run("attend", "--checkpoint", str(trained), "--data", str(data),
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "sample 'c0_0000': id repeated at" in err and "labels.csv:4" in err
+    assert not out.exists()
+
+
 def test_eval_attention_on_a_row_covering_every_class_is_data_error(
         dataset, tmp_path, capsys):
     """A 2-class model and a ``0;1`` row: a label is one class id, so the
@@ -886,6 +935,7 @@ def test_huge_train_state_length_field_is_data_error(dataset, tmp_path, capsys,
 @pytest.mark.parametrize("line, code, message", [
     ("omega = abc", 2, "loss.cfg:1"), ("omega 3", 2, "loss.cfg:1"),
     ("omga = 3", 2, "loss.cfg:1"), ("clamp_lac = ture", 2, "loss.cfg:1"),
+    ("clamp_lac = true", 2, "loss.cfg:1"), ("weight_lc = 1", 2, "loss.cfg:1"),
     ("omega = -1", 1, "usage error: omega"),
     ("theta = 1.5", 1, "usage error: theta"),
     ("mechanism = cam", 1, "usage error: mechanism"),
@@ -894,7 +944,6 @@ def test_huge_train_state_length_field_is_data_error(dataset, tmp_path, capsys,
     ("omega = inf", 1, "usage error: omega"),
     ("epsilon = inf", 1, "usage error: epsilon"),
     ("skip_threshold = inf", 1, "usage error: skip_threshold"),
-    ("weight_lc = nan", 1, "usage error: weight_lc"),
     ("weight_as_inner = -1", 1, "usage error: weight_as_inner"),
     ("weight_as_last = inf", 1, "usage error: weight_as_last"),
     ("weight_ac = -0.5", 1, "usage error: weight_ac"),

@@ -20,7 +20,7 @@ def test_evaluate_model_matches_cli_eval_and_ks(tmp_path, capsys):
     ckpt = tmp_path / "m.ckpt"
     save_checkpoint(ckpt, model)
 
-    got = experiments.evaluate_model(model, dataset, 0, "icasc", IcascConfig())
+    got = experiments.evaluate_model(model, dataset, 0, "icasc")
     common = ["--checkpoint", str(ckpt), "--data", str(tmp_path / "d")]
     assert cli.main(["eval", *common, "--out", str(tmp_path / "e"),
                      "--attention"]) == 0
@@ -43,8 +43,7 @@ def test_evaluate_model_runs_one_pass_over_the_set(tmp_path, monkeypatch,
     dataset = dio.load_dataset(tmp_path / "d")
     model = helpers.tiny_model(5, channels=(4, 8), size=16, n_classes=3)
     calls = helpers.count_forwards(monkeypatch)
-    experiments.evaluate_model(model, dataset, 0, "icasc", IcascConfig(),
-                               batch_size)
+    experiments.evaluate_model(model, dataset, 0, "icasc", batch_size)
     assert calls == [True] * math.ceil(len(dataset) / batch_size)
 
 
@@ -56,23 +55,30 @@ def run_tiny_trend(work, **kwargs):
 
 
 def test_run_trend_writes_one_row_per_seed_and_variant(tmp_path):
-    report = run_tiny_trend(tmp_path / "a", seeds=(0, 1))
-    with open(tmp_path / "a" / "trend_a-ch.csv", newline="") as fh:
-        header, *rows = csv.reader(fh)
+    rows = run_tiny_trend(tmp_path, seeds=(0, 1))
+    with open(tmp_path / "trend.csv", newline="") as fh:
+        header, *csv_rows = csv.reader(fh)
     assert header == [f.name for f in fields(experiments.VariantMetrics)]
-    assert [(r.seed, r.variant) for r in report.rows] == [
+    assert [(r.seed, r.variant) for r in rows] == [
         (0, "baseline"), (0, "icasc"), (1, "baseline"), (1, "icasc")]
-    assert rows == [[str(v) if isinstance(v, (int, str)) else repr(v)
-                     for v in astuple(r)] for r in report.rows]
-    assert all(r.mechanism == "a-ch" for r in report.rows)
-
-    run_tiny_trend(tmp_path / "b", seeds=(0, 1))
-    assert (tmp_path / "a" / "trend_a-ch.csv").read_bytes() == \
-        (tmp_path / "b" / "trend_a-ch.csv").read_bytes()
+    assert csv_rows == [[str(v) if isinstance(v, (int, str)) else repr(v)
+                         for v in astuple(r)] for r in rows]
 
 
-def test_run_trend_names_its_csv_after_the_mechanism(tmp_path):
-    report = run_tiny_trend(tmp_path, seeds=(0,), mechanism="grad-cam")
-    assert report.mechanism == "grad-cam"
-    assert (tmp_path / "trend_grad-cam.csv").is_file()
-    assert not (tmp_path / "trend_a-ch.csv").exists()
+def test_run_trend_runs_each_named_variant_in_order(tmp_path):
+    """Rows in the dict's order, one ``{name}_s{seed}`` run directory each,
+    and the same CSV bytes from a second work directory."""
+    variants = {"baseline": None, "icasc": IcascConfig(),
+                "no_inner": IcascConfig(weight_as_inner=0.0)}
+    rows = run_tiny_trend(tmp_path / "a", variants=variants, seeds=(0,))
+    assert [(r.seed, r.variant) for r in rows] == [
+        (0, "baseline"), (0, "icasc"), (0, "no_inner")]
+    for name in variants:
+        assert (tmp_path / "a" / f"{name}_s0" / "final.ckpt").is_file()
+    assert (tmp_path / "a" / "trend.csv").read_text().splitlines()[0] == \
+        "seed,variant,test_accuracy,mean_l_as_last,skip_rate,ks_exact"
+    assert rows[1] != rows[2]      # each variant trains with its own config
+
+    run_tiny_trend(tmp_path / "b", variants=variants, seeds=(0,))
+    assert (tmp_path / "a" / "trend.csv").read_bytes() == \
+        (tmp_path / "b" / "trend.csv").read_bytes()

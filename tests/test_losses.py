@@ -52,7 +52,7 @@ def test_config_validation():
 
 def test_config_file_roundtrip(tmp_path):
     cfg = IcascConfig(mechanism="grad-cam", omega=50.0, theta=0.7,
-                      clamp_lac=True, weight_ac=0.5)
+                      weight_ac=0.5)
     path = tmp_path / "loss.cfg"
     path.write_text(cfg.to_text() + "# trailing comment\n", encoding="utf-8")
     assert IcascConfig(**parse_kv_file(path)) == cfg
@@ -65,23 +65,13 @@ def test_config_file_unknown_key(tmp_path):
         parse_kv_file(path)
 
 
-@pytest.mark.parametrize("line", ["omega 3", "omga = 3", "omega = abc",
-                                  "clamp_lac = ture"],
-                         ids=["no_equals", "unknown_key", "bad_float",
-                              "bad_bool"])
+@pytest.mark.parametrize("line", ["omega 3", "omga = 3", "omega = abc"],
+                         ids=["no_equals", "unknown_key", "bad_float"])
 def test_config_file_malformed_line_is_data_error_naming_line(tmp_path, line):
     path = tmp_path / "loss.cfg"
     path.write_text(f"theta = 0.7\n{line}\n", encoding="utf-8")
     with pytest.raises(DataError, match=f"{path}:2"):
         parse_kv_file(path)
-
-
-def test_config_file_bool_spellings(tmp_path):
-    path = tmp_path / "loss.cfg"
-    for value, expected in [("true", True), ("Yes", True), ("1", True),
-                            ("FALSE", False), ("no", False), ("0", False)]:
-        path.write_text(f"clamp_lac = {value}\n", encoding="utf-8")
-        assert parse_kv_file(path) == {"clamp_lac": expected}
 
 
 # --------------------------------------------------------------------------
@@ -219,13 +209,6 @@ def test_consistency_fully_outside():
                                np.zeros((1, 1, 2)),
                                DEFAULTS.theta, DEFAULTS.epsilon)
     assert v.data[0] == pytest.approx(0.8, abs=1e-12)
-
-
-def test_consistency_clamp_variant():
-    v = consistency_per_sample(Tensor([[[0.5, 0.5]]]),
-                               np.full((1, 1, 2), 1.0 - 1e-12),
-                               DEFAULTS.theta, DEFAULTS.epsilon, clamp=True)
-    assert v.data[0] == 0.0
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from icasc import data as dio
 from icasc import training
 from icasc.losses import IcascConfig
+from icasc.nn import ConfigError
 from icasc.training import LOG_COLUMNS, TrainConfig, read_log, train
 
 
@@ -22,7 +23,7 @@ def test_epoch_logs_finite_in_range_row(synth_set, tmp_path, baseline):
     result = train(TrainConfig(
         data_dir=str(synth_set), test_dir=str(synth_set),
         out_dir=str(tmp_path / "run"), epochs=1, batch_size=8,
-        channels=(4, 8), lr=0.01, baseline=baseline))
+        channels=(4, 8), lr=0.01, icasc=None if baseline else IcascConfig()))
     (row,) = result.log
     assert all(math.isfinite(getattr(row, c)) for c in LOG_COLUMNS)
     assert row.l_c > 0
@@ -38,6 +39,25 @@ def test_epoch_logs_finite_in_range_row(synth_set, tmp_path, baseline):
         assert row.total == pytest.approx(
             row.l_c + row.l_as_in + row.l_as_la + row.l_ac, rel=1e-12)
     assert read_log(tmp_path / "run" / "train_log.csv") == result.log
+
+
+def test_run_config_echoes_icasc_settings_only_when_used(tmp_path):
+    def echo(icasc):
+        return TrainConfig(data_dir="d", out_dir="o", icasc=icasc).to_kv()
+
+    assert echo(None).endswith("channels = 8,16\nbaseline = true\n"
+                               "flip = false\n")
+    assert echo(IcascConfig()) == \
+        echo(None).replace("baseline = true", "baseline = false") + \
+        IcascConfig().to_text()
+
+
+def test_unknown_schedule_is_rejected_before_out_dir(synth_set, tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match="schedule"):
+        train(TrainConfig(data_dir=str(synth_set), out_dir=str(out),
+                          schedule="cosin"))
+    assert not out.exists()
 
 
 class Crash(Exception):
