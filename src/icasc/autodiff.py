@@ -325,7 +325,14 @@ def relu(x) -> Tensor:
     x = _lift(x)
     mask = x.data > 0  # derivative at exactly 0 is 0
     mask.flags.writeable = False
-    return _emit("relu", (x,), np.where(mask, x.data, 0.0), {"mask": mask})
+    # bit-equal to np.where(mask, x, 0.0), whose scalar operand takes NumPy's
+    # slow broadcast path: fmax maps a quiet NaN to 0 but may return a
+    # signalling one quietened, which the second fmax maps to 0; adding +0.0
+    # turns -0.0 into +0.0
+    value = np.fmax(x.data, 0.0)
+    np.fmax(value, 0.0, out=value)
+    value += 0.0
+    return _emit("relu", (x,), value, {"mask": mask})
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from . import data as dio
 from . import metrics as mx
 from .attention import LAYERS, MECHANISMS, class_gradients, compute_attention
-from .autodiff import Tape
+from .autodiff import Tape, Tensor
 from .losses import IcascConfig, parse_kv_file
 from .nn import SCHEDULES, ConfigError, NumericalError, load_checkpoint
 from .training import TrainConfig, train
@@ -229,24 +229,28 @@ def _attend_chunk(model, samples, k: int, out: Path,
 
     One taped forward serves the chunk, and one backward per rank gives
     every sample's gradient for its own class at that rank (the model has
-    no batch-coupling op).  Each (rank, layer, mechanism) stack of maps is
-    rendered in one call.  The tape is freed when this returns.
+    no batch-coupling op).  Per layer, the ranks' gradients are stacked
+    rank-major against the chunk's features tiled ``k`` times, so each
+    (layer, mechanism) makes one map call and one render call across all
+    ranks; every op of both works per sample, so each map keeps its bytes.
+    The tape is freed when this returns.
     """
     record = model.forward(np.stack([s.image for s in samples]), tape=Tape())
     probs = record.probabilities
     top = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+    grads = [class_gradients(record, top[:, rank], LAYERS)
+             for rank in range(k)]
     size = model.config.input_size
     images = {}
-    for rank in range(k):
-        grads = class_gradients(record, top[:, rank], LAYERS)
-        for layer in LAYERS:
-            feats = record.feats[layer].detach()
-            for mech in MECHANISMS:
-                images[rank, layer, mech] = mx.render_heatmaps(
-                    compute_attention(mech, feats, grads[layer]).data,
-                    (size, size), color)
+    for layer in LAYERS:
+        feats = Tensor(np.tile(record.feats[layer].data, (k, 1, 1, 1)))
+        stack = Tensor(np.concatenate([g[layer].data for g in grads]))
+        for mech in MECHANISMS:
+            images[layer, mech] = mx.render_heatmaps(
+                compute_attention(mech, feats, stack).data, (size, size), color)
 
     ext, write = ("ppm", dio.write_ppm) if color else ("pgm", dio.write_pgm)
+    n = len(samples)
     rows = []
     for i, sample in enumerate(samples):
         rows.append([])
@@ -254,7 +258,7 @@ def _attend_chunk(model, samples, k: int, out: Path,
             for layer in LAYERS:
                 for mech in MECHANISMS:
                     fname = f"{sample.id}_c{class_id}_{layer}_{mech}.{ext}"
-                    write(out / fname, images[rank, layer, mech][i])
+                    write(out / fname, images[layer, mech][rank * n + i])
                     rows[i].append((sample.id, int(class_id), layer, mech,
                                     fname, float(probs[i, class_id])))
     return rows

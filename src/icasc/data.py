@@ -205,9 +205,10 @@ def load_dataset(path, n_classes: int | None = None) -> Dataset:
     max_label = -1
     with open(labels_file, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                [f.strip() for f in reader.fieldnames] != ["id", "filename", "label"]:
+        names = [f.strip() for f in reader.fieldnames or ()]
+        if names != ["id", "filename", "label"]:
             raise DataError(f"{labels_file}: header must be id,filename,label")
+        reader.fieldnames = names  # key rows by the names the check accepted
         for row in reader:
             # DictReader keys surplus fields under None and fills missing ones with None
             if None in row or None in row.values():

@@ -37,6 +37,33 @@ def test_relu_values():
     assert np.array_equal(out.data, [0.0, 0.0, 3.0])
 
 
+def _f64(bits: int) -> float:
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+def test_relu_value_is_bit_equal_to_where():
+    """``relu``'s value has the bits of ``np.where(x > 0, x, 0.0)`` on the
+    values where a max can differ: signed zeros and infinities, quiet and
+    signalling NaN payloads of both signs, and subnormals; in arrays long
+    enough to take NumPy's vector loop as well as its scalar tail, and in a
+    non-contiguous view."""
+    specials = [0.0, -0.0, np.inf, -np.inf,
+                _f64(0x7FF8000000000001), _f64(0xFFF8000000000123),  # quiet
+                _f64(0x7FF0000000000001), _f64(0xFFF00000000ABCDE),  # signalling
+                _f64(0x7FF4000000000000), _f64(0xFFF7FFFFFFFFFFFF),
+                5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.5, -1.5]
+    arrays = [np.array(specials * reps)[off:]
+              for reps in (1, 2, 9) for off in (0, 1, 3)]
+    grid = np.array(specials * 12).reshape(16, 12)
+    arrays.append(grid[1::3, ::5])
+    assert not arrays[-1].flags.c_contiguous
+    for x in arrays:
+        x.flags.writeable = False  # a frozen array enters a Tensor uncopied
+        want = np.where(x > 0, x, 0.0)
+        got = ad.relu(Tensor(x)).data
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sigmoid_midpoint():
     assert ad.sigmoid_array(np.array([0.0]))[0] == 0.5
 

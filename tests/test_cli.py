@@ -406,6 +406,32 @@ def test_attend_runs_one_forward_per_chunk_and_one_backward_per_rank(
     assert backwards == [4, 4, 4, 4, 1, 1]
 
 
+def test_attend_makes_one_map_and_render_call_per_layer_and_mechanism(
+        trained, dataset, tmp_path, monkeypatch):
+    """9 samples in chunks of 4 at 2 ranks: each chunk makes one map call
+    and one render call per (layer, mechanism) over all its ranks, on 8, 8
+    and 2 rows (24 calls of each, on 4, 4 and 1 rows, one rank at a time)."""
+    maps, renders = [], []
+    compute_attention = cli.compute_attention
+    render_heatmaps = mx.render_heatmaps
+
+    def map_spy(mechanism, features, gradients):
+        maps.append(len(gradients.data))
+        return compute_attention(mechanism, features, gradients)
+
+    def render_spy(values, *args, **kwargs):
+        renders.append(len(values))
+        return render_heatmaps(values, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_attention", map_spy)
+    monkeypatch.setattr(mx, "render_heatmaps", render_spy)
+    ids = [s.id for s in dio.load_dataset(dataset / "test").samples[:9]]
+    assert run("attend", "--checkpoint", str(trained), "--data",
+               str(dataset / "test"), "--out", str(tmp_path / "a"),
+               "--classes", "2", "--samples", ",".join(ids)) == 0
+    assert maps == renders == [8] * 4 + [8] * 4 + [2] * 4
+
+
 def reference_attend(checkpoint, data, wanted, k: int, color: bool, out: Path):
     """``attend`` one sample at a time: a taped forward per sample and a
     backward per class.  Writes the heatmaps into ``out`` and returns the
@@ -459,12 +485,13 @@ def test_attend_matches_per_sample_reference(trained, dataset, tmp_path,
                "--out", str(out), "--classes", "3", "--samples", samples,
                *flags) == 0
 
-    # a chunk renders one stack per (rank, layer, mechanism); unpack them
-    # into (sample, rank, layer, mechanism) order
-    per_chunk = 3 * len(LAYERS) * len(MECHANISMS)
-    written = [stack[i]
+    # a chunk renders one stack per (layer, mechanism), its rows rank-major;
+    # unpack them into (sample, rank, layer, mechanism) order
+    per_chunk = len(LAYERS) * len(MECHANISMS)
+    written = [stack[rank * (len(stacks[c]) // 3) + i]
                for c in range(0, len(stacks), per_chunk)
-               for i in range(len(stacks[c]))
+               for i in range(len(stacks[c]) // 3)
+               for rank in range(3)
                for stack in stacks[c:c + per_chunk]]
     # a repeated id is rendered once: compare with its first mention's maps
     ref_first = {}
@@ -660,6 +687,25 @@ def test_a_repeated_sample_id_is_data_error(trained, dataset, tmp_path,
     assert err.startswith("data error:")
     assert "sample 'c0_0000': id repeated at" in err and "labels.csv:4" in err
     assert not out.exists()
+
+
+def test_eval_reads_a_header_with_padded_names(trained, dataset, tmp_path):
+    """``id, filename, label`` passes the header check, so its rows are read
+    by the same names: ``eval`` writes the plain header's metrics."""
+    data = tmp_path / "d"
+    data.mkdir()
+    for src in (dataset / "test").glob("*.pgm"):
+        (data / src.name).write_bytes(src.read_bytes())
+    text = (dataset / "test" / "labels.csv").read_text(encoding="utf-8")
+    assert text.startswith("id,filename,label\n")
+    (data / "labels.csv").write_text(
+        text.replace("id,filename,label", "id, filename, label", 1),
+        encoding="utf-8")
+    for name, src in (("padded", data), ("plain", dataset / "test")):
+        assert run("eval", "--checkpoint", str(trained), "--data", str(src),
+                   "--out", str(tmp_path / name)) == 0
+    assert (tmp_path / "padded" / "metrics.csv").read_bytes() == \
+        (tmp_path / "plain" / "metrics.csv").read_bytes()
 
 
 def test_eval_attention_on_a_row_covering_every_class_is_data_error(

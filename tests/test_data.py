@@ -222,6 +222,23 @@ def test_row_field_count_differs_from_header(tmp_path, row):
         load_dataset(tmp_path)
 
 
+def test_padded_header_names_load_the_same_samples(tmp_path):
+    """The header check strips each name, so rows are keyed by the stripped
+    names too: ``id, filename, label`` loads what the plain header does."""
+    generate_synth(SynthSpec(seed=3), 2, tmp_path / "d")
+    plain = load_dataset(tmp_path / "d")
+    labels = tmp_path / "d" / "labels.csv"
+    text = labels.read_text(encoding="utf-8")
+    labels.write_text(text.replace("id,filename,label", "id, filename, label",
+                                   1), encoding="utf-8")
+    padded = load_dataset(tmp_path / "d")
+    assert padded.n_classes == plain.n_classes
+    assert [(s.id, s.label) for s in padded.samples] == \
+        [(s.id, s.label) for s in plain.samples]
+    for a, b in zip(padded.samples, plain.samples):
+        assert np.array_equal(a.image, b.image)
+
+
 def test_multilabel_parsing(tmp_path):
     """A label is one class id: an ``a;b`` row is a data error naming the
     sample."""
