@@ -19,10 +19,11 @@ reproducible): ReLU derivative at exactly 0 is 0, elementwise ``minimum``
 routes ties to the first argument, and max pooling routes ties to the lowest
 flat index and a window that holds NaN to its first NaN.
 
-Max pooling is one pass over the window's strided tap views that keeps a
-running maximum and its flat index, and records the result as a
-``pool_gather`` node by those indices, whose adjoint is a ``pool_scatter``
-by the same indices.
+Max pooling runs over blocks of whole samples, each small enough that its
+temporaries stay in cache.  Within a block it is one pass over the window's
+strided tap views that keeps a running maximum and its flat index.  The
+result is recorded as a ``pool_gather`` node by those indices, whose adjoint
+is a ``pool_scatter`` by the same indices.
 
 Arrays that the engine builds itself (op results, routing masks, indices,
 the float masks of the ReLU and ``minimum`` rules) are frozen in place;
@@ -702,17 +703,27 @@ def _conv2d_dw_rule(node, g_hat, inputs, out, need):
 # pooling
 # --------------------------------------------------------------------------
 
+# Pooled elements per block of whole samples in ``maxpool2d``'s tap loop:
+# the block's value, offset and five temporaries (about 42 bytes a pooled
+# element) then stay in a core's L2 across the loop's passes.
+_POOL_BLOCK = 16 * 1024
+
 
 def maxpool2d(x, window: int = 2, stride: int = 2) -> Tensor:
     """Per-window max over NCHW, recorded as the gather of each window's
     maximum by its flat spatial index in the input plane.
 
-    One pass over the ``window**2`` strided tap views, as in ``_im2col``,
-    keeps a running value and its index.  A tap replaces them only where it
-    is strictly greater, or is the window's first NaN, so ties route to the
-    lowest flat index and a window holding NaN routes to its first NaN,
-    exactly as ``argmax`` over the window would.  The value is the routed
-    input element bit for bit, signed zero and NaN payload included.
+    The input is split into consecutive blocks of whole samples, each with
+    at most ``_POOL_BLOCK`` pooled elements (or one sample, if a sample is
+    larger).  Each block makes one pass over the ``window**2`` strided tap
+    views, as in ``_im2col``, keeping a running value and its index in its
+    rows of the output; the block temporaries are allocated once per call.
+    A tap replaces them only where it is strictly greater, or is the
+    window's first NaN, so ties route to the lowest flat index and a window
+    holding NaN routes to its first NaN, exactly as ``argmax`` over the
+    window would.  Every element takes the same ops in the same order
+    whatever the block size, and the value is the routed input element bit
+    for bit, signed zero and NaN payload included.
     """
     x = _lift(x)
     if x.ndim != 4:
@@ -732,33 +743,37 @@ def maxpool2d(x, window: int = 2, stride: int = 2) -> Tensor:
     def tap(a, b):
         return x.data[:, :, a:a + stride * oh:stride, b:b + stride * ow:stride]
 
-    value = tap(0, 0).copy()
-    offset = np.zeros(value.shape, dtype=np.int64)   # a*w + b of the winning tap
-    # each tap is read from its strided view once, into a contiguous buffer
-    cur = np.empty_like(value)
-    # winners move as bit patterns, so the value is exactly the input
-    # element that the index names; int64 steps wrap, so
-    # bits + (cur_bits - bits) is cur_bits for any pair of patterns
-    bits, cur_bits = value.view(np.int64), cur.view(np.int64)
-    stay = np.empty(value.shape, dtype=bool)
-    known = np.empty(value.shape, dtype=bool)
-    wins = np.empty(value.shape, dtype=np.int64)     # 0/1, to scale int steps
-    step = np.empty(value.shape, dtype=np.int64)
-    for a in range(window):
-        for b in range(window):
-            if a == b == 0:
-                continue
-            np.copyto(cur, tap(a, b))
-            # wins = (value is not NaN) and not (cur <= value)
-            np.less_equal(cur, value, out=stay)
-            np.equal(value, value, out=known)
-            np.greater(known, stay, out=wins)
-            np.subtract(cur_bits, bits, out=step)
-            step *= wins
-            bits += step
-            np.subtract(a * w + b, offset, out=step)
-            step *= wins
-            offset += step
+    value = np.empty((n, c, oh, ow), dtype=x.data.dtype)
+    offset = np.empty(value.shape, dtype=np.int64)   # a*w + b of the winning tap
+    block = max(1, _POOL_BLOCK // max(c * oh * ow, 1))
+    # a block's buffers: each tap, read from its strided view once into a
+    # contiguous copy; two bool masks; 0/1 wins, to scale int steps; a step
+    buffers = [np.empty((min(block, n), c, oh, ow), dtype=dtype)
+               for dtype in (value.dtype, bool, bool, np.int64, np.int64)]
+    for lo in range(0, n, block):
+        val, off = value[lo:lo + block], offset[lo:lo + block]
+        cur, stay, known, wins, step = (buf[:len(val)] for buf in buffers)
+        np.copyto(val, tap(0, 0)[lo:lo + block])
+        off.fill(0)
+        # winners move as bit patterns, so the value is exactly the input
+        # element that the index names; int64 steps wrap, so
+        # bits + (cur_bits - bits) is cur_bits for any pair of patterns
+        bits, cur_bits = val.view(np.int64), cur.view(np.int64)
+        for a in range(window):
+            for b in range(window):
+                if a == b == 0:
+                    continue
+                np.copyto(cur, tap(a, b)[lo:lo + block])
+                # wins = (value is not NaN) and not (cur <= value)
+                np.less_equal(cur, val, out=stay)
+                np.equal(val, val, out=known)
+                np.greater(known, stay, out=wins)
+                np.subtract(cur_bits, bits, out=step)
+                step *= wins
+                bits += step
+                np.subtract(a * w + b, off, out=step)
+                step *= wins
+                off += step
     offset += (np.arange(oh) * (stride * w))[:, None] + np.arange(ow) * stride
     offset.flags.writeable = False
     return _emit("pool_gather", (x,), value,

@@ -277,7 +277,9 @@ def cmd_attend(args) -> int:
         wanted = args.samples.split(",")
         missing = [sid for sid in wanted if sid not in by_id]
         if missing:
-            raise dio.DataError(f"unknown sample ids: {', '.join(missing)}")
+            # quoted, so an empty id or one with a stray space shows
+            raise dio.DataError("unknown sample ids: "
+                                + ", ".join(map(repr, missing)))
     else:
         wanted = [s.id for s in dataset.samples[:4]]
     out = Path(args.out)

@@ -116,9 +116,13 @@ def read_image(path) -> np.ndarray:
         if maxval != 255:
             raise DataError(f"{path}: maxval {maxval} unsupported (need 255)")
         channels = 1 if magic == b"P5" else 3
-        raw = fh.read(w * h * channels)
-        if len(raw) != w * h * channels:
-            raise DataError(f"{path}: truncated pixel data")
+        # checked before the read, so a huge declared size asks for no buffer
+        need = w * h * channels
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need > left:
+            raise DataError(f"{path}: truncated pixel data ({need} bytes "
+                            f"declared, {left} left)")
+        raw = fh.read(need)
     arr = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
     if channels == 1:
         return arr.reshape(1, h, w)

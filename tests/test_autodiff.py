@@ -279,6 +279,44 @@ def test_maxpool_value_and_route_match_argmax_oracle(window, stride, n, c,
     assert got.dtype == indices.dtype and np.array_equal(got, indices)
 
 
+# NaN payloads, quiet and signalling, of both signs; signed zeros; infinities
+_POOL_SPECIALS = [_f64(0x7FF8000000000001), _f64(0xFFF8000000000123),
+                  _f64(0x7FF0000000000001), _f64(0xFFF00000000ABCDE),
+                  -0.0, 0.0, -0.0, 0.0, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("shape, window, stride", [
+    ((32, 8, 32, 32), 2, 2),     # several full blocks
+    ((33, 8, 32, 32), 2, 2),     # a partial last block
+    ((2, 8, 128, 128), 2, 2),    # one sample larger than a block
+    ((20, 8, 34, 34), 3, 1),     # overlapping windows
+], ids=["full_blocks", "partial_block", "sample_over_block", "window3"])
+def test_blocked_maxpool_matches_argmax_oracle(shape, window, stride):
+    """The tap loop runs over blocks of whole samples; every block, the
+    partial last one included, gives the argmax oracle's value bytes and
+    routes.  The special values sit in the first, a middle and the last
+    sample, so in the first, a middle and the last block."""
+    n = shape[0]
+    oh = (shape[2] - window) // stride + 1
+    block = max(1, ad._POOL_BLOCK // (shape[1] * oh * oh))
+    assert -(-n // block) >= 2   # the loop runs over more than one block
+    rng = np.random.default_rng(sum(shape) + window)
+    x = rng.integers(-2, 3, size=shape).astype(np.float64)
+    for i in (0, n // 2, n - 1):
+        plane = x[i].reshape(-1)
+        at = rng.choice(plane.size, size=40 * len(_POOL_SPECIALS), replace=False)
+        plane[at] = np.repeat(_POOL_SPECIALS, 40)
+        # a 2x2 corner of ties between signed zeros, and one all-NaN window
+        x[i, 0, :2, :2] = [[-0.0, 0.0], [0.0, -0.0]]
+        x[i, 1, :window, :window] = _POOL_SPECIALS[2]
+    tape = Tape()
+    out = ad.maxpool2d(tape.leaf(x), window=window, stride=stride)
+    value, indices = oracles.maxpool_argmax(x, window, stride)
+    got = tape.nodes[out.node].meta["indices"]
+    assert out.data.tobytes() == value.tobytes()
+    assert got.dtype == indices.dtype and np.array_equal(got, indices)
+
+
 def test_maxpool_window_too_large():
     with pytest.raises(ShapeError):
         ad.maxpool2d(Tensor(np.zeros((1, 1, 1, 1))), window=2)

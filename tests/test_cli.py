@@ -385,6 +385,23 @@ def test_attend_unknown_sample_is_data_error(trained, dataset, tmp_path,
     assert not (tmp_path / "a").exists()
 
 
+@pytest.mark.parametrize("samples, named", [
+    ("c0_0000,", "unknown sample ids: ''\n"),
+    ("c0_0000, c1_0000", "unknown sample ids: ' c1_0000'\n"),
+], ids=["empty_id", "leading_space"])
+def test_attend_unknown_sample_message_quotes_each_id(trained, dataset,
+                                                      tmp_path, capsys,
+                                                      samples, named):
+    """An empty id and an id with a stray space are looked up as written,
+    and the message quotes them, so it never names an invisible id."""
+    rc = run("attend", "--checkpoint", str(trained), "--data",
+             str(dataset / "test"), "--out", str(tmp_path / "a"),
+             "--classes", "1", "--samples", samples)
+    assert rc == 2
+    assert capsys.readouterr().err.endswith(named)
+    assert not (tmp_path / "a").exists()
+
+
 def test_attend_runs_one_forward_per_chunk_and_one_backward_per_rank(
         trained, dataset, tmp_path, monkeypatch):
     """9 samples in chunks of 4 make 3 taped forwards; 2 ranks per chunk
@@ -774,6 +791,23 @@ def test_non_numeric_pgm_header_is_data_error(trained, tmp_path, capsys):
              "--out", str(tmp_path / "e"))
     assert rc == 2
     assert "garbled.pgm" in capsys.readouterr().err
+
+
+def test_oversized_pgm_header_is_data_error(tmp_path, capsys):
+    """A declared size past an index-sized integer is refused before the
+    pixels are read, as for any size larger than the file."""
+    d = tmp_path / "huge"
+    d.mkdir()
+    for name in ("a", "b"):
+        (d / f"{name}.pgm").write_bytes(b"P5\n99999999999 99999999999\n255\n"
+                                        + bytes(64))
+    (d / "labels.csv").write_text("id,filename,label\nhuge_a,a.pgm,0\n"
+                                  "huge_b,b.pgm,1\n", encoding="utf-8")
+    rc = run("train", "--data", str(d), "--out", str(tmp_path / "o"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "huge_a" in err and "truncated pixel data" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -90,6 +90,16 @@ def test_read_image_truncated(tmp_path):
         read_image(path)
 
 
+def test_read_image_size_past_the_file_is_data_error(tmp_path):
+    """The declared pixel bytes are checked against the bytes left, so a
+    size too large for an index-sized integer never reaches the read."""
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(b"P6\n99999999999 99999999999\n255\n" + bytes(64))
+    with pytest.raises(DataError, match=r"huge.pgm: truncated pixel data "
+                                        r"\(\d+ bytes declared, 64 left\)"):
+        read_image(path)
+
+
 @pytest.mark.parametrize("header", [b"P5\nxx 8\n255\n", b"P5\n0 8\n255\n",
                                     b"P5\n4 -2\n255\n"])
 def test_read_image_bad_dimensions_name_file(tmp_path, header):
