@@ -19,11 +19,15 @@ reproducible): ReLU derivative at exactly 0 is 0, elementwise ``minimum``
 routes ties to the first argument, and max pooling routes ties to the lowest
 flat index and a window that holds NaN to its first NaN.
 
-Max pooling runs over blocks of whole samples, each small enough that its
-temporaries stay in cache.  Within a block it is one pass over the window's
-strided tap views that keeps a running maximum and its flat index.  The
-result is recorded as a ``pool_gather`` node by those indices, whose adjoint
-is a ``pool_scatter`` by the same indices.
+Max pooling runs in two passes.  The forward computes only the value, a
+running ``np.maximum`` over the window's strided tap views, and records a
+``pool_gather`` node without routes.  A backward rule or
+``Tape.kink_signature`` that first reads the node's routes (each window's
+flat index of its first maximum) derives them from the node's input and
+value, over blocks of whole samples small enough that the temporaries stay
+in cache, and keeps them on the node.  The adjoint of a ``pool_gather`` is a
+``pool_scatter`` by the same indices, and that of a ``pool_scatter`` is a
+``pool_gather`` that records its indices.
 
 Arrays that the engine builds itself (op results, routing masks, indices,
 the float masks of the ReLU and ``minimum`` rules) are frozen in place;
@@ -134,7 +138,8 @@ class Tape:
         return Tensor(arr, self, handle, _own=True)
 
     def kink_signature(self) -> str:
-        """Hash of every routing decision recorded on the tape.
+        """Hash of every routing decision on the tape: the ReLU and min
+        masks recorded, the pool routes derived on first read.
 
         Two evaluations of the same function at nearby points have equal
         signatures iff no ReLU/min/pool routing flipped between them,
@@ -143,6 +148,8 @@ class Tape:
         """
         h = hashlib.blake2b(digest_size=16)
         for i, node in enumerate(self.nodes):
+            if node.kind == "pool_gather":
+                _pool_indices(node)
             for key in ("mask", "mask_first", "indices"):
                 if key in node.meta:
                     h.update(node.kind.encode())
@@ -703,27 +710,55 @@ def _conv2d_dw_rule(node, g_hat, inputs, out, need):
 # pooling
 # --------------------------------------------------------------------------
 
-# Pooled elements per block of whole samples in ``maxpool2d``'s tap loop:
-# the block's value, offset and five temporaries (about 42 bytes a pooled
-# element) then stay in a core's L2 across the loop's passes.
+# Pooled elements per block of whole samples in the route pass: the block's
+# value and its bool and uint8 temporaries then stay in a core's L2 across
+# the passes over the taps.
 _POOL_BLOCK = 16 * 1024
+
+
+def _pool_taps(x: np.ndarray, window: int, stride: int, oh: int, ow: int):
+    """``(offsets, views)`` of the window taps ``(a, b)`` in tap order: the
+    offset is ``a*w + b`` and the view is the strided input at that tap of
+    every window, as in ``_im2col``."""
+    w = x.shape[3]
+    taps = [(a * w + b, x[:, :, a:a + stride * oh:stride, b:b + stride * ow:stride])
+            for a in range(window) for b in range(window)]
+    return np.array([k for k, _ in taps]), [view for _, view in taps]
+
+
+def _first_tap(taps, value: np.ndarray) -> np.ndarray:
+    """Each window's first tap, by its place in ``taps``, whose element
+    equals ``value`` or is NaN.
+
+    A window counts the leading taps that miss; the last tap is never
+    compared, since ``value`` is one of its window's elements.
+    """
+    has_nan = bool(np.isnan(value).any())
+    first = np.zeros(value.shape, dtype=np.min_scalar_type(len(taps) - 1))
+    ahead = np.ones(value.shape, dtype=bool)      # no tap so far matched
+    missed = np.empty(value.shape, dtype=bool)
+    for tap in taps[:-1]:
+        np.not_equal(tap, value, out=missed)
+        if has_nan:
+            missed &= tap == tap
+        ahead &= missed
+        first += ahead
+    return first
 
 
 def maxpool2d(x, window: int = 2, stride: int = 2) -> Tensor:
     """Per-window max over NCHW, recorded as the gather of each window's
-    maximum by its flat spatial index in the input plane.
+    maximum from the input; the gather's flat spatial indices (its routes)
+    are derived when first read, by ``_pool_indices``.
 
-    The input is split into consecutive blocks of whole samples, each with
-    at most ``_POOL_BLOCK`` pooled elements (or one sample, if a sample is
-    larger).  Each block makes one pass over the ``window**2`` strided tap
-    views, as in ``_im2col``, keeping a running value and its index in its
-    rows of the output; the block temporaries are allocated once per call.
-    A tap replaces them only where it is strictly greater, or is the
-    window's first NaN, so ties route to the lowest flat index and a window
-    holding NaN routes to its first NaN, exactly as ``argmax`` over the
-    window would.  Every element takes the same ops in the same order
-    whatever the block size, and the value is the routed input element bit
-    for bit, signed zero and NaN payload included.
+    The value pass runs ``np.maximum`` over the ``window**2`` strided tap
+    views in tap order.  That gives each window's maximum, and NaN for a
+    window holding NaN, but not always its bits: SIMD max may pick either
+    zero of a ``-0.0``/``0.0`` tie and may quieten a signalling NaN.  So
+    each window whose maximum is zero or NaN takes the exact bits of its
+    first zero or first NaN tap.  The value is then the routed input
+    element bit for bit, signed zero and NaN payload included: the first
+    maximum, or the first NaN, exactly as ``argmax`` over the window picks.
     """
     x = _lift(x)
     if x.ndim != 4:
@@ -739,45 +774,55 @@ def maxpool2d(x, window: int = 2, stride: int = 2) -> Tensor:
                          f"{stride} after {window}-windowing")
     oh = (h - window) // stride + 1
     ow = (w - window) // stride + 1
-
-    def tap(a, b):
-        return x.data[:, :, a:a + stride * oh:stride, b:b + stride * ow:stride]
-
-    value = np.empty((n, c, oh, ow), dtype=x.data.dtype)
-    offset = np.empty(value.shape, dtype=np.int64)   # a*w + b of the winning tap
-    block = max(1, _POOL_BLOCK // max(c * oh * ow, 1))
-    # a block's buffers: each tap, read from its strided view once into a
-    # contiguous copy; two bool masks; 0/1 wins, to scale int steps; a step
-    buffers = [np.empty((min(block, n), c, oh, ow), dtype=dtype)
-               for dtype in (value.dtype, bool, bool, np.int64, np.int64)]
-    for lo in range(0, n, block):
-        val, off = value[lo:lo + block], offset[lo:lo + block]
-        cur, stay, known, wins, step = (buf[:len(val)] for buf in buffers)
-        np.copyto(val, tap(0, 0)[lo:lo + block])
-        off.fill(0)
-        # winners move as bit patterns, so the value is exactly the input
-        # element that the index names; int64 steps wrap, so
-        # bits + (cur_bits - bits) is cur_bits for any pair of patterns
-        bits, cur_bits = val.view(np.int64), cur.view(np.int64)
-        for a in range(window):
-            for b in range(window):
-                if a == b == 0:
-                    continue
-                np.copyto(cur, tap(a, b)[lo:lo + block])
-                # wins = (value is not NaN) and not (cur <= value)
-                np.less_equal(cur, val, out=stay)
-                np.equal(val, val, out=known)
-                np.greater(known, stay, out=wins)
-                np.subtract(cur_bits, bits, out=step)
-                step *= wins
-                bits += step
-                np.subtract(a * w + b, off, out=step)
-                step *= wins
-                off += step
-    offset += (np.arange(oh) * (stride * w))[:, None] + np.arange(ow) * stride
-    offset.flags.writeable = False
+    offsets, taps = _pool_taps(x.data, window, stride, oh, ow)
+    value = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(value, tap, out=value)
+    # windows whose maximum is +-0 or NaN, the only ones whose bits SIMD max
+    # may not have kept
+    zero_or_nan = value == 0
+    zero_or_nan |= np.isnan(value)
+    special = np.flatnonzero(zero_or_nan)
+    if special.size:
+        plane, at = np.divmod(special, oh * ow)
+        base = plane * (h * w) + (at // ow) * (stride * w) + (at % ow) * stride
+        first = _first_tap([np.take(x.data, base + k) for k in offsets],
+                           value.ravel()[special])
+        value.view(np.int64).ravel()[special] = np.take(
+            x.data.view(np.int64), base + offsets[first])
     return _emit("pool_gather", (x,), value,
-                 {"indices": offset, "in_shape": x.shape})
+                 {"in_shape": x.shape, "window": window, "stride": stride})
+
+
+def _pool_indices(node: TapeNode) -> np.ndarray:
+    """The routes of a ``pool_gather`` node, derived from its input and
+    value on first read and then kept in ``node.meta``.
+
+    A ``maxpool2d`` node records no routes: each window's route is its
+    first tap that equals the value, or its first NaN tap, flat in its
+    input plane.  The pass runs over blocks of whole samples, each with at
+    most ``_POOL_BLOCK`` pooled elements (or one sample, if a sample is
+    larger), and writes each block's rows of one index array.
+    """
+    indices = node.meta.get("indices")
+    if indices is not None:
+        return indices
+    (_, x), = node.inputs
+    value = node.value
+    n, c, oh, ow = value.shape
+    stride, w = node.meta["stride"], x.shape[3]
+    offsets, taps = _pool_taps(x, node.meta["window"], stride, oh, ow)
+    indices = np.empty(value.shape, dtype=np.int64)
+    block = max(1, _POOL_BLOCK // max(c * oh * ow, 1))
+    for lo in range(0, n, block):
+        rows = slice(lo, lo + block)
+        # tap places are in range; mode "raise" would buffer ``out``
+        np.take(offsets, _first_tap([tap[rows] for tap in taps], value[rows]),
+                out=indices[rows], mode="clip")
+    indices += (np.arange(oh) * (stride * w))[:, None] + np.arange(ow) * stride
+    indices.flags.writeable = False
+    node.meta["indices"] = indices
+    return indices
 
 
 def _plane_flat(indices: np.ndarray, in_shape) -> np.ndarray:
@@ -811,7 +856,7 @@ def _pool_scatter_rule(node, g_hat, inputs, out, need):
 
 @_rule("pool_gather")
 def _pool_gather_rule(node, g_hat, inputs, out, need):
-    return [_pool_scatter_op(g_hat, node.meta["indices"], node.meta["in_shape"])]
+    return [_pool_scatter_op(g_hat, _pool_indices(node), node.meta["in_shape"])]
 
 
 # --------------------------------------------------------------------------

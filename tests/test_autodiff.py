@@ -274,7 +274,7 @@ def test_maxpool_value_and_route_match_argmax_oracle(window, stride, n, c,
     tape = Tape()
     out = ad.maxpool2d(tape.leaf(x), window=window, stride=stride)
     value, indices = oracles.maxpool_argmax(x, window, stride)
-    got = tape.nodes[out.node].meta["indices"]
+    got = ad._pool_indices(tape.nodes[out.node])
     assert out.data.tobytes() == value.tobytes()
     assert got.dtype == indices.dtype and np.array_equal(got, indices)
 
@@ -285,36 +285,102 @@ _POOL_SPECIALS = [_f64(0x7FF8000000000001), _f64(0xFFF8000000000123),
                   -0.0, 0.0, -0.0, 0.0, np.inf, -np.inf]
 
 
-@pytest.mark.parametrize("shape, window, stride", [
+_BLOCKED_POOL_SHAPES = pytest.mark.parametrize("shape, window, stride", [
     ((32, 8, 32, 32), 2, 2),     # several full blocks
     ((33, 8, 32, 32), 2, 2),     # a partial last block
     ((2, 8, 128, 128), 2, 2),    # one sample larger than a block
     ((20, 8, 34, 34), 3, 1),     # overlapping windows
 ], ids=["full_blocks", "partial_block", "sample_over_block", "window3"])
-def test_blocked_maxpool_matches_argmax_oracle(shape, window, stride):
-    """The tap loop runs over blocks of whole samples; every block, the
-    partial last one included, gives the argmax oracle's value bytes and
-    routes.  The special values sit in the first, a middle and the last
-    sample, so in the first, a middle and the last block."""
+
+
+def _special_pool_input(shape, window, stride):
+    """Small integers (ties), with ``_POOL_SPECIALS`` spread over the first,
+    a middle and the last sample, so over the first, a middle and the last
+    route block: each of those samples also gets a 2x2 corner of ties
+    between signed zeros and one all-signalling-NaN window."""
     n = shape[0]
     oh = (shape[2] - window) // stride + 1
     block = max(1, ad._POOL_BLOCK // (shape[1] * oh * oh))
-    assert -(-n // block) >= 2   # the loop runs over more than one block
+    assert -(-n // block) >= 2   # the route pass runs over more than one block
     rng = np.random.default_rng(sum(shape) + window)
     x = rng.integers(-2, 3, size=shape).astype(np.float64)
     for i in (0, n // 2, n - 1):
         plane = x[i].reshape(-1)
         at = rng.choice(plane.size, size=40 * len(_POOL_SPECIALS), replace=False)
         plane[at] = np.repeat(_POOL_SPECIALS, 40)
-        # a 2x2 corner of ties between signed zeros, and one all-NaN window
         x[i, 0, :2, :2] = [[-0.0, 0.0], [0.0, -0.0]]
         x[i, 1, :window, :window] = _POOL_SPECIALS[2]
+    return x
+
+
+@_BLOCKED_POOL_SHAPES
+def test_blocked_maxpool_matches_argmax_oracle(shape, window, stride):
+    """The route pass runs over blocks of whole samples; every block, the
+    partial last one included, gives the argmax oracle's routes, and the
+    value pass its value bytes."""
+    x = _special_pool_input(shape, window, stride)
     tape = Tape()
     out = ad.maxpool2d(tape.leaf(x), window=window, stride=stride)
     value, indices = oracles.maxpool_argmax(x, window, stride)
-    got = tape.nodes[out.node].meta["indices"]
+    got = ad._pool_indices(tape.nodes[out.node])
     assert out.data.tobytes() == value.tobytes()
     assert got.dtype == indices.dtype and np.array_equal(got, indices)
+
+
+@_BLOCKED_POOL_SHAPES
+def test_untaped_maxpool_value_matches_argmax_oracle(shape, window, stride):
+    """An untaped pool never derives routes, so its value pass alone must
+    give the routed element's bytes: the first of a signed-zero tie and
+    the first NaN's payload, signalling ones included."""
+    x = _special_pool_input(shape, window, stride)
+    out = ad.maxpool2d(Tensor(x), window=window, stride=stride)
+    assert out.node is None
+    value, _ = oracles.maxpool_argmax(x, window, stride)
+    assert out.data.tobytes() == value.tobytes()
+
+
+def _model_pools(n=3):
+    """A taped two-block forward, its labels and its two pool nodes, block 0
+    first (the forward records no other ``pool_gather``)."""
+    model = helpers.tiny_model(channels=(4, 8), size=8)
+    images = np.random.default_rng(3).random((n, 1, 8, 8))
+    record = model.forward(images, tape=Tape())
+    pools = [node for node in record.logits.tape.nodes
+             if node.kind == "pool_gather"]
+    assert len(pools) == 2 and not any("indices" in p.meta for p in pools)
+    return record, np.arange(n) % 3, pools
+
+
+def test_first_order_class_gradients_route_only_the_last_pool():
+    """The gradient toward the tracked layers stops at block 0's output, so
+    only block 1's pool derives its routes."""
+    record, labels, (pool0, pool1) = _model_pools()
+    class_gradients(record, labels, ("inner", "last"))
+    assert "indices" in pool1.meta and "indices" not in pool0.meta
+
+
+def test_training_step_final_backward_routes_both_pools():
+    record, labels, (pool0, pool1) = _model_pools()
+    bd = icasc_objective(record, labels, IcascConfig())
+    assert "indices" not in pool0.meta
+    backward(bd.total_tensor, list(record.param_leaves.values()))
+    assert "indices" in pool0.meta and "indices" in pool1.meta
+
+
+def test_kink_signature_same_before_and_after_backward():
+    """Read before any backward, the signature derives the pool routes
+    itself; it equals the signature read after a backward, on the same tape
+    and on a tape whose backward derived the routes."""
+    signatures = []
+    for signature_first in (True, False):
+        record, labels, _ = _model_pools()
+        tape = record.logits.tape
+        if signature_first:
+            signatures.append(tape.kink_signature())
+        backward(cross_entropy(record.logits, labels),
+                 list(record.param_leaves.values()))
+        signatures.append(tape.kink_signature())
+    assert len(set(signatures)) == 1
 
 
 def test_maxpool_window_too_large():
