@@ -37,8 +37,11 @@ only arrays a caller passes in (``Tensor(arr)``, ``Tape.leaf``,
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import math
+import platform
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -70,6 +73,7 @@ __all__ = [
     "conv2d",
     "maxpool2d",
     "bilinear_resize_array",
+    "keep_freed_heap",
 ]
 
 class AutodiffError(Exception):
@@ -966,3 +970,35 @@ def backward(root: Tensor, wrt: Iterable[Tensor],
     return {h: adjoints[h] if h in adjoints
             else constant(np.zeros_like(tape.nodes[h].value))
             for h in handles}
+
+
+# --------------------------------------------------------------------------
+# allocator policy
+# --------------------------------------------------------------------------
+
+
+@functools.cache
+def keep_freed_heap() -> None:
+    """Keep freed heap pages mapped for the rest of the process, on glibc.
+
+    A tape is freed once its step or batch is done: an ICASC training step
+    drops about 22 MB of tape before the next step records its own, and a
+    batch of ``eval --attention`` frees tens of MB of tape and patch arrays.
+    With glibc's defaults that memory goes back to the kernel (by ``munmap``
+    or by trimming the heap top), and the next step or batch faults every
+    page in again.  Serving every array below 32 MiB from the heap, and
+    trimming the heap top only when more than 1 GiB of it is free, keeps
+    the pages for the next one.  Setting either threshold turns off glibc's
+    dynamic one, so both are set.  Values and outputs are unchanged.
+
+    ``cli.main`` and ``training.train`` call this first thing; from then on
+    the policy holds for the whole process, a host program that imported
+    ``icasc`` included.  On any other C library this does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)          # M_MMAP_THRESHOLD, glibc's 64-bit maximum
+    mallopt(-1, 1 << 30)           # M_TRIM_THRESHOLD

@@ -9,9 +9,6 @@ its fully resolved configuration into the output directory.
 from __future__ import annotations
 
 import argparse
-import ctypes
-import functools
-import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +18,7 @@ import numpy as np
 from . import data as dio
 from . import metrics as mx
 from .attention import LAYERS, MECHANISMS, class_gradients, compute_attention
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, keep_freed_heap
 from .losses import IcascConfig, parse_kv_file
 from .nn import SCHEDULES, ConfigError, NumericalError, load_checkpoint
 from .training import TrainConfig, train
@@ -265,6 +262,9 @@ def _attend_chunk(model, samples, k: int, out: Path,
 
 
 def cmd_attend(args) -> int:
+    if args.samples == "":
+        raise UsageError("--samples is empty; name at least one sample id, "
+                         "or leave the flag out for the first 4")
     model, _ = load_checkpoint(args.checkpoint)
     n_classes = model.config.n_classes
     k = min(5, n_classes) if args.classes is None else args.classes
@@ -320,38 +320,12 @@ def cmd_ks(args) -> int:
     return 0
 
 
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Keep freed heap pages mapped for the rest of the process, on glibc.
-
-    Each batch of ``eval --attention`` frees tens of MB of tape and patch
-    arrays.  With glibc's defaults that memory goes back to the kernel (by
-    ``munmap`` or by trimming the heap top), and the next batch faults every
-    page in again, which cost about a fifth of the command's time.  Serving
-    every array below 32 MiB from the heap, and trimming the heap top only
-    when more than 1 GiB of it is free, keeps the pages for the next batch.
-    Setting either threshold turns off glibc's dynamic one, so both are set.
-    Values and outputs are unchanged.
-
-    The CLI owns its process, so it may set the allocator policy; library
-    entry points such as ``training.train`` leave their host's alone.  On
-    any other C library this does nothing.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)          # M_MMAP_THRESHOLD, glibc's 64-bit maximum
-    mallopt(-1, 1 << 30)           # M_TRIM_THRESHOLD
-
-
 _COMMANDS = {"synth": cmd_synth, "train": cmd_train, "eval": cmd_eval,
              "attend": cmd_attend, "ks": cmd_ks}
 
 
 def main(argv=None) -> int:
-    _keep_freed_heap()
+    keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -215,11 +215,14 @@ class SgdOptimizer:
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, np.ndarray], lr: float) -> None:
-        for name, p in params.items():
-            g = grads[name]
-            if not np.all(np.isfinite(g)):
+        """Update every parameter, or, on any non-finite gradient, none:
+        all gradients are checked before the first update."""
+        for name in params:
+            if not np.all(np.isfinite(grads[name])):
                 raise NumericalError(f"non-finite gradient for '{name}'; "
                                      "aborting update")
+        for name, p in params.items():
+            g = grads[name]
             v = self.velocity.get(name)
             if v is None:
                 v = np.zeros_like(p)

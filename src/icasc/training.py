@@ -108,9 +108,37 @@ def evaluate_accuracy(model: Model, dataset: dio.Dataset,
     return topk_accuracy(*predict(model, dataset, batch_size), 1)
 
 
+def _train_step(model: Model, optimizer: SgdOptimizer, images: np.ndarray,
+                labels: np.ndarray, icasc: Optional[IcascConfig],
+                lr: float) -> np.ndarray:
+    """One SGD step on a batch; returns its l_c, l_as_in, l_as_la, l_ac,
+    total, train_acc and skip_rate.
+
+    The step's tape, and the record, losses, leaves and gradients that
+    reach it, are freed when this returns, before the next step records.
+    """
+    record = model.forward(images, tape=Tape())
+    b = classification_objective(record, labels) if icasc is None \
+        else icasc_objective(record, labels, icasc)
+    leaves = record.param_leaves
+    grads = ad.backward(b.total_tensor, list(leaves.values()))
+    optimizer.step(model.params, {name: grads[leaf.node].data
+                                  for name, leaf in leaves.items()}, lr)
+    return np.array([b.l_c, b.l_as_inner, b.l_as_last, b.l_ac, b.total,
+                     topk_accuracy(record.probabilities, labels, 1),
+                     b.skip_rate])
+
+
 def train(cfg: TrainConfig) -> TrainResult:
     """Run (or resume from final.ckpt) a training job; writes the log and
-    checkpoints."""
+    checkpoints.
+
+    Each step's tape is freed before the next step records its own, so the
+    process holds one tape at a time.  The first call sets the process's
+    allocator policy (``autodiff.keep_freed_heap``), which keeps the freed
+    pages mapped for the next step instead of faulting them in again.
+    """
+    ad.keep_freed_heap()
     train_set = dio.load_dataset(cfg.data_dir)
     if train_set.n_classes < 2:
         # no confusing class, so neither the objective nor KS is defined
@@ -166,20 +194,10 @@ def train(cfg: TrainConfig) -> TrainResult:
         for _, images, labels in dio.batch_iter(
                 train_set, cfg.batch_size, cfg.seed, epoch, shuffle=True,
                 flip=cfg.flip):
-            record = model.forward(images, tape=Tape())
-            b = classification_objective(record, labels) if cfg.icasc is None \
-                else icasc_objective(record, labels, cfg.icasc)
-            leaves = record.param_leaves
-            grads = ad.backward(b.total_tensor, list(leaves.values()))
-            optimizer.step(model.params, {name: grads[leaf.node].data
-                                          for name, leaf in leaves.items()}, lr)
-
             n = len(images)
             seen += n
-            sums += n * np.array([b.l_c, b.l_as_inner, b.l_as_last, b.l_ac,
-                                  b.total,
-                                  topk_accuracy(record.probabilities, labels, 1),
-                                  b.skip_rate])
+            sums += n * _train_step(model, optimizer, images, labels,
+                                    cfg.icasc, lr)
 
         test_acc = evaluate_accuracy(model, test_set, cfg.batch_size) \
             if test_set else float("nan")

@@ -402,6 +402,18 @@ def test_attend_unknown_sample_message_quotes_each_id(trained, dataset,
     assert not (tmp_path / "a").exists()
 
 
+def test_attend_empty_samples_is_usage_error(trained, dataset, tmp_path,
+                                             capsys):
+    """An explicit empty list names no sample; it does not fall back to the
+    default of the first 4, as a missing flag does."""
+    rc = run("attend", "--checkpoint", str(trained), "--data",
+             str(dataset / "test"), "--out", str(tmp_path / "a"),
+             "--samples", "")
+    assert rc == 1
+    assert "usage error: --samples is empty" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
 def test_attend_runs_one_forward_per_chunk_and_one_backward_per_rank(
         trained, dataset, tmp_path, monkeypatch):
     """9 samples in chunks of 4 make 3 taped forwards; 2 ranks per chunk

@@ -325,6 +325,28 @@ def test_sgd_rejects_non_finite_gradient():
         opt.step({"p": np.array([1.0])}, {"p": np.array([np.nan])}, lr=0.1)
 
 
+@pytest.mark.parametrize("bad, warm", [("b", False), ("c", True)],
+                         ids=["nan_fresh", "inf_warm"])
+def test_sgd_non_finite_gradient_updates_no_param(bad, warm):
+    """Every gradient is checked before the first update, so the params
+    before ``bad`` keep their values, and no velocity is made or moved."""
+    opt = SgdOptimizer(momentum=0.9, weight_decay=0.1)
+    params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0]),
+              "c": np.array([[4.0]])}
+    if warm:
+        opt.step(params, {name: np.ones_like(p) for name, p in params.items()},
+                 lr=0.1)
+    before = {name: p.tobytes() for name, p in params.items()}
+    velocity = {name: v.tobytes() for name, v in opt.velocity.items()}
+    grads = {name: np.full_like(p, 0.5) for name, p in params.items()}
+    grads[bad] = np.full_like(params[bad], np.nan if bad == "b" else np.inf)
+    with pytest.raises(NumericalError, match=f"'{bad}'"):
+        opt.step(params, grads, lr=0.1)
+    assert {name: p.tobytes() for name, p in params.items()} == before
+    assert {name: v.tobytes() for name, v in opt.velocity.items()} == velocity
+    assert len(velocity) == (3 if warm else 0)
+
+
 def test_step_schedule_milestones():
     assert lr_schedule("step", 100, 160, 0.1, (81, 122)) == pytest.approx(0.01)
     assert lr_schedule("step", 80, 160, 0.1, (81, 122)) == pytest.approx(0.1)

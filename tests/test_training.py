@@ -1,7 +1,10 @@
 import math
+import platform
+import weakref
 
 import pytest
 
+from icasc import autodiff as ad
 from icasc import data as dio
 from icasc import training
 from icasc.losses import IcascConfig
@@ -50,6 +53,65 @@ def test_run_config_echoes_icasc_settings_only_when_used(tmp_path):
     assert echo(IcascConfig()) == \
         echo(None).replace("baseline = true", "baseline = false") + \
         IcascConfig().to_text()
+
+
+@pytest.mark.parametrize("baseline", [True, False])
+def test_training_loop_holds_one_tape_at_a_time(synth_set, tmp_path,
+                                                monkeypatch, baseline):
+    """Each step's tape is dead before the next step makes its own, so the
+    loop never holds two tapes."""
+    made = []
+
+    class WatchedTape(ad.Tape):
+        def __init__(self):
+            live = [k for k, ref in enumerate(made) if ref() is not None]
+            assert not live, f"tapes {live} alive at step {len(made)}"
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(training, "Tape", WatchedTape)
+    train(TrainConfig(data_dir=str(synth_set), out_dir=str(tmp_path / "run"),
+                      epochs=2, batch_size=4, channels=(4, 8), lr=0.01,
+                      icasc=None if baseline else IcascConfig()))
+    assert len(made) == 2 * 3         # 12 samples in batches of 4, 2 epochs
+
+
+def test_train_sets_the_allocator_policy_first(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ad, "keep_freed_heap", lambda: calls.append("policy"))
+    with pytest.raises(dio.DataError):
+        train(TrainConfig(data_dir=str(tmp_path / "missing"),
+                          out_dir=str(tmp_path / "o")))
+    assert calls == ["policy"]
+
+
+@pytest.mark.parametrize("libc, expected", [
+    (("glibc", "2.39"), [(-3, 32 << 20), (-1, 1 << 30)]),
+    (("", ""), []),                   # what musl and other C libraries report
+], ids=["glibc", "other"])
+def test_allocator_policy_sets_mallopt_on_glibc_only(monkeypatch, libc,
+                                                     expected):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    class Libc:
+        def __init__(self, name):
+            assert name is None
+            self.mallopt = mallopt
+
+    monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: libc)
+    monkeypatch.setattr(ad.ctypes, "CDLL", Libc)
+    ad.keep_freed_heap.cache_clear()
+    try:
+        ad.keep_freed_heap()
+        ad.keep_freed_heap()           # cached: the policy is set once
+    finally:
+        # the next call sets the real policy again
+        ad.keep_freed_heap.cache_clear()
+    assert calls == expected
 
 
 def test_unknown_schedule_is_rejected_before_out_dir(synth_set, tmp_path):
