@@ -224,15 +224,17 @@ def _attend_chunk(model, samples, k: int, out: Path,
     """Write the top-``k`` heatmaps of ``samples`` and return each sample's
     manifest rows, in rank, layer, mechanism order.
 
-    One taped forward serves the chunk, and one backward per rank gives
-    every sample's gradient for its own class at that rank (the model has
-    no batch-coupling op).  Per layer, the ranks' gradients are stacked
-    rank-major against the chunk's features tiled ``k`` times, so each
+    One forward serves the chunk, taped from the inner features on (all
+    that gradients toward the tracked layers read), and one backward per
+    rank gives every sample's gradient for its own class at that rank (the
+    model has no batch-coupling op).  Per layer, the ranks' gradients are
+    stacked rank-major against the chunk's features tiled ``k`` times, so each
     (layer, mechanism) makes one map call and one render call across all
     ranks; every op of both works per sample, so each map keeps its bytes.
     The tape is freed when this returns.
     """
-    record = model.forward(np.stack([s.image for s in samples]), tape=Tape())
+    record = model.forward(np.stack([s.image for s in samples]), tape=Tape(),
+                           from_inner=True)
     probs = record.probabilities
     top = np.argsort(-probs, axis=1, kind="stable")[:, :k]
     grads = [class_gradients(record, top[:, rank], LAYERS)

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data as dio
-from .attention import class_attention
+from .attention import LAYERS, class_attention
 from .autodiff import Tape
 from .losses import IcascConfig, confusing_class, per_sample_terms
 from .nn import Model
@@ -20,13 +20,22 @@ from .nn import Model
 # --------------------------------------------------------------------------
 
 
+# samples per forward of an evaluation pass: ``predict``'s and the overlap
+# report's; the training loop's test pass keeps its own batch size
+EVAL_BATCH = 32
+
+
 def predict(model: Model, dataset: dio.Dataset,
-            batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
+            batch_size: int = EVAL_BATCH) -> tuple[np.ndarray, np.ndarray]:
     """Untaped forward passes over the dataset in order, ``batch_size``
     samples at a time; returns (probabilities, labels).
 
     The chunk size sets the peak memory of the pass, which is why the
-    training loop's test pass keeps its own batch size.
+    training loop's test pass keeps its own batch size.  At ``EVAL_BATCH``
+    the probabilities are byte-equal to the overlap report's.  Against the
+    batch of 64 used before, a sample alone in a final batch of 1 (sets of
+    33 and 97 samples) can differ in the last bit: BLAS runs that batch as
+    a matrix-vector product.
     """
     probs = [model.forward(images, tape=None).probabilities
              for _, images, _ in dio.batch_iter(dataset, batch_size, seed=0,
@@ -142,11 +151,12 @@ class OverlapReport:
     mean_l_ac: float
     skip_rate: float
     probabilities: np.ndarray      # (N, C), dataset order
+    live_channels: dict            # layer -> (C,) bool: non-zero on some sample
 
 
 def _overlap_batch(model: Model, ids, images, labels, config: IcascConfig
-                   ) -> tuple[list[OverlapRow], np.ndarray]:
-    record = model.forward(images, tape=Tape())
+                   ) -> tuple[list[OverlapRow], np.ndarray, dict]:
+    record = model.forward(images, tape=Tape(), from_inner=True)
     conf = confusing_class(record.probabilities, labels)
     a_tgt = class_attention(record, labels, config.mechanism, create_graph=False)
     a_conf = class_attention(record, conf, config.mechanism, create_graph=False,
@@ -155,12 +165,14 @@ def _overlap_batch(model: Model, ids, images, labels, config: IcascConfig
     rows = [OverlapRow(sid, float(las["last"].data[i]), float(lac.data[i]),
                        not ctx.keep[i])
             for i, sid in enumerate(ids)]
-    return rows, record.probabilities
+    live = {layer: np.any(f.data != 0, axis=(0, 2, 3))
+            for layer, f in record.feats.items()}
+    return rows, record.probabilities, live
 
 
 def attention_overlap_report(model: Model, dataset: dio.Dataset,
                              config: IcascConfig,
-                             batch_size: int = 32) -> OverlapReport:
+                             batch_size: int = EVAL_BATCH) -> OverlapReport:
     """Per-sample last-layer separation and consistency on frozen weights.
 
     Each sample is scored with the training objective's terms.  Skipped
@@ -168,28 +180,36 @@ def attention_overlap_report(model: Model, dataset: dio.Dataset,
     counted in the skip rate.  The report prints no inner-layer separation,
     so the confusing class's map is taken at the last layer only: its
     backward stops at the head, so the target's is each batch's one
-    backward through the inner conv block.
+    backward through the inner conv block.  Each batch tapes only the
+    graph those backwards read, from the inner features on
+    (``Model.forward``'s ``from_inner``).
 
     The report also returns its forwards' class probabilities, so a caller
-    that needs them makes no second pass.  They equal ``predict``'s up to
-    the last bit only where the batch sizes give the same BLAS sums:
-    byte-equal at 32 and 50 against ``predict``'s 64 on every set tried,
-    but up to 2.2e-16 apart at batches of 1 and 7.
+    that needs them makes no second pass.  At ``EVAL_BATCH``, the one
+    evaluation batch, they are byte-equal to ``predict``'s.  Against the
+    batch of 64 ``predict`` used before, a sample alone in a final batch
+    of 1 (sets of 33 and 97 samples) can differ in the last bit.  It also
+    returns, per tracked layer, which channels are non-zero on some
+    sample: a channel that is not is dead on this set.
     """
+    live = {layer: np.zeros(c, dtype=bool)
+            for layer, c in zip(LAYERS, model.config.channels[-2:])}
     rows, probs = [], []
     for ids, images, labels in dio.batch_iter(dataset, batch_size, seed=0,
                                               shuffle=False):
-        batch_rows, batch_probs = _overlap_batch(model, ids, images, labels,
-                                                 config)
+        batch_rows, batch_probs, batch_live = _overlap_batch(
+            model, ids, images, labels, config)
         rows += batch_rows
         probs.append(batch_probs)
+        for layer, alive in batch_live.items():
+            live[layer] |= alive
     kept = [r for r in rows if not r.skipped]
     mean_las = float(np.mean([r.l_as_last for r in kept])) if kept else 0.0
     mean_lac = float(np.mean([r.l_ac for r in kept])) if kept else 0.0
     skip = float(np.mean([r.skipped for r in rows])) if rows else 0.0
     return OverlapReport(rows, mean_las, mean_lac, skip,
                          np.concatenate(probs) if probs
-                         else np.empty((0, model.config.n_classes)))
+                         else np.empty((0, model.config.n_classes)), live)
 
 
 def write_overlap_csv(path, report: OverlapReport) -> None:

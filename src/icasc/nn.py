@@ -129,10 +129,17 @@ class Model:
         params["head.b"] = np.zeros(config.n_classes)
         return Model(config, params)
 
-    def forward(self, images: np.ndarray,
-                tape: Optional[Tape] = None) -> ForwardRecord:
+    def forward(self, images: np.ndarray, tape: Optional[Tape] = None,
+                from_inner: bool = False) -> ForwardRecord:
         """Run the network; with a tape, parameters are registered as leaves
-        and the inner/last block outputs stay live for attention gradients."""
+        and the inner/last block outputs stay live for attention gradients.
+
+        With ``from_inner`` the tape starts at the inner features instead:
+        the blocks before them run untaped, their output is the tape's one
+        leaf, and no parameter is a leaf.  That is the whole graph a
+        first-order class gradient toward the tracked layers reads, so
+        evaluation passes tape only it; training needs the full tape.
+        """
         images = np.asarray(images, dtype=np.float64)
         cfg = self.config
         if images.ndim != 4 or images.shape[1] != cfg.input_channels \
@@ -140,8 +147,11 @@ class Model:
             raise ad.ShapeError(
                 f"batch shape {images.shape} does not match config "
                 f"(N, {cfg.input_channels}, {cfg.input_size}, {cfg.input_size})")
+        if from_inner and tape is None:
+            raise ValueError("from_inner starts a tape, so it needs one")
 
-        if tape is not None:
+        taped_params = tape is not None and not from_inner
+        if taped_params:
             leaves = {name: tape.leaf(arr) for name, arr in self.params.items()}
         else:
             leaves = {name: Tensor(arr) for name, arr in self.params.items()}
@@ -156,6 +166,8 @@ class Model:
             # while the ReLU and its backward masks see a quarter of the map
             x = ad.relu(ad.maxpool2d(ad.add(x, bias), window=2, stride=2))
             if i == cfg.n_blocks - 2:
+                if from_inner:
+                    x = tape.leaf(x.data)    # frozen engine output: no copy
                 feats["inner"] = x
             elif i == cfg.n_blocks - 1:
                 feats["last"] = x
@@ -164,7 +176,7 @@ class Model:
         logits = ad.add(logits, bias)
         return ForwardRecord(logits=logits, probabilities=softmax(logits.data),
                              feats=feats,
-                             param_leaves=leaves if tape is not None else {})
+                             param_leaves=leaves if taped_params else {})
 
 
 # --------------------------------------------------------------------------

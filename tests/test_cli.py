@@ -302,19 +302,19 @@ def test_eval_topk_exceeding_classes_rejected(trained, dataset, tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("flags, batch", [((), 64), (("--attention",), 32)],
+@pytest.mark.parametrize("flags", [(), ("--attention",)],
                          ids=["plain", "attention"])
 def test_eval_runs_one_pass_over_the_set(trained, tmp_path, monkeypatch,
-                                         flags, batch):
-    """``eval`` forwards each sample once: untaped at batch 64, or, with
-    ``--attention``, only in the overlap report's taped batches of 32."""
+                                         flags):
+    """``eval`` forwards each sample once, in batches of 32: untaped, or,
+    with ``--attention``, only in the overlap report's taped batches."""
     data = tmp_path / "d"
     assert run("synth", "--classes", "3", "--per-class", "24", "--seed", "7",
                "--canvas", "16", "--motif-size", "3", "--out", str(data)) == 0
     calls = helpers.count_forwards(monkeypatch)
     assert run("eval", "--checkpoint", str(trained), "--data", str(data),
                "--out", str(tmp_path / "e"), *flags) == 0
-    assert calls == [bool(flags)] * math.ceil(72 / batch)
+    assert calls == [bool(flags)] * math.ceil(72 / 32)
 
 
 @pytest.mark.parametrize("flags", [(), ("--attention",)],

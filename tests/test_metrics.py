@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from icasc import autodiff as ad
+from icasc import cli
 from icasc import data as dio
 from icasc import metrics as mx
 from icasc.attention import MECHANISMS, class_attention
@@ -9,6 +10,7 @@ from icasc.autodiff import Tape
 from icasc.losses import (IcascConfig, confusing_class, icasc_objective,
                           per_sample_terms)
 from icasc.metrics import ks_chart, render_heatmaps, topk_accuracy
+from icasc.nn import Model
 
 import helpers
 import oracles
@@ -168,9 +170,10 @@ def test_overlap_report_matches_objective_per_sample(tmp_path):
 
 
 def _overlap_rows_from_both_layers(model, ds, cfg, batch_size):
-    """The report's rows as the objective builds its terms: both classes'
-    maps at both layers, then ``per_sample_terms``."""
-    rows = []
+    """The report's rows and probabilities as the objective builds its
+    terms: a full-tape forward, both classes' maps at both layers, then
+    ``per_sample_terms``."""
+    rows, probs = [], []
     for ids, images, labels in dio.batch_iter(ds, batch_size, seed=0,
                                               shuffle=False):
         record = model.forward(images, tape=Tape())
@@ -180,7 +183,8 @@ def _overlap_rows_from_both_layers(model, ds, cfg, batch_size):
         las, lac, ctx = per_sample_terms(a_tgt, a_conf, conf, cfg)
         rows += [(sid, float(las["last"].data[i]), float(lac.data[i]),
                   not ctx.keep[i]) for i, sid in enumerate(ids)]
-    return rows
+        probs.append(record.probabilities)
+    return rows, np.concatenate(probs)
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
@@ -206,7 +210,7 @@ def test_overlap_report_runs_one_inner_backward_per_batch(tmp_path, monkeypatch,
     report = mx.attention_overlap_report(model, ds, cfg, batch_size=4)
     assert batches == [4, 2]
 
-    expected = _overlap_rows_from_both_layers(model, ds, cfg, batch_size=4)
+    expected, _ = _overlap_rows_from_both_layers(model, ds, cfg, batch_size=4)
     assert [(r.sample_id, r.l_as_last, r.l_ac, r.skipped)
             for r in report.rows] == expected
     kept = [row for row in expected if not row[3]]
@@ -214,6 +218,50 @@ def test_overlap_report_runs_one_inner_backward_per_batch(tmp_path, monkeypatch,
     assert report.mean_l_as_last == float(np.mean([row[1] for row in kept]))
     assert report.mean_l_ac == float(np.mean([row[2] for row in kept]))
     assert report.skip_rate == float(np.mean([row[3] for row in expected]))
+
+
+@pytest.mark.parametrize("batch_size", [32, 5])
+def test_overlap_report_equals_full_tape_report(tmp_path, batch_size):
+    """Taped from the inner features on, the report's rows and
+    probabilities are those of full-tape forwards, bit for bit: 36 samples
+    run as 32 + 4, or as 7 batches of 5 and one of 1."""
+    ds = synth_dataset(tmp_path, per_class=12)
+    model = helpers.tiny_model(4, channels=(4, 8), size=16, n_classes=3)
+    cfg = IcascConfig()
+    report = mx.attention_overlap_report(model, ds, cfg, batch_size)
+    rows, probs = _overlap_rows_from_both_layers(model, ds, cfg, batch_size)
+    assert [(r.sample_id, r.l_as_last, r.l_ac, r.skipped)
+            for r in report.rows] == rows
+    assert report.probabilities.tobytes() == probs.tobytes()
+
+
+@pytest.mark.parametrize("caller", ["overlap report", "attend"])
+def test_evaluation_tapes_start_at_the_inner_features(tmp_path, monkeypatch,
+                                                      caller):
+    """The overlap report's and ``attend``'s tapes hold no parameter leaf
+    and no node of block 0: their one leaf is the inner features."""
+    ds = synth_dataset(tmp_path, per_class=2)
+    model = helpers.tiny_model(4, channels=(4, 8), size=16, n_classes=3)
+    taped = []
+    forward = Model.forward
+
+    def spy(self, images, tape=None, **kwargs):
+        record = forward(self, images, tape, **kwargs)
+        taped.append((tape, record))
+        return record
+
+    monkeypatch.setattr(Model, "forward", spy)
+    if caller == "attend":
+        cli._attend_chunk(model, ds.samples[:4], 2, tmp_path, color=False)
+    else:
+        mx.attention_overlap_report(model, ds, IcascConfig())
+    assert len(taped) == 1
+    tape, record = taped[0]
+    kinds = [node.kind for node in tape.nodes]
+    assert record.param_leaves == {}
+    assert kinds.count("leaf") == 1
+    assert tape.nodes[0].value is record.feats["inner"].data
+    assert kinds.count("conv2d") == 1                 # block 1's
 
 
 def test_overlap_report_probabilities_equal_predict(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from icasc import autodiff as ad
 from icasc import data as dio
 from icasc import nn
+from icasc.attention import LAYERS, class_gradients
 from icasc.autodiff import Tape, Tensor, backward
 from icasc.losses import IcascConfig, icasc_objective
 from icasc.nn import (ConfigError, ForwardRecord, Model, ModelConfig,
@@ -167,6 +168,34 @@ def test_forward_pools_before_relu():
         pooled = tape.nodes[node.inputs[0][0]]
         assert pooled.kind == "pool_gather"
         assert tape.nodes[pooled.inputs[0][0]].kind == "add"
+
+
+def test_forward_from_inner_tapes_only_what_follows_the_inner_features():
+    """With ``from_inner`` the tape's one leaf is the inner features, not a
+    copy of them: no parameter is a leaf and the blocks before are untaped.
+    Values and class gradients toward both layers are the full tape's."""
+    model = Model.build(ModelConfig(channels=(2, 4, 8), input_size=16,
+                                    input_channels=1, n_classes=3), 3)
+    images = np.random.default_rng(6).random((5, 1, 16, 16))
+    selector = np.array([0, 1, 2, 0, 1])
+    full = model.forward(images, tape=Tape())
+    tape = Tape()
+    lean = model.forward(images, tape=tape, from_inner=True)
+    kinds = [node.kind for node in tape.nodes]
+    assert lean.param_leaves == {}
+    assert kinds.count("leaf") == 1
+    assert tape.nodes[0].value is lean.feats["inner"].data
+    assert kinds.count("conv2d") == 1                 # the last block's
+    assert lean.logits.data.tobytes() == full.logits.data.tobytes()
+    assert lean.probabilities.tobytes() == full.probabilities.tobytes()
+    got = class_gradients(lean, selector, LAYERS)
+    want = class_gradients(full, selector, LAYERS)
+    for layer in LAYERS:
+        assert lean.feats[layer].data.tobytes() == \
+            full.feats[layer].data.tobytes()
+        assert got[layer].data.tobytes() == want[layer].data.tobytes()
+    with pytest.raises(ValueError):
+        model.forward(images, from_inner=True)
 
 
 @pytest.mark.parametrize("mechanism", ["a-ch", "grad-cam"])
