@@ -259,9 +259,9 @@ def _emit(kind: str, inputs: Sequence[Tensor], value: np.ndarray, meta=None) -> 
 # --------------------------------------------------------------------------
 
 # rule(node, grad_out, inputs, out, need) -> per-input gradient tensors.  ``need``
-# holds one flag per input; a two-input rule returns None for an input whose
-# flag is False and does not compute it.  Backward calls a one-input rule
-# only when its input is needed, so those rules ignore ``need``.
+# holds one flag per input; a rule of several inputs returns None for an
+# input whose flag is False and does not compute it.  Backward calls a
+# one-input rule only when its input is needed, so those rules ignore ``need``.
 _RULES: dict[str, Callable] = {}
 
 
@@ -564,6 +564,19 @@ def _matmul_rule(node, g, inputs, out, need):
 # both NCHW as they come out of the matmul; conv2d_dw sums the per-sample
 # (N, Cout, P) @ (N, P, K) products over the batch, the patch stack reaching
 # BLAS as a transposed operand.  No patch array is copied into another order.
+#
+# When stride is 1 and the output is as wide as the input (kw == 2*padding
+# + 1, which every conv of the model has), _im2col and _col2im view each
+# (N, Cin) plane flat and move tap (a, b) as one contiguous run, shifted by
+# (a - padding)*W + (b - padding), with no zero-padded copy.  Positions
+# whose read falls in the padding (the run's head and tail, and the columns
+# that wrapped into a neighbouring row) are +0.0 in the patches; _col2im
+# zeroes the wrapped columns and then adds them like any other.  So every
+# output element gets the slice loop's addends in the same order, plus some
+# +0.0 ones, and x + (+0.0) is x bit for bit unless x is -0.0, which a sum
+# that starts from +0.0 never holds.  Only where two NaNs meet in one sum
+# can the result's NaN differ in sign: NumPy's contiguous and strided add
+# loops propagate different operands.  Any other geometry keeps the loop.
 # --------------------------------------------------------------------------
 
 
@@ -584,12 +597,48 @@ def _conv_geometry(x_shape, w_shape, stride: int, padding: int):
     return oh, ow
 
 
+def _tap_runs(h: int, w: int, kh: int, kw: int, padding: int):
+    """Yield ``(a, b, shift, lo, hi)`` for each tap of a stride-1 conv whose
+    output is as wide as its input: output position p of the flat
+    (OH*W) plane reads flat input position p + shift, and [lo, hi) are the
+    output positions whose read falls inside the flat (H*W) input plane.
+    hi <= lo when the tap's kernel row never meets the input."""
+    oh = h + 2 * padding - kh + 1
+    for a in range(kh):
+        for b in range(kw):
+            shift = (a - padding) * w + (b - padding)
+            yield a, b, shift, max(0, -shift), min(oh * w, h * w - shift)
+
+
+def _wrapped(tap: np.ndarray, b: int, padding: int):
+    """The two column blocks of a (rows, OH, W) tap view at kernel column b
+    whose flat reads wrapped into a neighbouring input row."""
+    w = tap.shape[-1]
+    return tap[..., :max(0, padding - b)], tap[..., max(0, w + padding - b):]
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """(N, Cin, H, W) -> (N, Cin, kh, kw, OH, OW) patches, one slice copy per
-    kernel tap: ``cols[:, :, a, b]`` is the padded input at tap (a, b)."""
+    """(N, Cin, H, W) -> (N, Cin, kh, kw, OH, OW) patches: ``cols[:, :, a, b]``
+    is the padded input at tap (a, b).  A same-width stride-1 geometry
+    copies each tap as one flat run and writes +0.0 where it reads padding;
+    any other copies one strided slice per tap from a zero-padded input."""
     n, cin, h, w = x.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
+    if stride == 1 and kw == 2 * padding + 1:
+        flat = x.reshape(n * cin, h * w)
+        cols = np.empty((n * cin, kh, kw, oh * w))
+        for a, b, shift, lo, hi in _tap_runs(h, w, kh, kw, padding):
+            tap = cols[:, a, b]
+            if hi <= lo:
+                tap[...] = 0.0
+                continue
+            tap[:, lo:hi] = flat[:, lo + shift:hi + shift]
+            tap[:, :lo] = 0.0
+            tap[:, hi:] = 0.0
+            for block in _wrapped(tap.reshape(n * cin, oh, w), b, padding):
+                block[...] = 0.0
+        return cols.reshape(n, cin, kh, kw, oh, ow)
     xp = x
     if padding:
         xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
@@ -603,9 +652,24 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nd
 
 
 def _col2im(cols: np.ndarray, x_shape, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of _im2col; cols is (N, Cin, kh, kw, OH, OW)."""
+    """Adjoint of _im2col; cols is (N, Cin, kh, kw, OH, OW), and is consumed:
+    a same-width stride-1 geometry writes +0.0 over its wrapped columns,
+    then adds each tap's flat run into the unpadded output, taps in (a, b)
+    order.  Any other adds one strided slice per tap into a zero-padded
+    output and crops it."""
     n, cin, h, w = x_shape
     kh, kw, oh, ow = cols.shape[2:]
+    if stride == 1 and kw == 2 * padding + 1:
+        out = np.zeros((n * cin, h * w))
+        cols = cols.reshape(n * cin, kh, kw, oh * ow)
+        for a, b, shift, lo, hi in _tap_runs(h, w, kh, kw, padding):
+            if hi <= lo:
+                continue
+            tap = cols[:, a, b]
+            for block in _wrapped(tap.reshape(n * cin, oh, w), b, padding):
+                block[...] = 0.0
+            out[:, lo + shift:hi + shift] += tap[:, lo:hi]
+        return out.reshape(x_shape)
     xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding))
     for a in range(kh):
         for b in range(kw):
@@ -650,21 +714,36 @@ def _geom_meta(x_shape, w_shape, stride, padding):
             "x_shape": tuple(x_shape), "w_shape": tuple(w_shape)}
 
 
-def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of NCHW input with OIHW kernel, zero padding."""
+def conv2d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+    """Cross-correlation of NCHW input with OIHW kernel, zero padding.
+
+    A ``(Cout,)`` ``bias`` is added in place to the fresh matmul output, bit
+    for bit as ``add(conv2d(x, w), broadcast_axes(bias, ..., (0, 2, 3)))``,
+    but with no second full-size array and no extra node on the tape.
+    """
     x, w = _lift(x), _lift(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D operands, got {x.shape}, {w.shape}")
     _conv_geometry(x.shape, w.shape, stride, padding)
-    return _conv2d_op(x, w, _geom_meta(x.shape, w.shape, stride, padding))
+    if bias is not None:
+        bias = _lift(bias)
+        if bias.shape != w.shape[:1]:
+            raise ShapeError(f"conv2d: bias shape {bias.shape} != "
+                             f"({w.shape[0]},) output channels")
+    return _conv2d_op(x, w, _geom_meta(x.shape, w.shape, stride, padding),
+                      bias=bias)
 
 
-def _conv2d_op(x: Tensor, w: Tensor, meta, cols=None) -> Tensor:
+def _conv2d_op(x: Tensor, w: Tensor, meta, cols=None, bias=None) -> Tensor:
     """conv2d at a checked geometry; ``cols`` are x's patches if the caller
-    has them already."""
+    has them already, and a ``bias`` is the node's third operand."""
     if cols is None:
         cols = _patches(x.data, meta)
-    return _emit("conv2d", (x, w), _conv_forward(cols, w.data), dict(meta))
+    value = _conv_forward(cols, w.data)
+    if bias is None:
+        return _emit("conv2d", (x, w), value, dict(meta))
+    value += bias.data[:, None, None]
+    return _emit("conv2d", (x, w, bias), value, dict(meta))
 
 
 def _conv2d_dx_op(g, w, meta) -> Tensor:
@@ -683,10 +762,13 @@ def _conv2d_dw_op(x, g, meta, cols=None) -> Tensor:
 
 @_rule("conv2d")
 def _conv2d_rule(node, g, inputs, out, need):
-    x, w = inputs
+    x, w = inputs[:2]
     meta = node.meta
-    return [_conv2d_dx_op(g, w, meta) if need[0] else None,
-            _conv2d_dw_op(x, g, meta) if need[1] else None]
+    grads = [_conv2d_dx_op(g, w, meta) if need[0] else None,
+             _conv2d_dw_op(x, g, meta) if need[1] else None]
+    if len(inputs) == 3:    # a bias: the broadcast_axes rule's reduction
+        grads.append(reduce_sum(g, (0, 2, 3)) if need[2] else None)
+    return grads
 
 
 @_rule("conv2d_dx")

@@ -1,12 +1,14 @@
 """Desk-scale convolutional classifier, losses, optimizer, and schedules.
 
 The model is a stack of conv3x3/maxpool/ReLU blocks followed by global
-average pooling and a head that is a ``matmul`` plus a bias add, as in the
-conv blocks.  Each block pools before its ReLU: max commutes with ReLU, so
-the values are those of ReLU-then-pool, and the ReLU and its backward masks
-act on the pooled quarter-size map.  Batch normalization is deliberately
-absent: every op is per-sample independent, which is what makes the batched
-attention-gradient trick in :mod:`icasc.attention` valid.
+average pooling and a head that is a ``matmul`` plus a bias add.  A block's
+``conv2d`` adds the block's bias itself, in place, so no second map of the
+conv's size is written or taped.  Each block pools before its ReLU: max
+commutes with ReLU, so the values are those of ReLU-then-pool, and the ReLU
+and its backward masks act on the pooled quarter-size map.  Batch
+normalization is deliberately absent: every op is per-sample independent,
+which is what makes the batched attention-gradient trick in
+:mod:`icasc.attention` valid.
 """
 
 from __future__ import annotations
@@ -160,11 +162,11 @@ class Model:
         x = Tensor(images)
         feats = {}
         for i, cout in enumerate(cfg.channels):
-            x = ad.conv2d(x, leaves[f"block{i}.w"], stride=1, padding=pad)
-            bias = ad.broadcast_axes(leaves[f"block{i}.b"], x.shape, (0, 2, 3))
+            x = ad.conv2d(x, leaves[f"block{i}.w"], stride=1, padding=pad,
+                          bias=leaves[f"block{i}.b"])
             # max commutes with ReLU, so pooling first gives the same values
             # while the ReLU and its backward masks see a quarter of the map
-            x = ad.relu(ad.maxpool2d(ad.add(x, bias), window=2, stride=2))
+            x = ad.relu(ad.maxpool2d(x, window=2, stride=2))
             if i == cfg.n_blocks - 2:
                 if from_inner:
                     x = tape.leaf(x.data)    # frozen engine output: no copy

@@ -53,6 +53,22 @@ def im2col_padded(x, kh, kw, stride, padding):
     return cols
 
 
+def col2im_padded(cols, x_shape, stride, padding):
+    """Adjoint of ``im2col_padded``: each tap (p, q), in that order, added
+    element by element into an ``np.zeros`` zero-padded buffer, which is
+    then cropped to ``x_shape``."""
+    n, cin, h, w = x_shape
+    kh, kw, oh, ow = cols.shape[2:]
+    xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding))
+    for p in range(kh):
+        for q in range(kw):
+            for i in range(oh):
+                for j in range(ow):
+                    xp[:, :, i * stride + p, j * stride + q] += \
+                        cols[:, :, p, q, i, j]
+    return xp[:, :, padding:padding + h, padding:padding + w].copy()
+
+
 def maxpool_loops(x, window=2, stride=2):
     n, c, h, w = x.shape
     oh = (h - window) // stride + 1

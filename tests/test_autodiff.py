@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -141,29 +141,34 @@ def test_conv_vs_loop_oracle():
     assert np.max(np.abs(out.data - oracles.conv2d_loops(x, w))) < 1e-12
 
 
-CONV_GEOMETRIES = [(n, stride, padding) for n in (1, 3) for stride in (1, 2)
-                   for padding in (0, 1, 2)]
+# the 3x2 kernel never takes the same-width run path of _im2col/_col2im; the
+# 3x3 one takes it at stride 1 and padding 1, and the loop at the others
+CONV_GEOMETRIES = [
+    pytest.param(n, stride, padding, kw,
+                 id=f"{n}-{stride}-{padding}" + ("" if kw == 2 else f"-kw{kw}"))
+    for kw in (2, 3) for n in (1, 3) for stride in (1, 2) for padding in (0, 1, 2)]
 
 
-def _conv_operands(n, seed):
-    # kh != kw and Cin > 1; H and W chosen so stride 2 leaves rows unread
+def _conv_operands(n, kw, seed):
+    # kh != kw unless kw is 3, and Cin > 1; H and W chosen so stride 2
+    # leaves rows unread
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, 2, 7, 6)), rng.standard_normal((3, 2, 3, 2))
+    return rng.standard_normal((n, 2, 7, 6)), rng.standard_normal((3, 2, 3, kw))
 
 
-@pytest.mark.parametrize("n, stride, padding", CONV_GEOMETRIES)
-def test_conv_vs_loop_oracle_strided_padded(n, stride, padding):
-    x, w = _conv_operands(n, 20 + stride + padding)
+@pytest.mark.parametrize("n, stride, padding, kw", CONV_GEOMETRIES)
+def test_conv_vs_loop_oracle_strided_padded(n, stride, padding, kw):
+    x, w = _conv_operands(n, kw, 20 + stride + padding)
     out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
     ref = oracles.conv2d_loops(x, w, stride, padding)
     assert out.shape == ref.shape
     assert np.max(np.abs(out.data - ref)) < 1e-12
 
 
-@pytest.mark.parametrize("n, stride, padding", CONV_GEOMETRIES)
-def test_conv_adjoint_identities(n, stride, padding):
+@pytest.mark.parametrize("n, stride, padding, kw", CONV_GEOMETRIES)
+def test_conv_adjoint_identities(n, stride, padding, kw):
     """<conv2d(x,w), g> = <x, conv2d_dx(g,w)> = <w, conv2d_dw(x,g)>."""
-    x, w = _conv_operands(n, 40 + stride + padding)
+    x, w = _conv_operands(n, kw, 40 + stride + padding)
     y = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
     g = np.random.default_rng(60 + n).standard_normal(y.shape)
     meta = ad._geom_meta(x.shape, w.shape, stride, padding)
@@ -175,19 +180,138 @@ def test_conv_adjoint_identities(n, stride, padding):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def _patch_shape(x_shape, kh, kw, stride, padding):
+    n, cin, h, w = x_shape
+    return (n, cin, kh, kw, (h + 2 * padding - kh) // stride + 1,
+            (w + 2 * padding - kw) // stride + 1)
+
+
+@st.composite
+def _patch_cases(draw, of_patches):
+    """A valid conv geometry ``(x_shape, kh, kw, stride, padding)`` and an
+    array of ``_POOL_VALUES["specials"]`` shaped like its input or, with
+    ``of_patches``, like its patches."""
+    n, cin = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    kh = draw(st.integers(1, min(5, h + 2 * padding)))
+    kw = draw(st.integers(1, min(5, w + 2 * padding)))
+    geometry = ((n, cin, h, w), kh, kw, stride, padding)
+    shape = _patch_shape(*geometry) if of_patches else geometry[0]
+    return geometry, draw(hnp.arrays(np.float64, shape,
+                                     elements=_POOL_VALUES["specials"]))
+
+
+# same-width stride-1 geometries, so each takes the flat-run path: the bench
+# size, a one-row and a one-column input at k 3 p 1, a 1x1 kernel at p 0,
+# kh != kw, taps whose kernel row never meets the input (empty runs), and a
+# padding wider than the input
+_RUN_PATH_GEOMETRIES = [((32, 8, 16, 16), 3, 3, 1, 1), ((2, 2, 1, 5), 3, 3, 1, 1),
+                        ((2, 2, 5, 1), 3, 3, 1, 1), ((2, 3, 4, 5), 1, 1, 1, 0),
+                        ((2, 2, 6, 4), 5, 3, 1, 1), ((1, 2, 2, 3), 5, 5, 1, 2),
+                        ((1, 2, 3, 2), 7, 7, 1, 3)]
+
+
+def _run_path_examples(of_patches):
+    """Each run-path geometry as an explicit example, its values normal
+    draws with NaN, +-inf and +-0.0 spread over about a third."""
+    def add_examples(test):
+        for seed, geometry in enumerate(_RUN_PATH_GEOMETRIES):
+            rng = np.random.default_rng(seed)
+            shape = _patch_shape(*geometry) if of_patches else geometry[0]
+            values = rng.standard_normal(shape)
+            hit = rng.random(shape) < 0.3
+            values[hit] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], hit.sum())
+            test = example(case=(geometry, values))(test)
+        return test
+    return add_examples
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3),
-       st.integers(0, 2), st.integers(1, 7), st.integers(1, 7), st.data())
-def test_im2col_bit_equal_to_padded_reference(n, cin, stride, padding, h, w,
-                                              data):
-    kh = data.draw(st.integers(1, min(5, h + 2 * padding)))
-    kw = data.draw(st.integers(1, min(5, w + 2 * padding)))
-    x = data.draw(hnp.arrays(np.float64, (n, cin, h, w),
-                             elements=_POOL_VALUES["specials"]))
+@given(_patch_cases(of_patches=False))
+@_run_path_examples(of_patches=False)
+def test_im2col_bit_equal_to_padded_reference(case):
+    (x_shape, kh, kw, stride, padding), x = case
     cols = ad._im2col(x, kh, kw, stride, padding)
     ref = oracles.im2col_padded(x, kh, kw, stride, padding)
     assert cols.shape == ref.shape and cols.dtype == ref.dtype
     assert cols.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_patch_cases(of_patches=True))
+@_run_path_examples(of_patches=True)
+def test_col2im_bit_equal_to_padded_reference(case):
+    """Same addends in the same order as the oracle; only where two NaNs
+    meet in one sum may the result's NaN sign differ, since NumPy's
+    contiguous and strided add loops propagate different operands."""
+    (x_shape, kh, kw, stride, padding), cols = case
+    with np.errstate(invalid="ignore"):    # inf - inf is NaN in both
+        ref = oracles.col2im_padded(cols, x_shape, stride, padding)
+        out = ad._col2im(cols.copy(), x_shape, stride, padding)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    nan = np.isnan(ref)
+    assert np.array_equal(out, ref, equal_nan=True)
+    assert out[~nan].tobytes() == ref[~nan].tobytes()
+    assert not np.any(np.signbit(out[out == 0.0]))
+
+
+def _two_conv_net(params, selector, biased):
+    """Two padded conv blocks with the bias in ``conv2d`` or added after it
+    by ``broadcast_axes``.  Returns the first block's output value, the
+    gradients of a class score toward every leaf, and those of an
+    attention-like loss built on a ``create_graph`` class gradient toward
+    the first block's features."""
+    def run(first_order):
+        tape = Tape()
+        leaves = {name: tape.leaf(arr) for name, arr in params.items()}
+        h = leaves["x"]
+        blocks = []
+        for i in range(2):
+            w, b = leaves[f"w{i}"], leaves[f"b{i}"]
+            if biased:
+                h = ad.conv2d(h, w, padding=1, bias=b)
+            else:
+                h = ad.conv2d(h, w, padding=1)
+                h = ad.add(h, ad.broadcast_axes(b, h.shape, (0, 2, 3)))
+            h = ad.relu(h)
+            blocks.append(h)
+        score = ad.reduce_sum(ad.mul(h, Tensor(selector)))
+        root = score
+        if not first_order:
+            grad, = backward(score, [blocks[0]], create_graph=True).values()
+            attention = ad.mul(blocks[0], grad)
+            root = ad.reduce_sum(ad.mul(attention, attention))
+        grads = backward(root, list(leaves.values()))
+        return blocks[0].data, {name: grads[leaf.node].data
+                                for name, leaf in leaves.items()}
+
+    value, first = run(True)
+    return value, first, run(False)[1]
+
+
+def test_conv_bias_bit_equal_to_broadcast_add():
+    rng = np.random.default_rng(31)
+    params = {"x": rng.standard_normal((3, 2, 6, 5)),
+              "w0": rng.standard_normal((4, 2, 3, 3)), "b0": rng.standard_normal(4),
+              "w1": rng.standard_normal((3, 4, 3, 3)), "b1": rng.standard_normal(3)}
+    selector = rng.standard_normal((3, 3, 6, 5))
+    fused = _two_conv_net(params, selector, biased=True)
+    added = _two_conv_net(params, selector, biased=False)
+    assert fused[0].tobytes() == added[0].tobytes()
+    for f, a in zip(fused[1:], added[1:]):
+        for name in params:
+            assert f[name].tobytes() == a[name].tobytes()
+    # the first block's bias moves the features the attention loss reads;
+    # the last block's moves only the ReLU masks of the class gradient
+    assert np.all(fused[2]["b0"] != 0.0) and np.all(fused[2]["b1"] == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (), (1, 3, 1, 1)])
+def test_conv_bias_must_be_one_per_output_channel(shape):
+    with pytest.raises(ShapeError):
+        ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3))),
+                  padding=1, bias=Tensor(np.zeros(shape)))
 
 
 def test_conv_channel_mismatch():
@@ -809,15 +933,19 @@ def test_tape_values_reproducible_from_leaves():
     rng = np.random.default_rng(5)
     t = Tape()
     x = t.leaf(rng.standard_normal((1, 1, 4, 4)))
-    out = ad.reduce_sum(ad.relu(ad.conv2d(x, Tensor(rng.standard_normal((2, 1, 3, 3))))))
+    w = Tensor(rng.standard_normal((2, 1, 3, 3)))
+    biased = ad.conv2d(x, w, padding=1, bias=t.leaf(rng.standard_normal(2)))
+    out = ad.reduce_sum(ad.relu(ad.conv2d(biased, Tensor(rng.standard_normal((2, 2, 3, 3))))))
     replay = {}
     for i, node in enumerate(t.nodes):
         if node.kind == "leaf":
             replay[i] = node.value
         elif node.kind == "conv2d":
-            (hx, vx), (hw, vw) = node.inputs
+            (hx, vx), (hw, vw) = node.inputs[:2]
+            bias = [Tensor(replay[hb]) for hb, _ in node.inputs[2:]]
             replay[i] = ad.conv2d(Tensor(replay.get(hx, vx)), Tensor(vw),
-                                  node.meta["stride"], node.meta["padding"]).data
+                                  node.meta["stride"], node.meta["padding"],
+                                  *bias).data
         elif node.kind == "relu":
             (hx, vx), = node.inputs
             replay[i] = ad.relu(Tensor(replay[hx])).data

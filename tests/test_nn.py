@@ -167,7 +167,7 @@ def test_forward_pools_before_relu():
     for node in relus:
         pooled = tape.nodes[node.inputs[0][0]]
         assert pooled.kind == "pool_gather"
-        assert tape.nodes[pooled.inputs[0][0]].kind == "add"
+        assert tape.nodes[pooled.inputs[0][0]].kind == "conv2d"
 
 
 def test_forward_from_inner_tapes_only_what_follows_the_inner_features():
