@@ -19,15 +19,15 @@ reproducible): ReLU derivative at exactly 0 is 0, elementwise ``minimum``
 routes ties to the first argument, and max pooling routes ties to the lowest
 flat index and a window that holds NaN to its first NaN.
 
-Max pooling runs in two passes.  The forward computes only the value, a
-running ``np.maximum`` over the window's strided tap views, and records a
-``pool_gather`` node without routes.  A backward rule or
-``Tape.kink_signature`` that first reads the node's routes (each window's
-flat index of its first maximum) derives them from the node's input and
-value, over blocks of whole samples small enough that the temporaries stay
-in cache, and keeps them on the node.  The adjoint of a ``pool_gather`` is a
-``pool_scatter`` by the same indices, and that of a ``pool_scatter`` is a
-``pool_gather`` that records its indices.
+Max pooling, over 2x2 windows at stride 2, runs in two passes.  The
+forward computes only the value, a running ``np.maximum`` over the window's
+four strided tap views, and records a ``pool_gather`` node without routes.
+A backward rule or ``Tape.kink_signature`` that first reads the node's
+routes (each window's flat index of its first maximum) derives them from
+the node's input and value, over blocks of whole samples small enough that
+the temporaries stay in cache, and keeps them on the node.  The adjoint of
+a ``pool_gather`` is a ``pool_scatter`` by the same indices, and that of a
+``pool_scatter`` is a ``pool_gather`` that records its indices.
 
 Arrays that the engine builds itself (op results, routing masks, indices,
 the float masks of the ReLU and ``minimum`` rules) are frozen in place;
@@ -556,134 +556,108 @@ def _matmul_rule(node, g, inputs, out, need):
 # conv2d is bilinear in (input, kernel); its two partial adjoints conv2d_dx
 # and conv2d_dw are bilinear too, and the three maps are closed under
 # differentiation, which is what makes second/third-order passes exact.
-# All share one geometry record: (stride, padding, x_shape, w_shape).
 #
-# The kernels share one channel-major patch layout, (N, Cin, kh, kw, OH, OW):
-# with K = Cin*kh*kw and P = OH*OW, a batch of patches is an (N, K, P) stack.
+# There is one geometry, the model's: a square kernel of odd side k at
+# stride 1 and padding k // 2, so the output is as large as the input.  All
+# three ops share one geometry record, (x_shape, w_shape), which also
+# states that stride and padding.
+#
+# The kernels share one channel-major patch layout, (N, Cin, k, k, H, W):
+# with K = Cin*k*k and P = H*W, a batch of patches is an (N, K, P) stack.
 # conv2d is (Cout, K) @ (N, K, P) and conv2d_dx is (K, Cout) @ (N, Cout, P),
 # both NCHW as they come out of the matmul; conv2d_dw sums the per-sample
 # (N, Cout, P) @ (N, P, K) products over the batch, the patch stack reaching
 # BLAS as a transposed operand.  No patch array is copied into another order.
 #
-# When stride is 1 and the output is as wide as the input (kw == 2*padding
-# + 1, which every conv of the model has), _im2col and _col2im view each
-# (N, Cin) plane flat and move tap (a, b) as one contiguous run, shifted by
-# (a - padding)*W + (b - padding), with no zero-padded copy.  Positions
-# whose read falls in the padding (the run's head and tail, and the columns
-# that wrapped into a neighbouring row) are +0.0 in the patches; _col2im
-# zeroes the wrapped columns and then adds them like any other.  So every
-# output element gets the slice loop's addends in the same order, plus some
-# +0.0 ones, and x + (+0.0) is x bit for bit unless x is -0.0, which a sum
-# that starts from +0.0 never holds.  Only where two NaNs meet in one sum
-# can the result's NaN differ in sign: NumPy's contiguous and strided add
-# loops propagate different operands.  Any other geometry keeps the loop.
+# _im2col and _col2im view each (N, Cin) plane flat and move tap (a, b) as
+# one contiguous run, shifted by (a - p)*W + (b - p) with p = k // 2, with
+# no zero-padded copy.  Positions whose read falls in the padding (the
+# run's head and tail, and the columns that wrapped into a neighbouring
+# row) are +0.0 in the patches; _col2im zeroes the wrapped columns and then
+# adds them like any other.  So every output element gets the addends of a
+# slice loop over a zero-padded buffer in the same order, plus some +0.0
+# ones, and x + (+0.0) is x bit for bit unless x is -0.0, which a sum that
+# starts from +0.0 never holds.  Only where two NaNs meet in one sum can
+# the result's NaN differ in sign: NumPy's contiguous and strided add loops
+# propagate different operands.
 # --------------------------------------------------------------------------
 
 
-def _conv_geometry(x_shape, w_shape, stride: int, padding: int):
+def _conv_geometry(x_shape, w_shape):
+    """Check a conv's operands against the one geometry: a square kernel of
+    odd side over a non-empty input whose channels it matches."""
     n, cin, h, w = x_shape
     cout, cin_k, kh, kw = w_shape
     if cin != cin_k:
         raise ShapeError(f"conv2d: input channels {cin} != kernel channels {cin_k}")
-    if stride < 1:
-        raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ShapeError(f"conv2d: padding must be >= 0, got {padding}")
-    if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ShapeError(f"conv2d: spatial {h}x{w} with padding {padding} "
-                         f"smaller than kernel {kh}x{kw}")
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    return oh, ow
+    if kh != kw or kh % 2 != 1:
+        raise ShapeError(f"conv2d: kernel {kh}x{kw} is not square with an "
+                         "odd side")
+    if h < 1 or w < 1:
+        raise ShapeError(f"conv2d: empty spatial input {h}x{w}")
 
 
-def _tap_runs(h: int, w: int, kh: int, kw: int, padding: int):
-    """Yield ``(a, b, shift, lo, hi)`` for each tap of a stride-1 conv whose
-    output is as wide as its input: output position p of the flat
-    (OH*W) plane reads flat input position p + shift, and [lo, hi) are the
-    output positions whose read falls inside the flat (H*W) input plane.
-    hi <= lo when the tap's kernel row never meets the input."""
-    oh = h + 2 * padding - kh + 1
-    for a in range(kh):
-        for b in range(kw):
-            shift = (a - padding) * w + (b - padding)
-            yield a, b, shift, max(0, -shift), min(oh * w, h * w - shift)
+def _tap_runs(h: int, w: int, k: int):
+    """Yield ``(a, b, shift, lo, hi)`` for each tap of a k x k kernel:
+    output position q of the flat (H*W) plane reads flat input position
+    q + shift, and [lo, hi) are the output positions whose read falls
+    inside the input plane.  hi <= lo when the tap's kernel row never meets
+    the input."""
+    p = k // 2
+    for a in range(k):
+        for b in range(k):
+            shift = (a - p) * w + (b - p)
+            yield a, b, shift, max(0, -shift), min(h * w, h * w - shift)
 
 
-def _wrapped(tap: np.ndarray, b: int, padding: int):
-    """The two column blocks of a (rows, OH, W) tap view at kernel column b
-    whose flat reads wrapped into a neighbouring input row."""
+def _wrapped(tap: np.ndarray, b: int, p: int):
+    """The two column blocks of a (rows, H, W) tap view at kernel column b,
+    padding p, whose flat reads wrapped into a neighbouring input row."""
     w = tap.shape[-1]
-    return tap[..., :max(0, padding - b)], tap[..., max(0, w + padding - b):]
+    return tap[..., :max(0, p - b)], tap[..., max(0, w + p - b):]
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """(N, Cin, H, W) -> (N, Cin, kh, kw, OH, OW) patches: ``cols[:, :, a, b]``
-    is the padded input at tap (a, b).  A same-width stride-1 geometry
-    copies each tap as one flat run and writes +0.0 where it reads padding;
-    any other copies one strided slice per tap from a zero-padded input."""
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """(N, Cin, H, W) -> (N, Cin, k, k, H, W) patches: ``cols[:, :, a, b]``
+    is the input zero-padded by k // 2 at tap (a, b).  Each tap is copied as
+    one flat run, with +0.0 written where it reads padding."""
     n, cin, h, w = x.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    if stride == 1 and kw == 2 * padding + 1:
-        flat = x.reshape(n * cin, h * w)
-        cols = np.empty((n * cin, kh, kw, oh * w))
-        for a, b, shift, lo, hi in _tap_runs(h, w, kh, kw, padding):
-            tap = cols[:, a, b]
-            if hi <= lo:
-                tap[...] = 0.0
-                continue
-            tap[:, lo:hi] = flat[:, lo + shift:hi + shift]
-            tap[:, :lo] = 0.0
-            tap[:, hi:] = 0.0
-            for block in _wrapped(tap.reshape(n * cin, oh, w), b, padding):
-                block[...] = 0.0
-        return cols.reshape(n, cin, kh, kw, oh, ow)
-    xp = x
-    if padding:
-        xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = x
-    cols = np.empty((n, cin, kh, kw, oh, ow))
-    for a in range(kh):
-        for b in range(kw):
-            cols[:, :, a, b] = xp[:, :, a:a + stride * oh:stride,
-                                  b:b + stride * ow:stride]
-    return cols
+    flat = x.reshape(n * cin, h * w)
+    cols = np.empty((n * cin, k, k, h * w))
+    for a, b, shift, lo, hi in _tap_runs(h, w, k):
+        tap = cols[:, a, b]
+        if hi <= lo:
+            tap[...] = 0.0
+            continue
+        tap[:, lo:hi] = flat[:, lo + shift:hi + shift]
+        tap[:, :lo] = 0.0
+        tap[:, hi:] = 0.0
+        for block in _wrapped(tap.reshape(n * cin, h, w), b, k // 2):
+            block[...] = 0.0
+    return cols.reshape(n, cin, k, k, h, w)
 
 
-def _col2im(cols: np.ndarray, x_shape, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of _im2col; cols is (N, Cin, kh, kw, OH, OW), and is consumed:
-    a same-width stride-1 geometry writes +0.0 over its wrapped columns,
-    then adds each tap's flat run into the unpadded output, taps in (a, b)
-    order.  Any other adds one strided slice per tap into a zero-padded
-    output and crops it."""
+def _col2im(cols: np.ndarray, x_shape) -> np.ndarray:
+    """Adjoint of _im2col; cols is (N, Cin, k, k, H, W), and is consumed:
+    its wrapped columns are overwritten with +0.0, then each tap's flat run
+    is added into the output, taps in (a, b) order."""
     n, cin, h, w = x_shape
-    kh, kw, oh, ow = cols.shape[2:]
-    if stride == 1 and kw == 2 * padding + 1:
-        out = np.zeros((n * cin, h * w))
-        cols = cols.reshape(n * cin, kh, kw, oh * ow)
-        for a, b, shift, lo, hi in _tap_runs(h, w, kh, kw, padding):
-            if hi <= lo:
-                continue
-            tap = cols[:, a, b]
-            for block in _wrapped(tap.reshape(n * cin, oh, w), b, padding):
-                block[...] = 0.0
-            out[:, lo + shift:hi + shift] += tap[:, lo:hi]
-        return out.reshape(x_shape)
-    xp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding))
-    for a in range(kh):
-        for b in range(kw):
-            xp[:, :, a:a + stride * oh:stride, b:b + stride * ow:stride] += \
-                cols[:, :, a, b]
-    if padding:
-        return xp[:, :, padding:-padding, padding:-padding].copy()
-    return xp
+    k = cols.shape[2]
+    out = np.zeros((n * cin, h * w))
+    cols = cols.reshape(n * cin, k, k, h * w)
+    for a, b, shift, lo, hi in _tap_runs(h, w, k):
+        if hi <= lo:
+            continue
+        tap = cols[:, a, b]
+        for block in _wrapped(tap.reshape(n * cin, h, w), b, k // 2):
+            block[...] = 0.0
+        out[:, lo + shift:hi + shift] += tap[:, lo:hi]
+    return out.reshape(x_shape)
 
 
 def _patches(x: np.ndarray, meta) -> np.ndarray:
-    """im2col of a conv input at the geometry of ``meta``."""
-    kh, kw = meta["w_shape"][2:]
-    return _im2col(x, kh, kw, meta["stride"], meta["padding"])
+    """im2col of a conv input for the kernel of ``meta``."""
+    return _im2col(x, meta["w_shape"][2])
 
 
 def _conv_forward(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -693,12 +667,11 @@ def _conv_forward(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(n, cout, oh, ow)
 
 
-def _conv_dx(g: np.ndarray, w: np.ndarray, x_shape, stride: int,
-             padding: int) -> np.ndarray:
+def _conv_dx(g: np.ndarray, w: np.ndarray, x_shape) -> np.ndarray:
     cout, cin, kh, kw = w.shape
     n, oh, ow = g.shape[0], g.shape[2], g.shape[3]
     cols = w.reshape(cout, -1).T @ g.reshape(n, cout, oh * ow)
-    return _col2im(cols.reshape(n, cin, kh, kw, oh, ow), x_shape, stride, padding)
+    return _col2im(cols.reshape(n, cin, kh, kw, oh, ow), x_shape)
 
 
 def _conv_dw(cols: np.ndarray, g: np.ndarray, w_shape) -> np.ndarray:
@@ -709,13 +682,17 @@ def _conv_dw(cols: np.ndarray, g: np.ndarray, w_shape) -> np.ndarray:
     return per_sample.sum(axis=0).reshape(w_shape)
 
 
-def _geom_meta(x_shape, w_shape, stride, padding):
-    return {"stride": int(stride), "padding": int(padding),
+def _geom_meta(x_shape, w_shape):
+    # stride and padding are fixed by the kernel; the record states them
+    # for readers that cost a conv node from its meta alone
+    return {"stride": 1, "padding": int(w_shape[2]) // 2,
             "x_shape": tuple(x_shape), "w_shape": tuple(w_shape)}
 
 
-def conv2d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
-    """Cross-correlation of NCHW input with OIHW kernel, zero padding.
+def conv2d(x, w, bias=None) -> Tensor:
+    """Cross-correlation of NCHW input with an OIHW kernel of odd side k, at
+    stride 1 and zero padding k // 2, so the output is as large as the
+    input.  Any other kernel, or an empty spatial input, is a ShapeError.
 
     A ``(Cout,)`` ``bias`` is added in place to the fresh matmul output, bit
     for bit as ``add(conv2d(x, w), broadcast_axes(bias, ..., (0, 2, 3)))``,
@@ -724,14 +701,13 @@ def conv2d(x, w, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     x, w = _lift(x), _lift(w)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D operands, got {x.shape}, {w.shape}")
-    _conv_geometry(x.shape, w.shape, stride, padding)
+    _conv_geometry(x.shape, w.shape)
     if bias is not None:
         bias = _lift(bias)
         if bias.shape != w.shape[:1]:
             raise ShapeError(f"conv2d: bias shape {bias.shape} != "
                              f"({w.shape[0]},) output channels")
-    return _conv2d_op(x, w, _geom_meta(x.shape, w.shape, stride, padding),
-                      bias=bias)
+    return _conv2d_op(x, w, _geom_meta(x.shape, w.shape), bias=bias)
 
 
 def _conv2d_op(x: Tensor, w: Tensor, meta, cols=None, bias=None) -> Tensor:
@@ -748,7 +724,7 @@ def _conv2d_op(x: Tensor, w: Tensor, meta, cols=None, bias=None) -> Tensor:
 
 def _conv2d_dx_op(g, w, meta) -> Tensor:
     g, w = _lift(g), _lift(w)
-    value = _conv_dx(g.data, w.data, meta["x_shape"], meta["stride"], meta["padding"])
+    value = _conv_dx(g.data, w.data, meta["x_shape"])
     return _emit("conv2d_dx", (g, w), value, dict(meta))
 
 
@@ -802,13 +778,12 @@ def _conv2d_dw_rule(node, g_hat, inputs, out, need):
 _POOL_BLOCK = 16 * 1024
 
 
-def _pool_taps(x: np.ndarray, window: int, stride: int, oh: int, ow: int):
-    """``(offsets, views)`` of the window taps ``(a, b)`` in tap order: the
-    offset is ``a*w + b`` and the view is the strided input at that tap of
-    every window, as in ``_im2col``."""
+def _pool_taps(x: np.ndarray):
+    """``(offsets, views)`` of the 2x2 window's taps ``(a, b)`` in tap order:
+    the offset is ``a*w + b`` and the view is the input at that tap of every
+    window, ``x[:, :, a::2, b::2]``."""
     w = x.shape[3]
-    taps = [(a * w + b, x[:, :, a:a + stride * oh:stride, b:b + stride * ow:stride])
-            for a in range(window) for b in range(window)]
+    taps = [(a * w + b, x[:, :, a::2, b::2]) for a in (0, 1) for b in (0, 1)]
     return np.array([k for k, _ in taps]), [view for _, view in taps]
 
 
@@ -832,14 +807,15 @@ def _first_tap(taps, value: np.ndarray) -> np.ndarray:
     return first
 
 
-def maxpool2d(x, window: int = 2, stride: int = 2) -> Tensor:
-    """Per-window max over NCHW, recorded as the gather of each window's
-    maximum from the input; the gather's flat spatial indices (its routes)
-    are derived when first read, by ``_pool_indices``.
+def maxpool2d(x) -> Tensor:
+    """Max over each 2x2 window of NCHW at stride 2, recorded as the gather
+    of each window's maximum from the input; the gather's flat spatial
+    indices (its routes) are derived when first read, by ``_pool_indices``.
+    An odd or zero height or width is a ShapeError.
 
-    The value pass runs ``np.maximum`` over the ``window**2`` strided tap
-    views in tap order.  That gives each window's maximum, and NaN for a
-    window holding NaN, but not always its bits: SIMD max may pick either
+    The value pass runs ``np.maximum`` over the four strided tap views in
+    tap order.  That gives each window's maximum, and NaN for a window
+    holding NaN, but not always its bits: SIMD max may pick either
     zero of a ``-0.0``/``0.0`` tie and may quieten a signalling NaN.  So
     each window whose maximum is zero or NaN takes the exact bits of its
     first zero or first NaN tap.  The value is then the routed input
@@ -850,17 +826,11 @@ def maxpool2d(x, window: int = 2, stride: int = 2) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects 4-D input, got {x.shape}")
     n, c, h, w = x.shape
-    if window < 1 or stride < 1:
-        raise ShapeError(f"maxpool2d: window {window} and stride {stride} "
-                         "must be >= 1")
-    if window > h or window > w:
-        raise ShapeError(f"maxpool2d: window {window} exceeds spatial {h}x{w}")
-    if (h - window) % stride or (w - window) % stride:
-        raise ShapeError(f"maxpool2d: spatial {h}x{w} not divisible by stride "
-                         f"{stride} after {window}-windowing")
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
-    offsets, taps = _pool_taps(x.data, window, stride, oh, ow)
+    if h % 2 or w % 2 or not h or not w:
+        raise ShapeError(f"maxpool2d: spatial {h}x{w} does not tile into "
+                         "2x2 windows")
+    oh, ow = h // 2, w // 2
+    offsets, taps = _pool_taps(x.data)
     value = taps[0].copy()
     for tap in taps[1:]:
         np.maximum(value, tap, out=value)
@@ -871,24 +841,23 @@ def maxpool2d(x, window: int = 2, stride: int = 2) -> Tensor:
     special = np.flatnonzero(zero_or_nan)
     if special.size:
         plane, at = np.divmod(special, oh * ow)
-        base = plane * (h * w) + (at // ow) * (stride * w) + (at % ow) * stride
+        base = plane * (h * w) + (at // ow) * (2 * w) + (at % ow) * 2
         first = _first_tap([np.take(x.data, base + k) for k in offsets],
                            value.ravel()[special])
         value.view(np.int64).ravel()[special] = np.take(
             x.data.view(np.int64), base + offsets[first])
-    return _emit("pool_gather", (x,), value,
-                 {"in_shape": x.shape, "window": window, "stride": stride})
+    return _emit("pool_gather", (x,), value, {"in_shape": x.shape})
 
 
 def _pool_indices(node: TapeNode) -> np.ndarray:
     """The routes of a ``pool_gather`` node, derived from its input and
     value on first read and then kept in ``node.meta``.
 
-    A ``maxpool2d`` node records no routes: each window's route is its
-    first tap that equals the value, or its first NaN tap, flat in its
-    input plane.  The pass runs over blocks of whole samples, each with at
-    most ``_POOL_BLOCK`` pooled elements (or one sample, if a sample is
-    larger), and writes each block's rows of one index array.
+    A ``maxpool2d`` node records no routes: each 2x2 window's route is its
+    first tap that equals the value, or its first NaN tap, as a flat index
+    into its input plane.  The pass runs over blocks of whole samples, each
+    with at most ``_POOL_BLOCK`` pooled elements (or one sample, if a sample
+    is larger), and writes each block's rows of one index array.
     """
     indices = node.meta.get("indices")
     if indices is not None:
@@ -896,8 +865,7 @@ def _pool_indices(node: TapeNode) -> np.ndarray:
     (_, x), = node.inputs
     value = node.value
     n, c, oh, ow = value.shape
-    stride, w = node.meta["stride"], x.shape[3]
-    offsets, taps = _pool_taps(x, node.meta["window"], stride, oh, ow)
+    offsets, taps = _pool_taps(x)
     indices = np.empty(value.shape, dtype=np.int64)
     block = max(1, _POOL_BLOCK // max(c * oh * ow, 1))
     for lo in range(0, n, block):
@@ -905,7 +873,7 @@ def _pool_indices(node: TapeNode) -> np.ndarray:
         # tap places are in range; mode "raise" would buffer ``out``
         np.take(offsets, _first_tap([tap[rows] for tap in taps], value[rows]),
                 out=indices[rows], mode="clip")
-    indices += (np.arange(oh) * (stride * w))[:, None] + np.arange(ow) * stride
+    indices += (np.arange(oh) * (2 * x.shape[3]))[:, None] + np.arange(ow) * 2
     indices.flags.writeable = False
     node.meta["indices"] = indices
     return indices

@@ -165,6 +165,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_for(model, path) -> dio.Dataset:
+    """The set at ``path``, checked against what ``model`` reads: its class
+    count, and its image channels and size."""
+    cfg = model.config
+    return dio.load_dataset(path, n_classes=cfg.n_classes, image_shape=(
+        cfg.input_channels, cfg.input_size, cfg.input_size))
+
+
 def _require_confusing_class(checkpoint, n_classes: int) -> None:
     """``ks`` and ``eval --attention`` score each sample against its most
     probable other class, which a one-class model lacks."""
@@ -176,7 +184,7 @@ def _require_confusing_class(checkpoint, n_classes: int) -> None:
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     n_classes = model.config.n_classes
-    dataset = dio.load_dataset(args.data, n_classes=n_classes)
+    dataset = _load_for(model, args.data)
     labels = dataset.label_array()
     if args.attention:
         _require_confusing_class(args.checkpoint, n_classes)
@@ -273,7 +281,7 @@ def cmd_attend(args) -> int:
     if k > n_classes:
         raise UsageError(f"--classes {k} exceeds the model's "
                          f"{n_classes} classes")
-    dataset = dio.load_dataset(args.data, n_classes=n_classes)
+    dataset = _load_for(model, args.data)
     by_id = {s.id: s for s in dataset.samples}
     if args.samples:
         wanted = args.samples.split(",")
@@ -307,7 +315,7 @@ def cmd_attend(args) -> int:
 
 def cmd_ks(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    dataset = dio.load_dataset(args.data, n_classes=model.config.n_classes)
+    dataset = _load_for(model, args.data)
     _require_confusing_class(args.checkpoint, model.config.n_classes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -198,8 +198,13 @@ class Dataset:
         return np.array([s.label for s in self.samples], dtype=np.int64)
 
 
-def load_dataset(path, n_classes: int | None = None) -> Dataset:
-    """Load a labels.csv directory; errors name the offending sample id."""
+def load_dataset(path, n_classes: int | None = None,
+                 image_shape: tuple[int, ...] | None = None) -> Dataset:
+    """Load a labels.csv directory; errors name the offending sample id.
+
+    ``n_classes`` and ``image_shape`` (C, H, W) are what a model reading the
+    set takes: a label out of range, or images of another shape, are a
+    DataError."""
     root = Path(path)
     labels_file = root / "labels.csv"
     if not labels_file.is_file():
@@ -241,6 +246,9 @@ def load_dataset(path, n_classes: int | None = None) -> Dataset:
             samples.append(Sample(sid, image, label))
     if not samples:
         raise DataError(f"{labels_file}: no samples listed")
+    if image_shape is not None and samples[0].image.shape != image_shape:
+        raise DataError(f"{root}: images are {samples[0].image.shape} "
+                        f"(C, H, W), the model takes {image_shape}")
     inferred = max_label + 1
     if n_classes is None:
         n_classes = inferred

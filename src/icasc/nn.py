@@ -1,13 +1,15 @@
 """Desk-scale convolutional classifier, losses, optimizer, and schedules.
 
-The model is a stack of conv3x3/maxpool/ReLU blocks followed by global
-average pooling and a head that is a ``matmul`` plus a bias add.  A block's
-``conv2d`` adds the block's bias itself, in place, so no second map of the
-conv's size is written or taped.  Each block pools before its ReLU: max
-commutes with ReLU, so the values are those of ReLU-then-pool, and the ReLU
-and its backward masks act on the pooled quarter-size map.  Batch
-normalization is deliberately absent: every op is per-sample independent,
-which is what makes the batched attention-gradient trick in
+The model is a stack of conv/maxpool/ReLU blocks followed by global average
+pooling and a head that is a ``matmul`` plus a bias add.  Each conv has an
+odd k x k kernel at stride 1 and padding k // 2, and each pool a 2x2 window
+at stride 2: the one geometry ``autodiff.conv2d`` and ``maxpool2d`` take.
+A block's ``conv2d`` adds the block's bias itself, in place, so no second
+map of the conv's size is written or taped.  Each block pools before its
+ReLU: max commutes with ReLU, so the values are those of ReLU-then-pool,
+and the ReLU and its backward masks act on the pooled quarter-size map.
+Batch normalization is deliberately absent: every op is per-sample
+independent, which is what makes the batched attention-gradient trick in
 :mod:`icasc.attention` valid.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -54,14 +57,22 @@ class ModelConfig:
     kernel_size: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
+        try:
+            object.__setattr__(self, "channels",
+                               tuple(operator.index(c) for c in self.channels))
+            for name in ("input_size", "input_channels", "n_classes",
+                         "kernel_size"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError:
+            raise ConfigError(f"sizes and counts must be integers: {self}") from None
         if len(self.channels) < 2:
             raise ConfigError("need at least 2 blocks so the inner and last "
                               "attention layers are distinct")
         if min(*self.channels, self.input_channels, self.n_classes) < 1:
             raise ConfigError(f"channel and class counts must be >= 1: {self}")
-        if self.kernel_size % 2 != 1:
-            raise ConfigError("kernel size must be odd (same-padding blocks)")
+        if self.kernel_size < 1 or self.kernel_size % 2 != 1:
+            raise ConfigError(f"kernel size must be odd and >= 1 (same-padding "
+                              f"blocks), got {self.kernel_size}")
         size = self.input_size
         for _ in self.channels:
             if size % 2 != 0:
@@ -158,15 +169,13 @@ class Model:
         else:
             leaves = {name: Tensor(arr) for name, arr in self.params.items()}
 
-        pad = cfg.kernel_size // 2
         x = Tensor(images)
         feats = {}
         for i, cout in enumerate(cfg.channels):
-            x = ad.conv2d(x, leaves[f"block{i}.w"], stride=1, padding=pad,
-                          bias=leaves[f"block{i}.b"])
+            x = ad.conv2d(x, leaves[f"block{i}.w"], bias=leaves[f"block{i}.b"])
             # max commutes with ReLU, so pooling first gives the same values
             # while the ReLU and its backward masks see a quarter of the map
-            x = ad.relu(ad.maxpool2d(x, window=2, stride=2))
+            x = ad.relu(ad.maxpool2d(x))
             if i == cfg.n_blocks - 2:
                 if from_inner:
                     x = tape.leaf(x.data)    # frozen engine output: no copy

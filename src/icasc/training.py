@@ -145,10 +145,11 @@ def train(cfg: TrainConfig) -> TrainResult:
         raise dio.DataError(f"{cfg.data_dir}: the labels name "
                             f"{train_set.n_classes} class; training needs "
                             "at least 2")
-    test_set = dio.load_dataset(cfg.test_dir, n_classes=train_set.n_classes) \
+    sample = train_set.samples[0]
+    test_set = dio.load_dataset(cfg.test_dir, n_classes=train_set.n_classes,
+                                image_shape=sample.image.shape) \
         if cfg.test_dir else None
 
-    sample = train_set.samples[0]
     model_cfg = ModelConfig(channels=cfg.channels,
                             input_size=sample.image.shape[1],
                             input_channels=sample.image.shape[0],

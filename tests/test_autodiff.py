@@ -120,8 +120,11 @@ def test_conv_ones_kernel():
     x = Tensor(np.ones((1, 1, 3, 3)))
     w = Tensor(np.ones((1, 1, 3, 3)))
     out = ad.conv2d(x, w)
-    assert out.shape == (1, 1, 1, 1)
-    assert out.item() == 9.0
+    assert out.shape == (1, 1, 3, 3)
+    # the centre reads all nine taps, an edge six and a corner four; the
+    # other reads fall in the padding
+    assert np.array_equal(out.data[0, 0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0],
+                                           [4.0, 6.0, 4.0]])
 
 
 def test_conv_identity_kernel():
@@ -129,7 +132,7 @@ def test_conv_identity_kernel():
     x = rng.random((1, 1, 5, 5))
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0
-    out = ad.conv2d(Tensor(x), Tensor(w), padding=1)
+    out = ad.conv2d(Tensor(x), Tensor(w))
     assert np.allclose(out.data, x, atol=0)
 
 
@@ -138,40 +141,74 @@ def test_conv_vs_loop_oracle():
     x = rng.standard_normal((1, 2, 5, 5))
     w = rng.standard_normal((3, 2, 3, 3))
     out = ad.conv2d(Tensor(x), Tensor(w))
-    assert np.max(np.abs(out.data - oracles.conv2d_loops(x, w))) < 1e-12
+    assert np.max(np.abs(out.data - oracles.conv2d_loops(x, w, padding=1))) < 1e-12
 
 
-# the 3x2 kernel never takes the same-width run path of _im2col/_col2im; the
-# 3x3 one takes it at stride 1 and padding 1, and the loop at the others
-CONV_GEOMETRIES = [
-    pytest.param(n, stride, padding, kw,
+# the model's geometry at each kernel side the model tests: stride 1,
+# padding k // 2 (ids n-stride-padding-kwK, as in GENERAL_CONV_GEOMETRIES)
+CONV_GEOMETRIES = [pytest.param(n, k, id=f"{n}-1-{k // 2}-kw{k}")
+                   for n in (1, 3) for k in (1, 3, 5)]
+
+# a 3x2 or 3x3 kernel at stride 1 or 2 and padding 0-2, read from conv2d by
+# _conv_at, and the model's geometry at kernel sides 1 and 5
+GENERAL_CONV_GEOMETRIES = [
+    pytest.param(n, stride, padding, 3, kw,
                  id=f"{n}-{stride}-{padding}" + ("" if kw == 2 else f"-kw{kw}"))
-    for kw in (2, 3) for n in (1, 3) for stride in (1, 2) for padding in (0, 1, 2)]
+    for kw in (2, 3) for n in (1, 3) for stride in (1, 2) for padding in (0, 1, 2)
+] + [pytest.param(n, 1, k // 2, k, k, id=f"{n}-1-{k // 2}-kw{k}")
+     for n in (1, 3) for k in (1, 5)]
 
 
-def _conv_operands(n, kw, seed):
-    # kh != kw unless kw is 3, and Cin > 1; H and W chosen so stride 2
-    # leaves rows unread
+def _conv_operands(n, kh, kw, seed):
+    # Cin > 1 and H != W; H and W chosen so stride 2 leaves rows unread
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, 2, 7, 6)), rng.standard_normal((3, 2, 3, kw))
+    return rng.standard_normal((n, 2, 7, 6)), rng.standard_normal((3, 2, kh, kw))
 
 
-@pytest.mark.parametrize("n, stride, padding, kw", CONV_GEOMETRIES)
-def test_conv_vs_loop_oracle_strided_padded(n, stride, padding, kw):
-    x, w = _conv_operands(n, kw, 20 + stride + padding)
-    out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+def _conv_at(x, w, stride, padding):
+    """The cross-correlation of ``x`` and ``w`` at any stride and padding,
+    read from conv2d's same-size output: ``w`` is zero-filled at its bottom
+    right to the odd side k, ``x`` zero-padded where conv2d's own padding of
+    k // 2 falls short, and the output taken at every stride-th position
+    from the one whose window starts ``padding`` before ``x``.  At the
+    model's geometry this is ``conv2d(x, w)`` itself."""
+    h, wd = x.shape[2:]
+    cout, cin, kh, kw = w.shape
+    k = max(kh, kw) | 1
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    lead = max(0, padding - k // 2)
+    trail = [max(0, (o - 1) * stride - padding + k // 2 - size + 1)
+             for o, size in ((oh, h), (ow, wd))]
+    xp = np.pad(x, ((0, 0), (0, 0), (lead, trail[0]), (lead, trail[1])))
+    wk = np.zeros((cout, cin, k, k))
+    wk[:, :, :kh, :kw] = w
+    out = ad.conv2d(Tensor(xp), Tensor(wk)).data
+    start = lead + k // 2 - padding
+    return out[:, :, start::stride, start::stride][:, :, :oh, :ow]
+
+
+@pytest.mark.parametrize("n, stride, padding, kh, kw", GENERAL_CONV_GEOMETRIES)
+def test_conv_vs_loop_oracle_strided_padded(n, stride, padding, kh, kw):
+    x, w = _conv_operands(n, kh, kw, 20 + stride + padding)
+    out = _conv_at(x, w, stride, padding)
     ref = oracles.conv2d_loops(x, w, stride, padding)
     assert out.shape == ref.shape
-    assert np.max(np.abs(out.data - ref)) < 1e-12
+    assert np.max(np.abs(out - ref)) < 1e-12
 
 
-@pytest.mark.parametrize("n, stride, padding, kw", CONV_GEOMETRIES)
-def test_conv_adjoint_identities(n, stride, padding, kw):
+def test_conv_at_model_geometry_is_conv2d():
+    x, w = _conv_operands(2, 3, 3, 7)
+    assert _conv_at(x, w, 1, 1).tobytes() == ad.conv2d(Tensor(x), Tensor(w)).data.tobytes()
+
+
+@pytest.mark.parametrize("n, k", CONV_GEOMETRIES)
+def test_conv_adjoint_identities(n, k):
     """<conv2d(x,w), g> = <x, conv2d_dx(g,w)> = <w, conv2d_dw(x,g)>."""
-    x, w = _conv_operands(n, kw, 40 + stride + padding)
-    y = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+    x, w = _conv_operands(n, k, k, 41 + k // 2)
+    y = ad.conv2d(Tensor(x), Tensor(w)).data
     g = np.random.default_rng(60 + n).standard_normal(y.shape)
-    meta = ad._geom_meta(x.shape, w.shape, stride, padding)
+    meta = ad._geom_meta(x.shape, w.shape)
     dx = ad._conv2d_dx_op(Tensor(g), Tensor(w), meta).data
     dw = ad._conv2d_dw_op(Tensor(x), Tensor(g), meta).data
     assert dx.shape == x.shape and dw.shape == w.shape
@@ -180,43 +217,36 @@ def test_conv_adjoint_identities(n, stride, padding, kw):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-def _patch_shape(x_shape, kh, kw, stride, padding):
-    n, cin, h, w = x_shape
-    return (n, cin, kh, kw, (h + 2 * padding - kh) // stride + 1,
-            (w + 2 * padding - kw) // stride + 1)
+def _patch_shape(x_shape, k):
+    return x_shape[:2] + (k, k) + x_shape[2:]
 
 
 @st.composite
 def _patch_cases(draw, of_patches):
-    """A valid conv geometry ``(x_shape, kh, kw, stride, padding)`` and an
-    array of ``_POOL_VALUES["specials"]`` shaped like its input or, with
+    """An input shape and odd kernel side ``(x_shape, k)``, and an array of
+    ``_POOL_VALUES["specials"]`` shaped like the input or, with
     ``of_patches``, like its patches."""
     n, cin = draw(st.integers(1, 2)), draw(st.integers(1, 3))
-    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    kh = draw(st.integers(1, min(5, h + 2 * padding)))
-    kw = draw(st.integers(1, min(5, w + 2 * padding)))
-    geometry = ((n, cin, h, w), kh, kw, stride, padding)
+    geometry = ((n, cin, h, w), draw(st.sampled_from([1, 3, 5, 7])))
     shape = _patch_shape(*geometry) if of_patches else geometry[0]
     return geometry, draw(hnp.arrays(np.float64, shape,
                                      elements=_POOL_VALUES["specials"]))
 
 
-# same-width stride-1 geometries, so each takes the flat-run path: the bench
-# size, a one-row and a one-column input at k 3 p 1, a 1x1 kernel at p 0,
-# kh != kw, taps whose kernel row never meets the input (empty runs), and a
+# the bench size, a one-row and a one-column input at k 3, a 1x1 kernel, a
+# 5x5 one, taps whose kernel row never meets the input (empty runs), and a
 # padding wider than the input
-_RUN_PATH_GEOMETRIES = [((32, 8, 16, 16), 3, 3, 1, 1), ((2, 2, 1, 5), 3, 3, 1, 1),
-                        ((2, 2, 5, 1), 3, 3, 1, 1), ((2, 3, 4, 5), 1, 1, 1, 0),
-                        ((2, 2, 6, 4), 5, 3, 1, 1), ((1, 2, 2, 3), 5, 5, 1, 2),
-                        ((1, 2, 3, 2), 7, 7, 1, 3)]
+_PATCH_EXAMPLES = [((32, 8, 16, 16), 3), ((2, 2, 1, 5), 3), ((2, 2, 5, 1), 3),
+                   ((2, 3, 4, 5), 1), ((2, 2, 6, 4), 5), ((1, 2, 2, 3), 5),
+                   ((1, 2, 3, 2), 7)]
 
 
-def _run_path_examples(of_patches):
-    """Each run-path geometry as an explicit example, its values normal
+def _patch_examples(of_patches):
+    """Each of ``_PATCH_EXAMPLES`` as an explicit example, its values normal
     draws with NaN, +-inf and +-0.0 spread over about a third."""
     def add_examples(test):
-        for seed, geometry in enumerate(_RUN_PATH_GEOMETRIES):
+        for seed, geometry in enumerate(_PATCH_EXAMPLES):
             rng = np.random.default_rng(seed)
             shape = _patch_shape(*geometry) if of_patches else geometry[0]
             values = rng.standard_normal(shape)
@@ -229,26 +259,26 @@ def _run_path_examples(of_patches):
 
 @settings(max_examples=200, deadline=None)
 @given(_patch_cases(of_patches=False))
-@_run_path_examples(of_patches=False)
+@_patch_examples(of_patches=False)
 def test_im2col_bit_equal_to_padded_reference(case):
-    (x_shape, kh, kw, stride, padding), x = case
-    cols = ad._im2col(x, kh, kw, stride, padding)
-    ref = oracles.im2col_padded(x, kh, kw, stride, padding)
+    (x_shape, k), x = case
+    cols = ad._im2col(x, k)
+    ref = oracles.im2col_padded(x, k, k, 1, k // 2)
     assert cols.shape == ref.shape and cols.dtype == ref.dtype
     assert cols.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
 @given(_patch_cases(of_patches=True))
-@_run_path_examples(of_patches=True)
+@_patch_examples(of_patches=True)
 def test_col2im_bit_equal_to_padded_reference(case):
     """Same addends in the same order as the oracle; only where two NaNs
     meet in one sum may the result's NaN sign differ, since NumPy's
     contiguous and strided add loops propagate different operands."""
-    (x_shape, kh, kw, stride, padding), cols = case
+    (x_shape, k), cols = case
     with np.errstate(invalid="ignore"):    # inf - inf is NaN in both
-        ref = oracles.col2im_padded(cols, x_shape, stride, padding)
-        out = ad._col2im(cols.copy(), x_shape, stride, padding)
+        ref = oracles.col2im_padded(cols, x_shape, 1, k // 2)
+        out = ad._col2im(cols.copy(), x_shape)
     assert out.shape == ref.shape and out.dtype == ref.dtype
     nan = np.isnan(ref)
     assert np.array_equal(out, ref, equal_nan=True)
@@ -270,9 +300,9 @@ def _two_conv_net(params, selector, biased):
         for i in range(2):
             w, b = leaves[f"w{i}"], leaves[f"b{i}"]
             if biased:
-                h = ad.conv2d(h, w, padding=1, bias=b)
+                h = ad.conv2d(h, w, bias=b)
             else:
-                h = ad.conv2d(h, w, padding=1)
+                h = ad.conv2d(h, w)
                 h = ad.add(h, ad.broadcast_axes(b, h.shape, (0, 2, 3)))
             h = ad.relu(h)
             blocks.append(h)
@@ -311,7 +341,7 @@ def test_conv_bias_bit_equal_to_broadcast_add():
 def test_conv_bias_must_be_one_per_output_channel(shape):
     with pytest.raises(ShapeError):
         ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3))),
-                  padding=1, bias=Tensor(np.zeros(shape)))
+                  bias=Tensor(np.zeros(shape)))
 
 
 def test_conv_channel_mismatch():
@@ -341,41 +371,36 @@ def test_maxpool_vs_loop_oracle():
     assert np.array_equal(out.data, oracles.maxpool_loops(x))
 
 
-@pytest.mark.parametrize("window", [2, 3])
-def test_maxpool_overlapping_windows_gradient_vs_loop_oracle(window):
-    """Stride 1 makes neighbouring windows share their argmax, so the
-    scatter adds several upstream values into one input pixel."""
-    rng = np.random.default_rng(window)
-    # small integers force ties inside windows as well as shared maxima
-    x = rng.integers(0, 4, size=(2, 3, 6, 5)).astype(np.float64)
+def test_maxpool_gradient_vs_loop_oracle():
+    """Small integers tie inside windows; each window's upstream value goes
+    to its first maximum."""
+    rng = np.random.default_rng(2)
+    x = rng.integers(0, 4, size=(2, 3, 6, 4)).astype(np.float64)
     tape = Tape()
     xt = leaf(tape, x)
-    out = ad.maxpool2d(xt, window=window, stride=1)
+    out = ad.maxpool2d(xt)
     g = rng.standard_normal(out.shape)
     grad = backward(ad.reduce_sum(ad.mul(out, Tensor(g))), [xt])[xt.node].data
-    ref = oracles.maxpool_grad_loops(x, g, window, 1)
-    assert np.count_nonzero(ref) < g.size     # some pixels take several windows
-    assert np.array_equal(grad, ref)
+    assert np.array_equal(grad, oracles.maxpool_grad_loops(x, g, 2, 2))
 
 
-@pytest.mark.parametrize("window", [2, 3])
-def test_maxpool_double_backward_gathers_at_window_argmax(window):
+def test_maxpool_double_backward_gathers_at_window_argmax():
     """A create_graph backward records the pooling adjoint as a
     ``pool_scatter`` of the seed ``g``; the gradient of ``sum(h * dL/dx)``
     toward ``g`` runs that node's rule, which reads ``h`` at each window's
-    argmax.  Stride 1 makes windows share their argmax."""
-    rng = np.random.default_rng(10 + window)
-    x = rng.integers(0, 4, size=(2, 3, 6, 5)).astype(np.float64)
+    argmax."""
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 4, size=(2, 3, 6, 4)).astype(np.float64)
     tape = Tape()
     xt = leaf(tape, x)
-    out = ad.maxpool2d(xt, window=window, stride=1)
+    out = ad.maxpool2d(xt)
     g = leaf(tape, rng.standard_normal(out.shape))
     dx = backward(ad.reduce_sum(ad.mul(out, g)), [xt],
                   create_graph=True)[xt.node]
     assert tape.nodes[dx.node].kind == "pool_scatter"
     h = rng.standard_normal(x.shape)
     grad = backward(ad.reduce_sum(ad.mul(Tensor(h), dx)), [g])[g.node].data
-    assert np.array_equal(grad, oracles.maxpool_gather_loops(x, h, window, 1))
+    assert np.array_equal(grad, oracles.maxpool_gather_loops(x, h, 2, 2))
 
 
 # integer values tie inside windows, and -0.0 ties with 0.0; the special
@@ -388,16 +413,15 @@ _POOL_VALUES = {
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
-       st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
-       st.sampled_from(sorted(_POOL_VALUES)), st.data())
-def test_maxpool_value_and_route_match_argmax_oracle(window, stride, n, c,
-                                                     oh, ow, values, data):
-    shape = (n, c, (oh - 1) * stride + window, (ow - 1) * stride + window)
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 4), st.sampled_from(sorted(_POOL_VALUES)), st.data())
+def test_maxpool_value_and_route_match_argmax_oracle(n, c, oh, ow, values,
+                                                     data):
+    shape = (n, c, 2 * oh, 2 * ow)
     x = data.draw(hnp.arrays(np.float64, shape, elements=_POOL_VALUES[values]))
     tape = Tape()
-    out = ad.maxpool2d(tape.leaf(x), window=window, stride=stride)
-    value, indices = oracles.maxpool_argmax(x, window, stride)
+    out = ad.maxpool2d(tape.leaf(x))
+    value, indices = oracles.maxpool_argmax(x, 2, 2)
     got = ad._pool_indices(tape.nodes[out.node])
     assert out.data.tobytes() == value.tobytes()
     assert got.dtype == indices.dtype and np.array_equal(got, indices)
@@ -409,57 +433,55 @@ _POOL_SPECIALS = [_f64(0x7FF8000000000001), _f64(0xFFF8000000000123),
                   -0.0, 0.0, -0.0, 0.0, np.inf, -np.inf]
 
 
-_BLOCKED_POOL_SHAPES = pytest.mark.parametrize("shape, window, stride", [
-    ((32, 8, 32, 32), 2, 2),     # several full blocks
-    ((33, 8, 32, 32), 2, 2),     # a partial last block
-    ((2, 8, 128, 128), 2, 2),    # one sample larger than a block
-    ((20, 8, 34, 34), 3, 1),     # overlapping windows
-], ids=["full_blocks", "partial_block", "sample_over_block", "window3"])
+_BLOCKED_POOL_SHAPES = pytest.mark.parametrize("shape", [
+    (32, 8, 32, 32),     # several full blocks
+    (33, 8, 32, 32),     # a partial last block
+    (2, 8, 128, 128),    # one sample larger than a block
+], ids=["full_blocks", "partial_block", "sample_over_block"])
 
 
-def _special_pool_input(shape, window, stride):
+def _special_pool_input(shape):
     """Small integers (ties), with ``_POOL_SPECIALS`` spread over the first,
     a middle and the last sample, so over the first, a middle and the last
     route block: each of those samples also gets a 2x2 corner of ties
     between signed zeros and one all-signalling-NaN window."""
     n = shape[0]
-    oh = (shape[2] - window) // stride + 1
-    block = max(1, ad._POOL_BLOCK // (shape[1] * oh * oh))
+    block = max(1, ad._POOL_BLOCK // (shape[1] * (shape[2] // 2) ** 2))
     assert -(-n // block) >= 2   # the route pass runs over more than one block
-    rng = np.random.default_rng(sum(shape) + window)
+    rng = np.random.default_rng(sum(shape) + 2)
     x = rng.integers(-2, 3, size=shape).astype(np.float64)
     for i in (0, n // 2, n - 1):
         plane = x[i].reshape(-1)
         at = rng.choice(plane.size, size=40 * len(_POOL_SPECIALS), replace=False)
         plane[at] = np.repeat(_POOL_SPECIALS, 40)
         x[i, 0, :2, :2] = [[-0.0, 0.0], [0.0, -0.0]]
-        x[i, 1, :window, :window] = _POOL_SPECIALS[2]
+        x[i, 1, :2, :2] = _POOL_SPECIALS[2]
     return x
 
 
 @_BLOCKED_POOL_SHAPES
-def test_blocked_maxpool_matches_argmax_oracle(shape, window, stride):
+def test_blocked_maxpool_matches_argmax_oracle(shape):
     """The route pass runs over blocks of whole samples; every block, the
     partial last one included, gives the argmax oracle's routes, and the
     value pass its value bytes."""
-    x = _special_pool_input(shape, window, stride)
+    x = _special_pool_input(shape)
     tape = Tape()
-    out = ad.maxpool2d(tape.leaf(x), window=window, stride=stride)
-    value, indices = oracles.maxpool_argmax(x, window, stride)
+    out = ad.maxpool2d(tape.leaf(x))
+    value, indices = oracles.maxpool_argmax(x, 2, 2)
     got = ad._pool_indices(tape.nodes[out.node])
     assert out.data.tobytes() == value.tobytes()
     assert got.dtype == indices.dtype and np.array_equal(got, indices)
 
 
 @_BLOCKED_POOL_SHAPES
-def test_untaped_maxpool_value_matches_argmax_oracle(shape, window, stride):
+def test_untaped_maxpool_value_matches_argmax_oracle(shape):
     """An untaped pool never derives routes, so its value pass alone must
     give the routed element's bytes: the first of a signed-zero tie and
     the first NaN's payload, signalling ones included."""
-    x = _special_pool_input(shape, window, stride)
-    out = ad.maxpool2d(Tensor(x), window=window, stride=stride)
+    x = _special_pool_input(shape)
+    out = ad.maxpool2d(Tensor(x))
     assert out.node is None
-    value, _ = oracles.maxpool_argmax(x, window, stride)
+    value, _ = oracles.maxpool_argmax(x, 2, 2)
     assert out.data.tobytes() == value.tobytes()
 
 
@@ -509,19 +531,29 @@ def test_kink_signature_same_before_and_after_backward():
 
 def test_maxpool_window_too_large():
     with pytest.raises(ShapeError):
-        ad.maxpool2d(Tensor(np.zeros((1, 1, 1, 1))), window=2)
+        ad.maxpool2d(Tensor(np.zeros((1, 1, 1, 1))))
 
 
-@pytest.mark.parametrize("op, kwargs", [
-    (ad.maxpool2d, {"window": 0}),
-    (ad.maxpool2d, {"stride": 0}),
-    (ad.maxpool2d, {"stride": -1}),
-    (lambda x, **kw: ad.conv2d(x, Tensor(np.ones((1, 1, 1, 1))), **kw),
-     {"padding": -1}),
-], ids=["pool_window_0", "pool_stride_0", "pool_stride_-1", "conv_padding_-1"])
-def test_pool_and_conv_geometry_below_range_rejected(op, kwargs):
+def _conv_on(x_shape, w_shape):
+    return lambda: ad.conv2d(Tensor(np.zeros(x_shape)), Tensor(np.ones(w_shape)))
+
+
+@pytest.mark.parametrize("op", [
+    _conv_on((1, 1, 4, 4), (1, 1, 2, 2)),
+    _conv_on((1, 1, 4, 4), (1, 1, 3, 1)),
+    _conv_on((1, 1, 0, 4), (1, 1, 1, 1)),
+    _conv_on((1, 1, 4, 0), (1, 1, 3, 3)),
+    lambda: ad.maxpool2d(Tensor(np.zeros((1, 1, 5, 4)))),
+    lambda: ad.maxpool2d(Tensor(np.zeros((1, 1, 4, 3)))),
+    lambda: ad.maxpool2d(Tensor(np.zeros((1, 1, 0, 4)))),
+], ids=["conv_even_kernel", "conv_non_square_kernel", "conv_empty_height",
+        "conv_empty_width", "pool_odd_height", "pool_odd_width",
+        "pool_empty_height"])
+def test_conv_and_pool_reject_other_geometries(op):
+    """conv2d takes a square kernel of odd side over a non-empty input, and
+    maxpool2d an input that tiles into 2x2 windows."""
     with pytest.raises(ShapeError):
-        op(Tensor(np.zeros((1, 1, 4, 4))), **kwargs)
+        op()
 
 
 def test_matmul_basic():
@@ -729,8 +761,7 @@ def _composite(tape, x, lift=Tensor):
     ``lift`` wraps its three weight arrays; ``tape.leaf`` makes them leaves.
     """
     a = ad.reshape(x, (1, 1, 4, 4))
-    c = ad.conv2d(a, lift(np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3) / 9.0),
-                  padding=1)
+    c = ad.conv2d(a, lift(np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3) / 9.0))
     p = ad.maxpool2d(ad.relu(c))
     up = ad.matmul(ad.reshape(p, (1, 4)), lift(_UPSAMPLE_2_TO_4))
     u = ad.reshape(up, (4, 4))
@@ -875,7 +906,7 @@ def test_determinism_bit_identical():
         t = Tape()
         x = t.leaf(rng.standard_normal((1, 2, 6, 6)))
         w = t.leaf(rng.standard_normal((3, 2, 3, 3)))
-        out = ad.maxpool2d(ad.relu(ad.conv2d(x, w, padding=1)))
+        out = ad.maxpool2d(ad.relu(ad.conv2d(x, w)))
         y = ad.reduce_sum(ad.mul(out, out))
         grads = backward(y, [x, w])
         return (y.item(), grads[x.node].data.tobytes(),
@@ -934,7 +965,7 @@ def test_tape_values_reproducible_from_leaves():
     t = Tape()
     x = t.leaf(rng.standard_normal((1, 1, 4, 4)))
     w = Tensor(rng.standard_normal((2, 1, 3, 3)))
-    biased = ad.conv2d(x, w, padding=1, bias=t.leaf(rng.standard_normal(2)))
+    biased = ad.conv2d(x, w, bias=t.leaf(rng.standard_normal(2)))
     out = ad.reduce_sum(ad.relu(ad.conv2d(biased, Tensor(rng.standard_normal((2, 2, 3, 3))))))
     replay = {}
     for i, node in enumerate(t.nodes):
@@ -944,7 +975,6 @@ def test_tape_values_reproducible_from_leaves():
             (hx, vx), (hw, vw) = node.inputs[:2]
             bias = [Tensor(replay[hb]) for hb, _ in node.inputs[2:]]
             replay[i] = ad.conv2d(Tensor(replay.get(hx, vx)), Tensor(vw),
-                                  node.meta["stride"], node.meta["padding"],
                                   *bias).data
         elif node.kind == "relu":
             (hx, vx), = node.inputs

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import platform
@@ -859,6 +860,69 @@ def test_damaged_checkpoint_is_data_error(trained, dataset, tmp_path, capsys,
              str(dataset / "test"), "--out", str(tmp_path / "e"))
     assert rc == 2
     assert f"{damage}.ckpt" in capsys.readouterr().err
+
+
+def _with_config(blob: bytes, **changes) -> bytes:
+    """A checkpoint's bytes with ``changes`` made to its header's config."""
+    (hlen,) = struct.unpack("<I", blob[12:16])
+    header = json.loads(blob[16:16 + hlen])
+    header["config"].update(changes)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:12] + struct.pack("<I", len(text)) + text + blob[16 + hlen:]
+
+
+@pytest.mark.parametrize("changes", [
+    {"kernel_size": -1}, {"kernel_size": 3.0}, {"input_channels": 1.0},
+    {"n_classes": 3.0}, {"channels": [4.5, 8]},
+], ids=["kernel_-1", "kernel_float", "input_channels_float",
+        "n_classes_float", "channels_float"])
+def test_checkpoint_config_out_of_range_is_data_error(trained, dataset,
+                                                      tmp_path, capsys,
+                                                      changes):
+    """The parameters still fit the config the header would give if its
+    counts were truncated to integers, so only the config check stops it."""
+    ckpt = tmp_path / "patched.ckpt"
+    ckpt.write_bytes(_with_config(trained.read_bytes(), **changes))
+    rc = run("eval", "--checkpoint", str(ckpt), "--data",
+             str(dataset / "test"), "--out", str(tmp_path / "e"))
+    assert rc == 2
+    assert "patched.ckpt" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.fixture(scope="module")
+def wide_set(tmp_path_factory):
+    """A 3-class set of 32x32 images, twice the size ``trained`` reads."""
+    root = tmp_path_factory.mktemp("wide") / "d"
+    assert run("synth", "--classes", "3", "--per-class", "2", "--canvas", "32",
+               "--out", str(root)) == 0
+    return root
+
+
+@pytest.mark.parametrize("command", [("eval",), ("eval", "--attention"),
+                                     ("ks",), ("attend",)],
+                         ids=["eval", "eval_attention", "ks", "attend"])
+def test_set_not_fitting_the_checkpoint_is_data_error(trained, wide_set,
+                                                      tmp_path, capsys,
+                                                      command):
+    out = tmp_path / "o"
+    rc = run(command[0], "--checkpoint", str(trained), "--data", str(wide_set),
+             "--out", str(out), *command[1:])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(wide_set) in err and "(1, 32, 32)" in err and "(1, 16, 16)" in err
+    assert not out.exists()
+
+
+def test_test_set_not_fitting_the_training_set_is_data_error(dataset, wide_set,
+                                                             tmp_path, capsys):
+    out = tmp_path / "r"
+    rc = run("train", "--data", str(dataset / "train"), "--test-data",
+             str(wide_set), "--out", str(out), "--epochs", "1",
+             "--channels", "4,8", "--baseline")
+    assert rc == 2
+    assert str(wide_set) in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("damage, name", [("wrong_shape", "head.w"),

@@ -17,9 +17,9 @@ from icasc.training import TrainConfig, train
 import oracles
 
 
-def tiny_model(seed=0):
+def tiny_model(seed=0, kernel_size=3):
     cfg = ModelConfig(channels=(4, 8), input_size=8, input_channels=1,
-                      n_classes=3)
+                      n_classes=3, kernel_size=kernel_size)
     return Model.build(cfg, seed)
 
 
@@ -122,10 +122,13 @@ def oracle_forward(params, images, n_blocks):
     return logits, feats
 
 
-@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
-def test_forward_vs_loop_oracle(taped):
+@pytest.mark.parametrize("taped, kernel_size", [
+    pytest.param(taped, k, id=("taped" if taped else "untaped")
+                 + ("" if k == 3 else f"-k{k}"))
+    for k in (1, 3, 5) for taped in (False, True)])
+def test_forward_vs_loop_oracle(taped, kernel_size):
     rng = np.random.default_rng(8)
-    model = tiny_model(5)
+    model = tiny_model(5, kernel_size)
     for name in model.params:
         if name.endswith(".b"):
             model.params[name] = rng.normal(0.0, 0.1, model.params[name].shape)
@@ -146,11 +149,11 @@ def relu_then_pool_forward(model, images, tape):
     x = Tensor(images)
     feats, pre = {}, []
     for i in range(n_blocks):
-        x = ad.conv2d(x, leaves[f"block{i}.w"], stride=1, padding=1)
+        x = ad.conv2d(x, leaves[f"block{i}.w"])
         x = ad.add(x, ad.broadcast_axes(leaves[f"block{i}.b"], x.shape,
                                         (0, 2, 3)))
         pre.append(x)
-        x = ad.maxpool2d(ad.relu(x), window=2, stride=2)
+        x = ad.maxpool2d(ad.relu(x))
         feats["inner" if i == n_blocks - 2 else "last"] = x
     logits = ad.matmul(ad.reduce_mean(x, (2, 3)), leaves["head.w"])
     logits = ad.add(logits, ad.broadcast_axes(leaves["head.b"], logits.shape,
