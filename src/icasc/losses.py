@@ -25,7 +25,7 @@ breakdown with zero attention terms, so one training step serves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -66,15 +66,12 @@ class IcascConfig:
                 raise ConfigError(f"{key} must be finite and >= 0, got {value!r}")
 
     # -- key = value config file ------------------------------------------
-    _FLOAT_KEYS = ("omega", "sigma_factor", "theta", "epsilon",
-                   "skip_threshold", "weight_as_inner", "weight_as_last",
-                   "weight_ac")
-
     def to_text(self) -> str:
-        lines = [f"mechanism = {self.mechanism}"]
-        for key in self._FLOAT_KEYS:
-            lines.append(f"{key} = {getattr(self, key)!r}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
+
+
+# every field but the mechanism holds a float, in the config file's order
+_FLOAT_KEYS = tuple(f.name for f in fields(IcascConfig) if f.name != "mechanism")
 
 
 def parse_kv_file(path) -> dict:
@@ -92,7 +89,7 @@ def parse_kv_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "mechanism":
                 kv[key] = value
-            elif key in IcascConfig._FLOAT_KEYS:
+            elif key in _FLOAT_KEYS:
                 try:
                     kv[key] = float(value)
                 except ValueError:

@@ -146,6 +146,10 @@ def train(cfg: TrainConfig) -> TrainResult:
                             f"{train_set.n_classes} class; training needs "
                             "at least 2")
     sample = train_set.samples[0]
+    _, height, width = sample.image.shape
+    if height != width:
+        raise dio.DataError(f"{cfg.data_dir}: images are {height}x{width} "
+                            "(HxW); the model takes square images")
     test_set = dio.load_dataset(cfg.test_dir, n_classes=train_set.n_classes,
                                 image_shape=sample.image.shape) \
         if cfg.test_dir else None
@@ -167,6 +171,9 @@ def train(cfg: TrainConfig) -> TrainResult:
         if model.config != model_cfg:
             raise ConfigError(f"{out / 'final.ckpt'} holds {model.config}, "
                               f"but the flags and data give {model_cfg}")
+        if type(header["epoch"]) is not int or header["epoch"] < 0:
+            raise dio.DataError(f"{out / 'final.ckpt'}: epoch must be a "
+                                f"non-negative integer, got {header['epoch']!r}")
         optimizer.velocity = header["velocity"]
         start_epoch = header["epoch"] + 1
         log = read_log(out / "train_log.csv")[:start_epoch]

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from icasc import autodiff as ad
-from icasc.autodiff import Tape, Tensor
+from icasc.autodiff import Tape, Tensor, backward
+from icasc.gradcheck import check_gradient
 from icasc.nn import ForwardRecord, Model, ModelConfig, softmax
 
 
@@ -31,9 +32,9 @@ def linear_record(tape: Tape, feat_arrays: dict, weights: dict) -> ForwardRecord
 
 
 def tiny_model(seed: int = 0, channels=(4, 8), size: int = 8,
-               n_classes: int = 3) -> Model:
+               n_classes: int = 3, kernel_size: int = 3) -> Model:
     cfg = ModelConfig(channels=channels, input_size=size, input_channels=1,
-                      n_classes=n_classes)
+                      n_classes=n_classes, kernel_size=kernel_size)
     return Model.build(cfg, seed)
 
 
@@ -48,3 +49,28 @@ def count_forwards(monkeypatch) -> list[bool]:
 
     monkeypatch.setattr(Model, "forward", spy)
     return calls
+
+
+def check_model_gradient(model: Model, images, scalar, rng, checks: int):
+    """``check_gradient`` of ``scalar(record)`` over the parameters of
+    ``model``, ``record`` being its taped forward of ``images``."""
+    def value(params):
+        t = Tape()
+        return (scalar(Model(model.config, params).forward(images, tape=t)).item(),
+                t.kink_signature())
+
+    record = model.forward(images, tape=Tape())
+    grads = backward(scalar(record), list(record.param_leaves.values()))
+    return check_gradient(value, model.params, {
+        name: grads[leaf.node].data for name, leaf in record.param_leaves.items()},
+        rng, checks)
+
+
+def plant_exp_fault(monkeypatch) -> None:
+    """Scale the adjoint of ``exp`` by 1.001: a planted wrong gradient."""
+    rule = ad._RULES["exp"]
+
+    def faulty(node, g, inputs, out, need):
+        return [ad.mul(adj, 1.001) for adj in rule(node, g, inputs, out, need)]
+
+    monkeypatch.setitem(ad._RULES, "exp", faulty)

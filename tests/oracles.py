@@ -241,13 +241,5 @@ def ks_brute(target, conf):
 # -- finite differences -------------------------------------------------------
 
 
-def central_diff(f, x, index, h):
-    xp = x.copy()
-    xp[index] += h
-    xm = x.copy()
-    xm[index] -= h
-    return (f(xp) - f(xm)) / (2.0 * h)
-
-
 def rel_err(a, b, floor=1e-8):
     return abs(a - b) / max(abs(a), abs(b), floor)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from icasc import autodiff as ad
+from icasc import gradcheck
 from icasc.attention import (a_ch, class_attention, class_gradients,
                              compute_attention, grad_cam)
-from icasc.autodiff import Tape, Tensor, backward
+from icasc.autodiff import Tape, Tensor
 from icasc.nn import Model
 
 import oracles
-from helpers import linear_record, tiny_model
+from helpers import check_model_gradient, linear_record, tiny_model
 
 
 # --------------------------------------------------------------------------
@@ -219,38 +220,11 @@ def test_grad_cam_a_ch_agree_single_channel_positive():
 
 def test_map_sum_differentiable_wrt_parameters():
     """End-to-end double-backprop: d(sum of a_ch map)/d(params) vs FD."""
-    model = tiny_model(13)
-    images = np.random.default_rng(13).random((1, 1, 8, 8))
-
-    def map_sum(params, want_sig=False):
-        m = Model(model.config, params)
-        t = Tape()
-        r = m.forward(images, tape=t)
+    def map_sum(r):
         g = class_gradients(r, [0], ("last",), create_graph=True)["last"]
-        s = ad.reduce_sum(a_ch(r.feats["last"], g))
-        return (s, r, t) if not want_sig else (s.item(), t.kink_signature())
+        return ad.reduce_sum(a_ch(r.feats["last"], g))
 
-    s, record, tape = map_sum(model.params)
-    grads = backward(s, list(record.param_leaves.values()))
-
-    rng = np.random.default_rng(1)
-    h = 1e-4
-    checked = 0
-    for _ in range(20):
-        name = list(model.params)[rng.integers(len(model.params))]
-        idx = tuple(rng.integers(d) for d in model.params[name].shape)
-
-        def perturbed(delta):
-            p = {k: v.copy() for k, v in model.params.items()}
-            p[name][idx] += delta
-            return map_sum(p, want_sig=True)
-
-        fp, sp = perturbed(h)
-        fm, sm = perturbed(-h)
-        if sp != sm:
-            continue
-        fd = (fp - fm) / (2 * h)
-        an = grads[record.param_leaves[name].node].data[idx]
-        assert oracles.rel_err(an, fd, floor=1e-6) < 1e-4
-        checked += 1
-    assert checked >= 8
+    result = check_model_gradient(
+        tiny_model(13), np.random.default_rng(13).random((1, 1, 8, 8)), map_sum,
+        np.random.default_rng(1), checks=8)
+    assert result.outcome == gradcheck.OK, result

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from icasc import autodiff as ad
+from icasc import gradcheck
 from icasc.attention import class_gradients
 from icasc.autodiff import (DomainError, ShapeError, Tape, Tensor,
                             UnsupportedOpError, backward)
+from icasc.gradcheck import check_gradient
 from icasc.losses import IcascConfig, icasc_objective
 from icasc.nn import cross_entropy
 
@@ -529,6 +531,25 @@ def test_kink_signature_same_before_and_after_backward():
     assert len(set(signatures)) == 1
 
 
+def _kink_signature(x):
+    """Of a ReLU, then a min with (1, 2, 0.5, 3), then a 2x2 max pool."""
+    tape = Tape()
+    m = ad.minimum(ad.relu(tape.leaf(np.array(x))), Tensor([1.0, 2.0, 0.5, 3.0]))
+    ad.maxpool2d(ad.reshape(m, (1, 1, 2, 2)))
+    return tape.kink_signature()
+
+
+@pytest.mark.parametrize("moved, kept", [
+    ([0.5, 0.1, 0.5, 1.0], False),  # a ReLU input crosses 0
+    ([0.5, -0.2, 0.5 + 1e-12, 1.0], False),  # the min's tie goes to the 0.5
+    ([0.5, -0.2, 0.5, 0.4], False),  # the window's first maximum moves to 0
+    ([0.6, -0.5, 0.45, 1.2], True),  # every value moves, no route flips
+], ids=["relu_crosses_0", "minimum_tie_flips", "pool_max_moves", "no_flip"])
+def test_kink_signature_changes_exactly_when_a_route_flips(moved, kept):
+    base = [0.5, -0.2, 0.5, 1.0]  # x[2] ties the min's 0.5, which routes to x
+    assert (_kink_signature(moved) == _kink_signature(base)) == kept
+
+
 def test_maxpool_window_too_large():
     with pytest.raises(ShapeError):
         ad.maxpool2d(Tensor(np.zeros((1, 1, 1, 1))))
@@ -783,31 +804,15 @@ def test_finite_difference_composite(seed):
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.2, 1.7, size=16)  # positive, away from relu/min kinks
 
-    def value(v):
+    def value(p):
         t = Tape()
-        xx = t.leaf(v)
-        return _composite(t, xx).item(), t.kink_signature()
+        return _composite(t, t.leaf(p["x"])).item(), t.kink_signature()
 
     tape = Tape()
     x = leaf(tape, x0)
-    y = _composite(tape, x)
-    g = backward(y, [x])[x.node].data
-
-    # coordinates in random order until 6 kink-free ones are checked, so a
-    # draw whose steps cross kinks cannot pass having checked nothing
-    h = 1e-3
-    clean = 0
-    for i in rng.permutation(16):
-        fp, sp = value(np.where(np.arange(16) == i, x0 + h, x0))
-        fm, sm = value(np.where(np.arange(16) == i, x0 - h, x0))
-        if sp != sm:
-            continue  # kink-adjacent coordinate
-        fd = (fp - fm) / (2 * h)
-        assert oracles.rel_err(g[i], fd, floor=1e-6) < 1e-4
-        clean += 1
-        if clean == 6:
-            break
-    assert clean == 6, f"only {clean} of 16 coordinates were kink-free"
+    g = backward(_composite(tape, x), [x])[x.node].data
+    result = check_gradient(value, {"x": x0}, {"x": g}, rng, checks=6)
+    assert result.outcome == gradcheck.OK, result
 
 
 # --------------------------------------------------------------------------

@@ -925,6 +925,20 @@ def test_test_set_not_fitting_the_training_set_is_data_error(dataset, wide_set,
     assert not out.exists()
 
 
+def test_non_square_training_set_is_data_error(tmp_path, capsys):
+    d = tmp_path / "tall"
+    d.mkdir()
+    for name in ("a", "b"):
+        dio.write_pgm(d / f"{name}.pgm", np.zeros((16, 8), dtype=np.uint8))
+    (d / "labels.csv").write_text("id,filename,label\na,a.pgm,0\nb,b.pgm,1\n",
+                                  encoding="utf-8")
+    out = tmp_path / "r"
+    assert run("train", "--data", str(d), "--out", str(out), "--baseline") == 2
+    err = capsys.readouterr().err
+    assert str(d) in err and "16x8" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("damage, name", [("wrong_shape", "head.w"),
                                           ("missing", "head.b"),
                                           ("extra", "head.extra")])
@@ -951,13 +965,19 @@ def test_checkpoint_params_disagreeing_with_config_is_data_error(
 # The training state, the optimizer velocities, is the last section of
 # final.ckpt, the resume point.
 
-def test_truncated_train_state_is_data_error(dataset, tmp_path, capsys):
-    common = ["--data", str(dataset / "train"), "--batch-size", "8",
-              "--channels", "4,8", "--baseline", "--out", str(tmp_path / "r")]
-    assert run("train", *common, "--epochs", "1") == 0
+@pytest.fixture
+def resumable(dataset, tmp_path):
+    """The flags of a 1-epoch baseline run into ``tmp_path / "r"``, run."""
+    flags = ["--data", str(dataset / "train"), "--batch-size", "8",
+             "--channels", "4,8", "--baseline", "--out", str(tmp_path / "r")]
+    assert run("train", *flags, "--epochs", "1") == 0
+    return flags
+
+
+def test_truncated_train_state_is_data_error(resumable, tmp_path, capsys):
     ckpt = tmp_path / "r" / "final.ckpt"
     ckpt.write_bytes(ckpt.read_bytes()[:-5])
-    assert run("train", *common, "--epochs", "2", "--resume") == 2
+    assert run("train", *resumable, "--epochs", "2", "--resume") == 2
     assert "final.ckpt" in capsys.readouterr().err
 
 
@@ -966,10 +986,7 @@ def test_truncated_train_state_is_data_error(dataset, tmp_path, capsys):
                                           ("missing", "head.b"),
                                           ("extra", "head.extra")])
 def test_train_state_velocities_disagreeing_with_model_is_data_error(
-        dataset, tmp_path, capsys, damage, name):
-    common = ["--data", str(dataset / "train"), "--batch-size", "8",
-              "--channels", "4,8", "--baseline", "--out", str(tmp_path / "r")]
-    assert run("train", *common, "--epochs", "1") == 0
+        resumable, tmp_path, capsys, damage, name):
     ckpt = tmp_path / "r" / "final.ckpt"
     model, header = load_checkpoint(ckpt)
     velocity = header["velocity"]
@@ -982,21 +999,30 @@ def test_train_state_velocities_disagreeing_with_model_is_data_error(
     else:
         velocity[name] = np.zeros(2)
     save_checkpoint(ckpt, model, {"epoch": header["epoch"]}, velocity)
-    assert run("train", *common, "--epochs", "2", "--resume") == 2
+    assert run("train", *resumable, "--epochs", "2", "--resume") == 2
     err = capsys.readouterr().err
     assert "final.ckpt" in err and name in err
 
 
+@pytest.mark.parametrize("epoch", ["2", 1.5, -3, None],
+                         ids=["string", "float", "negative", "null"])
+def test_resume_epoch_not_a_non_negative_int_is_data_error(resumable, tmp_path,
+                                                           capsys, epoch):
+    ckpt = tmp_path / "r" / "final.ckpt"
+    model, header = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, model, {"epoch": epoch}, header["velocity"])
+    assert run("train", *resumable, "--epochs", "2", "--resume") == 2
+    err = capsys.readouterr().err
+    assert "final.ckpt" in err and "epoch" in err
+
+
 @pytest.mark.parametrize("row", ["0,0.05",
                                  "0,0.05,notanumber,0,0,0,1,0.5,nan,0"])
-def test_malformed_train_log_row_is_data_error(dataset, tmp_path, capsys, row):
-    common = ["--data", str(dataset / "train"), "--batch-size", "8",
-              "--channels", "4,8", "--baseline", "--out", str(tmp_path / "r")]
-    assert run("train", *common, "--epochs", "1") == 0
+def test_malformed_train_log_row_is_data_error(resumable, tmp_path, capsys, row):
     log = tmp_path / "r" / "train_log.csv"
     lines = log.read_text().splitlines()
     log.write_text("\n".join(lines[:2] + [row]) + "\n")
-    assert run("train", *common, "--epochs", "2", "--resume") == 2
+    assert run("train", *resumable, "--epochs", "2", "--resume") == 2
     assert "train_log.csv:3" in capsys.readouterr().err
 
 
@@ -1069,16 +1095,13 @@ def velocity_start(blob: bytes) -> int:
 
 
 @pytest.mark.parametrize("field", ["name_length", "ndim", "dimension"])
-def test_huge_train_state_length_field_is_data_error(dataset, tmp_path, capsys,
+def test_huge_train_state_length_field_is_data_error(resumable, tmp_path, capsys,
                                                      field):
-    common = ["--data", str(dataset / "train"), "--batch-size", "8",
-              "--channels", "4,8", "--baseline", "--out", str(tmp_path / "r")]
-    assert run("train", *common, "--epochs", "1") == 0
     ckpt = tmp_path / "r" / "final.ckpt"
     blob = ckpt.read_bytes()
     ckpt.write_bytes(set_huge(blob, *array_fields(blob,
                                                   velocity_start(blob))[field]))
-    assert run("train", *common, "--epochs", "2", "--resume") == 2
+    assert run("train", *resumable, "--epochs", "2", "--resume") == 2
     assert "final.ckpt" in capsys.readouterr().err
 
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icasc import autodiff as ad
-from icasc.autodiff import Tape, Tensor, backward
+from icasc import gradcheck
+from icasc.autodiff import Tape, Tensor
 from icasc.losses import (IcascConfig, LossBreakdown, confusing_class,
                           consistency_per_sample, icasc_objective,
                           parse_kv_file, per_sample_terms, region_mask,
@@ -380,37 +381,23 @@ def test_objective_non_finite_diagnostics():
         icasc_objective(record, np.array([0]), DEFAULTS)
 
 
-def test_objective_gradient_fd_with_frozen_context():
-    """The differentiable path of the full objective matches central
-    differences once the detached mask/conf/skip context is held fixed."""
+def objective_gradient_check():
+    """The objective's check, with the context of its detached decisions
+    (mask, confusing classes, skips) held at the base point's."""
     model, record, labels = forward_tiny(9)
-    images = np.random.default_rng(9).random((2, 1, 8, 8))
-    tape = Tape()
-    record = model.forward(images, tape=tape)
-    bd = icasc_objective(record, labels, DEFAULTS)
-    grads = backward(bd.total_tensor, list(record.param_leaves.values()))
+    context = icasc_objective(record, labels, DEFAULTS).context
+    return helpers.check_model_gradient(
+        model, np.random.default_rng(9).random((2, 1, 8, 8)),
+        lambda r: icasc_objective(r, labels, DEFAULTS, context=context).total_tensor,
+        np.random.default_rng(0), checks=12)
 
-    def value(name, idx, delta):
-        from icasc.nn import Model
-        p = {k: v.copy() for k, v in model.params.items()}
-        p[name][idx] += delta
-        t = Tape()
-        r = Model(model.config, p).forward(images, tape=t)
-        b = icasc_objective(r, labels, DEFAULTS, context=bd.context)
-        return b.total, t.kink_signature()
 
-    rng = np.random.default_rng(0)
-    h = 1e-3
-    checked = 0
-    for _ in range(30):
-        name = list(model.params)[rng.integers(len(model.params))]
-        idx = tuple(rng.integers(s) for s in model.params[name].shape)
-        fp, sp = value(name, idx, h)
-        fm, sm = value(name, idx, -h)
-        if sp != sm:
-            continue
-        fd = (fp - fm) / (2 * h)
-        an = grads[record.param_leaves[name].node].data[idx]
-        assert oracles.rel_err(an, fd, floor=1e-6) < 1e-4
-        checked += 1
-    assert checked >= 12
+def test_objective_gradient_fd_with_frozen_context():
+    result = objective_gradient_check()
+    assert result.outcome == gradcheck.OK, result
+
+
+def test_objective_gradient_check_catches_a_planted_exp_fault(monkeypatch):
+    helpers.plant_exp_fault(monkeypatch)
+    result = objective_gradient_check()
+    assert result.outcome == gradcheck.WRONG_GRADIENT, result

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from icasc import autodiff as ad
 from icasc import data as dio
-from icasc import nn
+from icasc import gradcheck, nn
 from icasc.attention import LAYERS, class_gradients
 from icasc.autodiff import Tape, Tensor, backward
 from icasc.losses import IcascConfig, icasc_objective
@@ -15,12 +15,7 @@ from icasc.nn import (ConfigError, ForwardRecord, Model, ModelConfig,
 from icasc.training import TrainConfig, train
 
 import oracles
-
-
-def tiny_model(seed=0, kernel_size=3):
-    cfg = ModelConfig(channels=(4, 8), input_size=8, input_channels=1,
-                      n_classes=3, kernel_size=kernel_size)
-    return Model.build(cfg, seed)
+from helpers import check_model_gradient, plant_exp_fault, tiny_model
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +123,7 @@ def oracle_forward(params, images, n_blocks):
     for k in (1, 3, 5) for taped in (False, True)])
 def test_forward_vs_loop_oracle(taped, kernel_size):
     rng = np.random.default_rng(8)
-    model = tiny_model(5, kernel_size)
+    model = tiny_model(5, kernel_size=kernel_size)
     for name in model.params:
         if name.endswith(".b"):
             model.params[name] = rng.normal(0.0, 0.1, model.params[name].shape)
@@ -289,38 +284,23 @@ def test_softmax_shift_invariance():
     assert np.max(np.abs(p1 - p2)) < 1e-12
 
 
-def test_classification_loss_gradient_fd():
-    model = tiny_model(9)
-    images = np.random.default_rng(8).random((2, 1, 8, 8))
+def lc_gradient_check():
     labels = np.array([0, 2])
+    return check_model_gradient(
+        tiny_model(9), np.random.default_rng(8).random((2, 1, 8, 8)),
+        lambda r: cross_entropy(r.logits, labels), np.random.default_rng(0),
+        checks=10)
 
-    tape = Tape()
-    record = model.forward(images, tape=tape)
-    loss = cross_entropy(record.logits, labels)
-    grads = backward(loss, list(record.param_leaves.values()))
 
-    def value(name, idx, delta):
-        p = {k: v.copy() for k, v in model.params.items()}
-        p[name][idx] += delta
-        t = Tape()
-        r = Model(model.config, p).forward(images, tape=t)
-        return cross_entropy(r.logits, labels).item(), t.kink_signature()
+def test_classification_loss_gradient_fd():
+    result = lc_gradient_check()
+    assert result.outcome == gradcheck.OK, result
 
-    rng = np.random.default_rng(0)
-    h = 1e-3
-    checked = 0
-    for _ in range(25):
-        name = list(model.params)[rng.integers(len(model.params))]
-        idx = tuple(rng.integers(s) for s in model.params[name].shape)
-        fp, sp = value(name, idx, h)
-        fm, sm = value(name, idx, -h)
-        if sp != sm:
-            continue
-        fd = (fp - fm) / (2 * h)
-        an = grads[record.param_leaves[name].node].data[idx]
-        assert oracles.rel_err(an, fd, floor=1e-6) < 1e-4
-        checked += 1
-    assert checked >= 10
+
+def test_lc_gradient_check_catches_a_planted_exp_fault(monkeypatch):
+    plant_exp_fault(monkeypatch)
+    result = lc_gradient_check()
+    assert result.outcome == gradcheck.WRONG_GRADIENT, result
 
 
 # --------------------------------------------------------------------------
