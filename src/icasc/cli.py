@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic confusable dataset")
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--per-class", type=_count(1), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--canvas", type=int, default=32)
     p.add_argument("--noise-std", type=float, default=0.05)
     p.add_argument("--motif-size", type=int, default=7)
@@ -67,7 +67,7 @@ def build_parser() -> _Parser:
     p.add_argument("--test-data", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
@@ -142,9 +142,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-# train flags whose defaults live in TrainConfig; only given ones are passed
-_TRAIN_FIELDS = ("epochs", "batch_size", "lr", "momentum", "weight_decay",
-                 "schedule", "milestones", "seed", "channels")
+# train flags named after a TrainConfig field pass their value when given;
+# the defaults live in TrainConfig alone
+_TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig))
 
 
 def cmd_train(args) -> int:
@@ -152,10 +152,9 @@ def cmd_train(args) -> int:
         raise UsageError("--baseline trains without the attention objective, "
                          "so it takes no --config or --mechanism")
     given = {key: getattr(args, key) for key in _TRAIN_FIELDS
-             if getattr(args, key) is not None}
+             if getattr(args, key, None) is not None}
     cfg = TrainConfig(
         data_dir=args.data, test_dir=args.test_data, out_dir=args.out,
-        flip=args.flip, resume=args.resume,
         icasc=None if args.baseline else _resolved_icasc(args), **given)
     result = train(cfg)
     last = result.log[-1]
@@ -182,6 +181,11 @@ def _require_confusing_class(checkpoint, n_classes: int) -> None:
 
 
 def cmd_eval(args) -> int:
+    if not args.attention and (args.config or args.mechanism):
+        raise UsageError("--config and --mechanism set the attention "
+                         "report's loss, so they need --attention")
+    # resolved before --out exists, so a bad config file leaves no output
+    icasc = _resolved_icasc(args) if args.attention else None
     model, _ = load_checkpoint(args.checkpoint)
     n_classes = model.config.n_classes
     dataset = _load_for(model, args.data)
@@ -197,7 +201,6 @@ def cmd_eval(args) -> int:
     echo = f"checkpoint = {args.checkpoint}\ndata = {args.data}\ntopk = {k}\n"
     if args.attention:
         # the report's taped forwards also score accuracy: one pass, not two
-        icasc = _resolved_icasc(args)
         report = mx.attention_overlap_report(model, dataset, icasc)
         probs = report.probabilities
     else:
@@ -343,7 +346,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (dio.DataError, FileNotFoundError) as e:
+    except (dio.DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:

@@ -15,6 +15,7 @@ has a known correct answer: the discriminative corners.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -150,6 +151,18 @@ def atomic_open(path, mode: str = "w", **kwargs):
         tmp.unlink(missing_ok=True)
 
 
+def open_text(path) -> io.StringIO:
+    """The UTF-8 text of ``path`` as a file whose lines end as written, which
+    is what ``csv`` reads; bytes that do not decode raise DataError naming
+    the file."""
+    raw = Path(path).read_bytes()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline="")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte "
+                        f"{e.start})") from None
+
+
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -212,7 +225,7 @@ def load_dataset(path, n_classes: int | None = None,
     samples: list[Sample] = []
     seen: set[str] = set()
     max_label = -1
-    with open(labels_file, newline="", encoding="utf-8") as fh:
+    with open_text(labels_file) as fh:
         reader = csv.DictReader(fh)
         names = [f.strip() for f in reader.fieldnames or ()]
         if names != ["id", "filename", "label"]:
@@ -318,6 +331,8 @@ class SynthSpec:
             raise ValueError(f"invalid confusable pair {self.confusable_pair}")
         if not 0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.motif_size < 1:
             raise ValueError(f"motif_size must be >= 1, got {self.motif_size}")
         if self.box_edge > self.canvas // 2:

@@ -62,14 +62,12 @@ def make_datasets(work_dir, n_train: int = 200, n_test: int = 100,
 
 
 def evaluate_model(model: Model, test_set: dio.Dataset, seed: int, variant: str,
-                   log: list[EpochStats],
-                   batch_size: int = mx.EVAL_BATCH) -> VariantMetrics:
+                   log: list[EpochStats]) -> VariantMetrics:
     """Score a model on a test set from one pass over it: the overlap
     report's forwards, under ``IcascConfig()``, also give the accuracy, the
     KS probabilities and the dead channels.  The skip rates are read from
     the run's training ``log``."""
-    overlap = mx.attention_overlap_report(model, test_set, IcascConfig(),
-                                          batch_size)
+    overlap = mx.attention_overlap_report(model, test_set, IcascConfig())
     probs, labels = overlap.probabilities, test_set.label_array()
     acc = mx.topk_accuracy(probs, labels, 1)
     ks = mx.model_ks_chart(probs, labels).ks_exact

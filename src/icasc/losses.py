@@ -33,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .attention import MECHANISMS, class_attention
-from .data import DataError
+from .data import DataError, open_text
 from .nn import ConfigError, ForwardRecord, NumericalError, cross_entropy
 
 
@@ -78,7 +78,7 @@ def parse_kv_file(path) -> dict:
     """Parse a ``key = value`` text file into IcascConfig kwargs; a line
     that does not parse raises DataError naming file:line."""
     kv: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

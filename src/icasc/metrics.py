@@ -20,25 +20,20 @@ from .nn import Model
 # --------------------------------------------------------------------------
 
 
-# samples per forward of an evaluation pass: ``predict``'s and the overlap
-# report's; the training loop's test pass keeps its own batch size
+# samples per forward of every evaluation pass: ``predict``'s, which
+# includes the training loop's test pass, and the overlap report's
 EVAL_BATCH = 32
 
 
-def predict(model: Model, dataset: dio.Dataset,
-            batch_size: int = EVAL_BATCH) -> tuple[np.ndarray, np.ndarray]:
-    """Untaped forward passes over the dataset in order, ``batch_size``
+def predict(model: Model, dataset: dio.Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Untaped forward passes over the dataset in order, ``EVAL_BATCH``
     samples at a time; returns (probabilities, labels).
 
-    The chunk size sets the peak memory of the pass, which is why the
-    training loop's test pass keeps its own batch size.  At ``EVAL_BATCH``
-    the probabilities are byte-equal to the overlap report's.  Against the
-    batch of 64 used before, a sample alone in a final batch of 1 (sets of
-    33 and 97 samples) can differ in the last bit: BLAS runs that batch as
-    a matrix-vector product.
+    The probabilities are byte-equal to the overlap report's, which runs
+    the same batches.
     """
     probs = [model.forward(images, tape=None).probabilities
-             for _, images, _ in dio.batch_iter(dataset, batch_size, seed=0,
+             for _, images, _ in dio.batch_iter(dataset, EVAL_BATCH, seed=0,
                                                 shuffle=False)]
     return np.concatenate(probs), dataset.label_array()
 
@@ -171,8 +166,7 @@ def _overlap_batch(model: Model, ids, images, labels, config: IcascConfig
 
 
 def attention_overlap_report(model: Model, dataset: dio.Dataset,
-                             config: IcascConfig,
-                             batch_size: int = EVAL_BATCH) -> OverlapReport:
+                             config: IcascConfig) -> OverlapReport:
     """Per-sample last-layer separation and consistency on frozen weights.
 
     Each sample is scored with the training objective's terms.  Skipped
@@ -185,17 +179,15 @@ def attention_overlap_report(model: Model, dataset: dio.Dataset,
     (``Model.forward``'s ``from_inner``).
 
     The report also returns its forwards' class probabilities, so a caller
-    that needs them makes no second pass.  At ``EVAL_BATCH``, the one
-    evaluation batch, they are byte-equal to ``predict``'s.  Against the
-    batch of 64 ``predict`` used before, a sample alone in a final batch
-    of 1 (sets of 33 and 97 samples) can differ in the last bit.  It also
+    that needs them makes no second pass.  Both run ``EVAL_BATCH`` samples
+    per forward, so they are byte-equal to ``predict``'s.  It also
     returns, per tracked layer, which channels are non-zero on some
     sample: a channel that is not is dead on this set.
     """
     live = {layer: np.zeros(c, dtype=bool)
             for layer, c in zip(LAYERS, model.config.channels[-2:])}
     rows, probs = [], []
-    for ids, images, labels in dio.batch_iter(dataset, batch_size, seed=0,
+    for ids, images, labels in dio.batch_iter(dataset, EVAL_BATCH, seed=0,
                                               shuffle=False):
         batch_rows, batch_probs, batch_live = _overlap_batch(
             model, ids, images, labels, config)

@@ -20,7 +20,7 @@ import math
 import operator
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -50,10 +50,10 @@ class ModelConfig:
     block, "last" the output of the final block.
     """
 
-    channels: tuple[int, ...] = (16, 32, 64)
-    input_size: int = 32
-    input_channels: int = 3
-    n_classes: int = 10
+    channels: tuple[int, ...]
+    input_size: int
+    input_channels: int
+    n_classes: int
     kernel_size: int = 3
 
     def __post_init__(self):
@@ -88,17 +88,17 @@ class ModelConfig:
         return len(self.channels)
 
     def to_dict(self) -> dict:
-        return {"channels": list(self.channels), "input_size": self.input_size,
-                "input_channels": self.input_channels,
-                "n_classes": self.n_classes, "kernel_size": self.kernel_size}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(channels=tuple(d["channels"]),
-                           input_size=d["input_size"],
-                           input_channels=d["input_channels"],
-                           n_classes=d["n_classes"],
-                           kernel_size=d.get("kernel_size", 3))
+        """The config ``to_dict`` gave; a missing or extra key raises
+        ConfigError."""
+        names = {f.name for f in fields(ModelConfig)}
+        if set(d) != names:
+            raise ConfigError(f"model config has keys {sorted(d)}, "
+                              f"expected {sorted(names)}")
+        return ModelConfig(**d)
 
 
 @dataclass
@@ -231,7 +231,7 @@ class SgdOptimizer:
     v <- momentum*v + grad + wd*param; param <- param - lr*v.
     """
 
-    def __init__(self, momentum: float = 0.9, weight_decay: float = 0.0):
+    def __init__(self, momentum: float, weight_decay: float):
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity: dict[str, np.ndarray] = {}

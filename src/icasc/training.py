@@ -43,6 +43,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # lr 0 is a frozen run: it keeps the seeded initial weights
         if not 0 <= self.lr < np.inf:
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr!r}")
@@ -102,10 +104,9 @@ class TrainResult:
     best_acc: float
 
 
-def evaluate_accuracy(model: Model, dataset: dio.Dataset,
-                      batch_size: int) -> float:
+def evaluate_accuracy(model: Model, dataset: dio.Dataset) -> float:
     """Top-1 accuracy of ``model`` on ``dataset``."""
-    return topk_accuracy(*predict(model, dataset, batch_size), 1)
+    return topk_accuracy(*predict(model, dataset), 1)
 
 
 def _train_step(model: Model, optimizer: SgdOptimizer, images: np.ndarray,
@@ -207,8 +208,8 @@ def train(cfg: TrainConfig) -> TrainResult:
             sums += n * _train_step(model, optimizer, images, labels,
                                     cfg.icasc, lr)
 
-        test_acc = evaluate_accuracy(model, test_set, cfg.batch_size) \
-            if test_set else float("nan")
+        test_acc = evaluate_accuracy(model, test_set) if test_set \
+            else float("nan")
         l_c, l_as_in, l_as_la, l_ac, total, train_acc, skip_rate = \
             (float(v) for v in sums / seen)
         stats = EpochStats(epoch, lr, l_c, l_as_in, l_as_la, l_ac, total,
@@ -235,7 +236,7 @@ def read_log(path) -> list[EpochStats]:
     """Parse ``train_log.csv``; a row that does not hold one value per
     column raises DataError naming the file and line."""
     log = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with dio.open_text(path) as fh:
         reader = csv.reader(fh)
         for r in reader:
             if not r or r[0].startswith("#") or r[0] == "epoch":

@@ -14,7 +14,7 @@ from icasc.autodiff import (DomainError, ShapeError, Tape, Tensor,
                             UnsupportedOpError, backward)
 from icasc.gradcheck import check_gradient
 from icasc.losses import IcascConfig, icasc_objective
-from icasc.nn import cross_entropy
+from icasc.nn import Model, cross_entropy
 
 import helpers
 import oracles
@@ -78,6 +78,32 @@ def test_binary_shape_mismatch_rejected():
 def test_scalar_tensor_mixing():
     out = ad.sub(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor(1.0))
     assert np.array_equal(out.data, [[0.0, 1.0], [2.0, 3.0]])
+
+    # a taped size-1 operand's adjoint is the full-shape one summed
+    # (``_reduce_to``), as either operand of each binary op
+    rng = np.random.default_rng(5)
+    params = {"m": rng.uniform(0.5, 2.0, (2, 3)), "s": np.array(1.25)}
+    weights = Tensor(rng.standard_normal((2, 3)))
+    ops = {"add": ad.add, "sub": ad.sub, "mul": ad.mul,
+           "div": lambda a, b: ad.div(a, b, eps=1e-8), "minimum": ad.minimum}
+    for name, op in ops.items():
+        for order in (("m", "s"), ("s", "m")):
+            def loss(p, op=op, order=order):
+                t = Tape()
+                leaves = {k: t.leaf(v) for k, v in p.items()}
+                out = op(*(leaves[k] for k in order))
+                return t, leaves, ad.reduce_sum(ad.mul(out, weights))
+
+            def value(p, loss=loss):
+                t, _, total = loss(p)
+                return total.item(), t.kink_signature()
+
+            _, leaves, total = loss(params)
+            g = backward(total, list(leaves.values()))
+            grads = {k: g[leaf.node].data for k, leaf in leaves.items()}
+            assert grads["s"].shape == (), (name, order)
+            result = check_gradient(value, params, grads, rng, checks=3)
+            assert result.outcome == gradcheck.OK, (name, order, result)
 
 
 def test_divide_adds_epsilon():
@@ -876,7 +902,7 @@ def test_parameter_backward_skips_the_image_adjoint():
     assert kinds["conv2d_dw"] == 2
 
 
-def test_hessian_vector_product_matches_fd():
+def test_hessian_vector_product_matches_fd(monkeypatch):
     rng = np.random.default_rng(11)
     x0 = rng.uniform(0.3, 1.5, size=8)
     v = rng.standard_normal(8)
@@ -903,6 +929,46 @@ def test_hessian_vector_product_matches_fd():
     fd = (grad_at(x0 + h * v) - grad_at(x0 - h * v)) / (2 * h)
     rel = np.abs(hvp - fd) / np.maximum(np.abs(fd), 1e-8)
     assert rel.max() < 1e-3
+
+    # a conv model's loss toward its weights: the weight gradient is a
+    # taped conv2d_dw node, so the product differentiates it
+    model = helpers.tiny_model(2, channels=(2, 3), size=8, n_classes=3)
+    images = rng.uniform(0.0, 1.0, size=(3, 1, 8, 8))
+    labels = np.array([0, 1, 2])
+    direction = {k: rng.standard_normal(p.shape) for k, p in model.params.items()}
+
+    def weight_grads(params, create_graph):
+        t = Tape()
+        record = Model(model.config, params).forward(images, tape=t)
+        leaves = record.param_leaves
+        g = backward(cross_entropy(record.logits, labels), list(leaves.values()),
+                     create_graph=create_graph)
+        return t, leaves, {k: g[leaf.node] for k, leaf in leaves.items()}
+
+    def directional(params):
+        t, _, g = weight_grads(params, create_graph=False)
+        return (sum(float(np.sum(g[k].data * direction[k])) for k in g),
+                t.kink_signature())
+
+    dw_calls = []
+    dw_rule = ad._RULES["conv2d_dw"]
+
+    def spy(node, *args):
+        dw_calls.append(node.kind)
+        return dw_rule(node, *args)
+
+    monkeypatch.setitem(ad._RULES, "conv2d_dw", spy)
+    _, leaves, g = weight_grads(model.params, create_graph=True)
+    gv = None
+    for k, grad in g.items():
+        term = ad.reduce_sum(ad.mul(grad, Tensor(direction[k])))
+        gv = term if gv is None else ad.add(gv, term)
+    hv = backward(gv, list(leaves.values()))
+    assert dw_calls == ["conv2d_dw"] * 2           # one node per block
+    result = check_gradient(directional, model.params,
+                            {k: hv[leaf.node].data for k, leaf in leaves.items()},
+                            rng, checks=3)
+    assert result.outcome == gradcheck.OK, result
 
 
 def test_determinism_bit_identical():

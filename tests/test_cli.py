@@ -75,6 +75,7 @@ def test_synth_invalid_motif_size_names_field(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, field", [
     ("--motif-size", "-3", "motif_size"), ("--motif-size", "0", "motif_size"),
     ("--pair", "0,1,2", "confusable_pair"), ("--pair", "0", "confusable_pair"),
+    ("--seed", "-1", "--seed"),
 ])
 def test_synth_bad_motif_size_or_pair_is_usage_error(tmp_path, capsys, flag,
                                                      value, field):
@@ -194,6 +195,15 @@ def test_train_defaults_come_from_train_config(dataset, tmp_path):
     assert run("train", "--data", str(dataset / "train"), "--out", str(out)) == 0
     expected = TrainConfig(data_dir=str(dataset / "train"), out_dir=str(out))
     assert (out / "run_config.txt").read_text(encoding="utf-8") == expected.to_kv()
+
+
+def test_negative_train_seed_is_usage_error(dataset, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("train", "--data", str(dataset / "train"), "--out", str(out),
+               "--seed", "-1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--seed" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--epochs", "--batch-size"])
@@ -862,25 +872,33 @@ def test_damaged_checkpoint_is_data_error(trained, dataset, tmp_path, capsys,
     assert f"{damage}.ckpt" in capsys.readouterr().err
 
 
+DROP = object()     # a _with_config change that deletes the key
+
+
 def _with_config(blob: bytes, **changes) -> bytes:
     """A checkpoint's bytes with ``changes`` made to its header's config."""
     (hlen,) = struct.unpack("<I", blob[12:16])
     header = json.loads(blob[16:16 + hlen])
-    header["config"].update(changes)
+    config = header["config"]
+    config.update(changes)
+    for key in [k for k, v in changes.items() if v is DROP]:
+        del config[key]
     text = json.dumps(header, sort_keys=True).encode("utf-8")
     return blob[:12] + struct.pack("<I", len(text)) + text + blob[16 + hlen:]
 
 
 @pytest.mark.parametrize("changes", [
     {"kernel_size": -1}, {"kernel_size": 3.0}, {"input_channels": 1.0},
-    {"n_classes": 3.0}, {"channels": [4.5, 8]},
+    {"n_classes": 3.0}, {"channels": [4.5, 8]}, {"kernel_size": DROP},
+    {"stride": 1},
 ], ids=["kernel_-1", "kernel_float", "input_channels_float",
-        "n_classes_float", "channels_float"])
+        "n_classes_float", "channels_float", "kernel_missing", "extra_key"])
 def test_checkpoint_config_out_of_range_is_data_error(trained, dataset,
                                                       tmp_path, capsys,
                                                       changes):
     """The parameters still fit the config the header would give if its
-    counts were truncated to integers, so only the config check stops it."""
+    counts were truncated to integers, if a missing kernel size were 3, or
+    if an unknown key were ignored, so only the config check stops it."""
     ckpt = tmp_path / "patched.ckpt"
     ckpt.write_bytes(_with_config(trained.read_bytes(), **changes))
     rc = run("eval", "--checkpoint", str(ckpt), "--data",
@@ -1002,6 +1020,16 @@ def test_train_state_velocities_disagreeing_with_model_is_data_error(
     assert run("train", *resumable, "--epochs", "2", "--resume") == 2
     err = capsys.readouterr().err
     assert "final.ckpt" in err and name in err
+
+
+def test_resume_from_a_checkpoint_without_train_state_is_data_error(
+        resumable, tmp_path, capsys):
+    """best.ckpt holds the weights but no optimizer velocities."""
+    run_dir = tmp_path / "r"
+    (run_dir / "final.ckpt").write_bytes((run_dir / "best.ckpt").read_bytes())
+    assert run("train", *resumable, "--epochs", "2", "--resume") == 2
+    err = capsys.readouterr().err
+    assert "final.ckpt" in err and "not a resume point" in err
 
 
 @pytest.mark.parametrize("epoch", ["2", 1.5, -3, None],
@@ -1142,6 +1170,94 @@ def test_bad_config_file_exits_cleanly(dataset, trained, tmp_path, capsys,
     rc = run(*args, "--out", str(tmp_path / "o"), "--config", str(cfg_file))
     assert rc == code
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--mechanism"])
+def test_eval_loss_setting_without_attention_is_usage_error(trained, dataset,
+                                                            tmp_path, capsys,
+                                                            flag):
+    """Only the attention report reads the loss settings; the file here
+    does not even parse."""
+    cfg_file = tmp_path / "loss.cfg"
+    cfg_file.write_text("omega 3\n", encoding="utf-8")
+    value = {"--mechanism": "grad-cam", "--config": str(cfg_file)}[flag]
+    out = tmp_path / "o"
+    assert run("eval", "--checkpoint", str(trained), "--data",
+               str(dataset / "test"), "--out", str(out), flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--attention" in err
+    assert flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", [
+    "config_is_a_directory", "checkpoint_is_a_directory",
+    "synth_out_is_a_file", "train_out_is_a_file", "eval_out_is_a_file",
+    "attend_out_is_a_file", "ks_out_under_a_file", "config_not_utf8",
+    "labels_not_utf8", "train_log_not_utf8"])
+def test_unreadable_or_unwritable_path_is_data_error(dataset, trained,
+                                                     tmp_path, capsys,
+                                                     request, case):
+    """An I/O error, or a text file that is not UTF-8, exits 2 naming the
+    path, not with a traceback."""
+    a_file = tmp_path / "a_file"
+    a_file.write_text("x\n", encoding="utf-8")
+    train = ("train", "--data", str(dataset / "train"), "--epochs", "1",
+             "--batch-size", "8", "--channels", "4,8")
+    scored = ("--checkpoint", str(trained), "--data", str(dataset / "test"))
+    out = ("--out", str(tmp_path / "o"))
+    to_file = ("--out", str(a_file))
+    named = a_file
+    if case == "config_is_a_directory":
+        argv, named = (*train, *out, "--config", str(tmp_path)), tmp_path
+    elif case == "checkpoint_is_a_directory":
+        argv, named = ("ks", "--checkpoint", str(tmp_path), "--data",
+                       str(dataset / "test"), *out), tmp_path
+    elif case == "synth_out_is_a_file":
+        argv = ("synth", "--per-class", "1", *to_file)
+    elif case == "train_out_is_a_file":
+        argv = (*train, *to_file)
+    elif case == "eval_out_is_a_file":
+        argv = ("eval", *scored, *to_file)
+    elif case == "attend_out_is_a_file":
+        argv = ("attend", *scored, *to_file)
+    elif case == "ks_out_under_a_file":
+        argv = ("ks", *scored, "--out", str(a_file / "o"))
+    elif case == "config_not_utf8":
+        named = tmp_path / "loss.cfg"
+        named.write_bytes(b"theta = 0.6 # \xff\n")
+        argv = (*train, *out, "--config", str(named))
+    elif case == "labels_not_utf8":
+        data = relabel(dataset / "test", tmp_path / "d", {"c0_0000": "0"})
+        named = data / "labels.csv"
+        named.write_bytes(named.read_bytes().replace(b"c0_0000,", b"c0_\xff,"))
+        argv = ("eval", "--checkpoint", str(trained), "--data", str(data), *out)
+    else:
+        flags = request.getfixturevalue("resumable")
+        named = tmp_path / "r" / "train_log.csv"
+        named.write_bytes(named.read_bytes() + b"# \xff\n")
+        argv = ("train", *flags, "--epochs", "2", "--resume")
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(named) in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    ((), "non-finite loss term"), (("--baseline",), "non-finite gradient")],
+    ids=["icasc", "baseline"])
+def test_diverging_run_is_numerical_failure(dataset, tmp_path, capsys, flags,
+                                            message):
+    """At lr 1e100 the first update blows the weights up, and the next
+    step's forward overflows: the objective's finite-loss check or the
+    optimizer's finite-gradient check stops the run."""
+    with pytest.warns(RuntimeWarning):
+        rc = run("train", "--data", str(dataset / "train"), "--out",
+                 str(tmp_path / "o"), "--epochs", "1", "--batch-size", "8",
+                 "--channels", "4,8", "--lr", "1e100", *flags)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and message in err
 
 
 def test_synth_without_samples_is_usage_error(tmp_path, capsys):

@@ -181,6 +181,11 @@ def test_synth_motif_overflow_rejected():
             SynthSpec(canvas=16, motif_size=motif_size)
 
 
+def test_synth_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed"):
+        SynthSpec(seed=-1)
+
+
 def test_synth_invalid_pair_rejected():
     for pair in ((0, 0), (0, 1, 2), (0,)):
         with pytest.raises(ValueError, match="pair"):
@@ -221,6 +226,17 @@ def test_label_out_of_range(tmp_path):
         "id,filename,label\ns1,a.pgm,9\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_dataset(tmp_path, n_classes=4)
+
+
+@pytest.mark.parametrize("header", ["id,file,label", "label,id,filename",
+                                    "id,filename,label,extra"])
+def test_wrong_labels_header_is_data_error(tmp_path, header):
+    write_pgm(tmp_path / "a.pgm", np.zeros((4, 4), dtype=np.uint8))
+    (tmp_path / "labels.csv").write_text(f"{header}\ns1,a.pgm,0\n",
+                                         encoding="utf-8")
+    with pytest.raises(DataError, match="labels.csv: header must be "
+                                        "id,filename,label"):
+        load_dataset(tmp_path)
 
 
 @pytest.mark.parametrize("row", ["s2,a.pgm", "s2", "s2,a.pgm,0,extra"])

@@ -41,14 +41,16 @@ def test_evaluate_model_matches_cli_eval_and_ks(tmp_path, capsys):
     assert (got.skip_epoch0, got.skip_final) == (0.25, 0.75)
 
 
-@pytest.mark.parametrize("batch_size", [5, 32])
-def test_evaluate_model_counts_dead_channels(tmp_path, batch_size):
+@pytest.mark.parametrize("n_samples", [12, 36])
+def test_evaluate_model_counts_dead_channels(tmp_path, n_samples):
     """A channel with a zero kernel and a negative bias is 0 after its ReLU
     on every sample: one of 4 inner and one of 8 last channels is dead,
-    whether the set runs as one batch or several.  Every other channel has
-    a bias of 1, which keeps it alive where its input is near 0."""
+    whether the set runs as one batch (12 samples) or two (36, as 32 + 4).
+    Every other channel has a bias of 1, which keeps it alive where its
+    input is near 0."""
     dio.generate_synth(dio.SynthSpec(n_classes=3, canvas=16, seed=1,
-                                     motif_size=3), 4, tmp_path / "d")
+                                     motif_size=3), n_samples // 3,
+                       tmp_path / "d")
     dataset = dio.load_dataset(tmp_path / "d")
     model = helpers.tiny_model(5, channels=(4, 8), size=16, n_classes=3)
     model.params["block0.b"][:] = 1.0
@@ -57,22 +59,24 @@ def test_evaluate_model_counts_dead_channels(tmp_path, batch_size):
     model.params["block0.b"][1] = -0.5
     model.params["block1.w"][6] = 0.0
     model.params["block1.b"][6] = -0.5
-    got = experiments.evaluate_model(model, dataset, 0, "icasc", LOG,
-                                     batch_size)
+    got = experiments.evaluate_model(model, dataset, 0, "icasc", LOG)
     assert (got.dead_inner, got.dead_last) == (0.25, 0.125)
 
 
-@pytest.mark.parametrize("batch_size", [5, 50])
+@pytest.mark.parametrize("n_samples", [12, 36])
 def test_evaluate_model_runs_one_pass_over_the_set(tmp_path, monkeypatch,
-                                                   batch_size):
-    """Accuracy and KS come from the overlap report's own forwards."""
+                                                   n_samples):
+    """Accuracy and KS come from the overlap report's own forwards: one
+    taped forward per evaluation batch, so one for 12 samples and two for
+    36."""
     dio.generate_synth(dio.SynthSpec(n_classes=3, canvas=16, seed=1,
-                                     motif_size=3), 4, tmp_path / "d")
+                                     motif_size=3), n_samples // 3,
+                       tmp_path / "d")
     dataset = dio.load_dataset(tmp_path / "d")
     model = helpers.tiny_model(5, channels=(4, 8), size=16, n_classes=3)
     calls = helpers.count_forwards(monkeypatch)
-    experiments.evaluate_model(model, dataset, 0, "icasc", LOG, batch_size)
-    assert calls == [True] * math.ceil(len(dataset) / batch_size)
+    experiments.evaluate_model(model, dataset, 0, "icasc", LOG)
+    assert calls == [True] * math.ceil(n_samples / 32)
 
 
 def run_tiny_trend(work, **kwargs):

@@ -169,12 +169,12 @@ def test_overlap_report_matches_objective_per_sample(tmp_path):
             assert row.l_ac == pytest.approx(terms.l_ac, rel=1e-9, abs=1e-12)
 
 
-def _overlap_rows_from_both_layers(model, ds, cfg, batch_size):
+def _overlap_rows_from_both_layers(model, ds, cfg):
     """The report's rows and probabilities as the objective builds its
-    terms: a full-tape forward, both classes' maps at both layers, then
-    ``per_sample_terms``."""
+    terms: a full-tape forward of each evaluation batch, both classes'
+    maps at both layers, then ``per_sample_terms``."""
     rows, probs = [], []
-    for ids, images, labels in dio.batch_iter(ds, batch_size, seed=0,
+    for ids, images, labels in dio.batch_iter(ds, mx.EVAL_BATCH, seed=0,
                                               shuffle=False):
         record = model.forward(images, tape=Tape())
         conf = confusing_class(record.probabilities, labels)
@@ -194,8 +194,9 @@ def test_overlap_report_runs_one_inner_backward_per_batch(tmp_path, monkeypatch,
     each batch makes one ``conv2d_dx`` (the target's backward through the
     inner block), and every row and mean equals the one built from both
     classes' maps at both layers.  Class 0's head column is zero, so its
-    samples have no target attention and are skipped."""
-    ds = synth_dataset(tmp_path, per_class=2)
+    samples have no target attention and are skipped.  36 samples run as
+    32 + 4."""
+    ds = synth_dataset(tmp_path, per_class=12)
     model = helpers.tiny_model(4, channels=(4, 8), size=16, n_classes=3)
     model.params["head.w"][:, 0] = 0.0
     cfg = IcascConfig(mechanism=mechanism)
@@ -207,10 +208,10 @@ def test_overlap_report_runs_one_inner_backward_per_batch(tmp_path, monkeypatch,
         return conv_dx(g, *args)
 
     monkeypatch.setattr(ad, "_conv_dx", counted)
-    report = mx.attention_overlap_report(model, ds, cfg, batch_size=4)
-    assert batches == [4, 2]
+    report = mx.attention_overlap_report(model, ds, cfg)
+    assert batches == [32, 4]
 
-    expected, _ = _overlap_rows_from_both_layers(model, ds, cfg, batch_size=4)
+    expected, _ = _overlap_rows_from_both_layers(model, ds, cfg)
     assert [(r.sample_id, r.l_as_last, r.l_ac, r.skipped)
             for r in report.rows] == expected
     kept = [row for row in expected if not row[3]]
@@ -220,19 +221,22 @@ def test_overlap_report_runs_one_inner_backward_per_batch(tmp_path, monkeypatch,
     assert report.skip_rate == float(np.mean([row[3] for row in expected]))
 
 
-@pytest.mark.parametrize("batch_size", [32, 5])
-def test_overlap_report_equals_full_tape_report(tmp_path, batch_size):
+@pytest.mark.parametrize("n_samples", [36, 33])
+def test_overlap_report_equals_full_tape_report(tmp_path, n_samples):
     """Taped from the inner features on, the report's rows and
-    probabilities are those of full-tape forwards, bit for bit: 36 samples
-    run as 32 + 4, or as 7 batches of 5 and one of 1."""
-    ds = synth_dataset(tmp_path, per_class=12)
+    probabilities are those of full-tape forwards, and its probabilities
+    ``predict``'s, bit for bit: 36 samples run as 32 + 4, and 33 as 32 + 1,
+    a final batch that BLAS runs as a matrix-vector product."""
+    ds = synth_dataset(tmp_path, per_class=n_samples // 3)
     model = helpers.tiny_model(4, channels=(4, 8), size=16, n_classes=3)
     cfg = IcascConfig()
-    report = mx.attention_overlap_report(model, ds, cfg, batch_size)
-    rows, probs = _overlap_rows_from_both_layers(model, ds, cfg, batch_size)
+    report = mx.attention_overlap_report(model, ds, cfg)
+    rows, probs = _overlap_rows_from_both_layers(model, ds, cfg)
+    assert len(ds) == n_samples
     assert [(r.sample_id, r.l_as_last, r.l_ac, r.skipped)
             for r in report.rows] == rows
     assert report.probabilities.tobytes() == probs.tobytes()
+    assert report.probabilities.tobytes() == mx.predict(model, ds)[0].tobytes()
 
 
 @pytest.mark.parametrize("caller", ["overlap report", "attend"])
@@ -268,9 +272,9 @@ def test_overlap_report_probabilities_equal_predict(tmp_path):
     """The report's probabilities are ``predict``'s, in dataset order.
 
     The set fits in one batch of either pass, so both run the same forward
-    on the same array and byte equality holds by construction.  Split into
-    batches of 2, the rows keep their order (the batch shapes change the
-    BLAS sums, so that comparison allows for rounding).
+    on the same array and byte equality holds by construction.  Sets of
+    several batches are compared in
+    ``test_overlap_report_equals_full_tape_report``.
     """
     ds = synth_dataset(tmp_path, per_class=2)
     model = helpers.tiny_model(4, channels=(4, 8), size=16, n_classes=3)
@@ -279,8 +283,6 @@ def test_overlap_report_probabilities_equal_predict(tmp_path):
     assert report.probabilities.shape == (len(ds), ds.n_classes)
     assert np.array_equal(report.probabilities, probs)
     assert np.allclose(report.probabilities.sum(axis=1), 1.0)
-    split = mx.attention_overlap_report(model, ds, IcascConfig(), batch_size=2)
-    np.testing.assert_allclose(split.probabilities, probs, rtol=1e-12)
 
 
 def test_overlap_report_on_empty_set():

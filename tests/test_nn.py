@@ -53,6 +53,13 @@ def test_zero_input_channels_or_classes_rejected(field):
                        "n_classes": 3, field: 0})
 
 
+def test_odd_spatial_size_at_a_pooling_stage_rejected():
+    # 12 -> 6 -> 3: the third block's 2x2 pool gets an odd map
+    with pytest.raises(ConfigError, match="spatial size 3 not divisible"):
+        ModelConfig(channels=(4, 8, 16), input_size=12, input_channels=1,
+                    n_classes=3)
+
+
 def test_too_small_spatial_rejected():
     with pytest.raises(ConfigError):
         ModelConfig(channels=(4, 8, 16), input_size=8, input_channels=1,
@@ -332,7 +339,7 @@ def test_sgd_weight_decay_only():
 
 
 def test_sgd_rejects_non_finite_gradient():
-    opt = SgdOptimizer()
+    opt = SgdOptimizer(momentum=0.9, weight_decay=0.0)
     with pytest.raises(NumericalError):
         opt.step({"p": np.array([1.0])}, {"p": np.array([np.nan])}, lr=0.1)
 

@@ -122,6 +122,13 @@ def test_unknown_schedule_is_rejected_before_out_dir(synth_set, tmp_path):
     assert not out.exists()
 
 
+def test_negative_seed_is_rejected_before_out_dir(synth_set, tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match="seed"):
+        train(TrainConfig(data_dir=str(synth_set), out_dir=str(out), seed=-1))
+    assert not out.exists()
+
+
 class Crash(Exception):
     pass
 
