@@ -1,11 +1,15 @@
 """Trend experiment: named training variants from shared initialisations.
 
-Each variant is an :class:`IcascConfig`, or ``None`` for the baseline.  Per
-seed every variant trains from the same initial weights on the synthetic
-confusable dataset, and each model is scored with the default
-``IcascConfig()`` for test accuracy, mean last-layer attention separation,
-and the exact KS statistic between target-class and confusing-class
-probability distributions.  The seeds train in parallel worker processes.
+Each variant is an :class:`IcascConfig`, or ``None`` for the baseline.  A
+trend takes its settings as two templates: a :class:`TrainConfig`
+(``TREND_TRAIN``), which every run copies with its own directories, seed and
+variant, and a :class:`SynthSpec` (``TREND_DATA``), which gives the train and
+test sets at ``DATA_SEED_TRAIN`` and ``DATA_SEED_TEST``.  Per seed every
+variant trains from the same initial weights, and each model is scored with
+the default ``IcascConfig()`` for test accuracy, mean last-layer attention
+separation, and the exact KS statistic between target-class and
+confusing-class probability distributions.  The seeds train in parallel
+worker processes.
 """
 
 from __future__ import annotations
@@ -14,18 +18,24 @@ import multiprocessing
 import os
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 
 from . import data as dio
 from . import metrics as mx
+from . import training
 from .losses import IcascConfig
 from .nn import Model
-from .training import EpochStats, TrainConfig, train
+from .training import EpochStats, TrainConfig
 
 DATA_SEED_TRAIN = 1234
 DATA_SEED_TEST = 4321
+
+# run_trend's default templates; the trend's batch 32, channels and cosine
+# schedule are TrainConfig's own defaults
+TREND_TRAIN = TrainConfig(data_dir="", out_dir="", epochs=12, lr=0.08)
+TREND_DATA = dio.SynthSpec()
 
 # the paper's comparison; read-only, since it is run_trend's default
 VARIANTS: Mapping[str, IcascConfig | None] = MappingProxyType(
@@ -46,21 +56,6 @@ class VariantMetrics:
     skip_final: float             # training skip rate of the last epoch
 
 
-def make_datasets(work_dir, n_train: int = 200, n_test: int = 100,
-                  n_classes: int = 4):
-    """Synthesize the train/test pair once; reused across seeds."""
-    work_dir = Path(work_dir)
-    train_dir = work_dir / "train"
-    test_dir = work_dir / "test"
-    if not (train_dir / "labels.csv").exists():
-        dio.generate_synth(dio.SynthSpec(n_classes=n_classes,
-                                         seed=DATA_SEED_TRAIN), n_train, train_dir)
-    if not (test_dir / "labels.csv").exists():
-        dio.generate_synth(dio.SynthSpec(n_classes=n_classes,
-                                         seed=DATA_SEED_TEST), n_test, test_dir)
-    return train_dir, test_dir
-
-
 def evaluate_model(model: Model, test_set: dio.Dataset, seed: int, variant: str,
                    log: list[EpochStats]) -> VariantMetrics:
     """Score a model on a test set from one pass over it: the overlap
@@ -78,19 +73,14 @@ def evaluate_model(model: Model, test_set: dio.Dataset, seed: int, variant: str,
                           log[0].skip_rate, log[-1].skip_rate)
 
 
-def _run_seed(work_dir: Path, train_dir: Path, test_dir: Path,
-              variants: dict, seed: int, epochs: int, batch_size: int,
-              lr: float) -> list[VariantMetrics]:
-    """One seed's task: train every variant in order, then score each."""
-    runs = {name: train(TrainConfig(
-                data_dir=str(train_dir), test_dir=str(test_dir),
-                out_dir=str(work_dir / f"{name}_s{seed}"), epochs=epochs,
-                batch_size=batch_size, lr=lr, seed=seed, channels=(8, 16),
-                schedule="cosine", icasc=icasc))
-            for name, icasc in variants.items()}
+def _run_seed(runs: Mapping[str, TrainConfig],
+              test_dir: Path) -> list[VariantMetrics]:
+    """One seed's task: train every variant's run in order, then score each."""
+    results = {name: training.train(cfg) for name, cfg in runs.items()}
     test_set = dio.load_dataset(test_dir)
-    return [evaluate_model(run.model, test_set, seed, name, run.log)
-            for name, run in runs.items()]
+    return [evaluate_model(result.model, test_set, runs[name].seed, name,
+                           result.log)
+            for name, result in results.items()]
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -114,10 +104,18 @@ def _one_blas_thread_env():
 
 
 def run_trend(work_dir, variants: Mapping[str, IcascConfig | None] = VARIANTS,
-              seeds=(0, 1, 2, 3, 4), epochs: int = 12, batch_size: int = 32,
-              lr: float = 0.08) -> list[VariantMetrics]:
+              seeds=(0, 1, 2, 3, 4), train: TrainConfig = TREND_TRAIN,
+              data: dio.SynthSpec = TREND_DATA,
+              per_class=(200, 100)) -> list[VariantMetrics]:
     """Train every variant per seed into ``{name}_s{seed}``, score each
     model and write ``trend.csv``, seed-major in the order of ``variants``.
+
+    Each run is ``train`` with its ``data_dir``, ``test_dir``, ``out_dir``,
+    ``seed`` and ``icasc`` set.  The sets are ``data`` at
+    ``DATA_SEED_TRAIN`` and ``DATA_SEED_TEST``, with ``per_class`` samples
+    per class (train, test), written into ``work_dir/train`` and
+    ``work_dir/test`` on every call.  Every run's config is built before
+    any file is written, so a bad value or a repeated seed writes nothing.
 
     Each seed is one task in a pool of ``min(len(seeds), cpu count)``
     spawned worker processes, each with BLAS at 1 thread: two such
@@ -126,9 +124,25 @@ def run_trend(work_dir, variants: Mapping[str, IcascConfig | None] = VARIANTS,
     them, and rows come back in seed order, whatever order seeds finish in.
     """
     work_dir = Path(work_dir)
-    train_dir, test_dir = make_datasets(work_dir)
-    tasks = [(work_dir, train_dir, test_dir, dict(variants), seed, epochs,
-              batch_size, lr) for seed in seeds]
+    seeds = tuple(seeds)
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        # two tasks of one seed would write the same run directories
+        raise ValueError(f"seeds {repeated} appear more than once")
+    n_train, n_test = per_class
+    if min(n_train, n_test) < 1:
+        raise ValueError(f"per_class must be >= 1, got {per_class}")
+    train_dir, test_dir = work_dir / "train", work_dir / "test"
+    train_spec = replace(data, seed=DATA_SEED_TRAIN)
+    test_spec = replace(data, seed=DATA_SEED_TEST)
+    tasks = [({name: replace(train, data_dir=str(train_dir),
+                             test_dir=str(test_dir),
+                             out_dir=str(work_dir / f"{name}_s{seed}"),
+                             seed=seed, icasc=icasc)
+               for name, icasc in variants.items()}, test_dir)
+             for seed in seeds]
+    dio.generate_synth(train_spec, n_train, train_dir)
+    dio.generate_synth(test_spec, n_test, test_dir)
     workers = max(1, min(len(tasks), os.cpu_count() or 1))
     with _one_blas_thread_env():
         pool = multiprocessing.get_context("spawn").Pool(workers)

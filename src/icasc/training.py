@@ -175,8 +175,13 @@ def train(cfg: TrainConfig) -> TrainResult:
         if type(header["epoch"]) is not int or header["epoch"] < 0:
             raise dio.DataError(f"{out / 'final.ckpt'}: epoch must be a "
                                 f"non-negative integer, got {header['epoch']!r}")
-        optimizer.velocity = header["velocity"]
         start_epoch = header["epoch"] + 1
+        if cfg.epochs < start_epoch:
+            # run_config.txt would echo fewer epochs than the log and
+            # final.ckpt hold
+            raise ConfigError(f"epochs = {cfg.epochs}, but {out / 'final.ckpt'} "
+                              f"already holds {start_epoch} trained epochs")
+        optimizer.velocity = header["velocity"]
         log = read_log(out / "train_log.csv")[:start_epoch]
         if len(log) < start_epoch:
             raise dio.DataError(f"{out / 'train_log.csv'}: {len(log)} rows, "

@@ -130,7 +130,7 @@ def test_baseline_and_icasc_share_initial_weights(dataset, tmp_path):
         assert np.array_equal(mb.params[name], mi.params[name])
 
 
-def test_train_deterministic_and_resume_bit_exact(dataset, tmp_path):
+def test_train_deterministic_and_resume_bit_exact(dataset, tmp_path, capsys):
     # step schedule: the lr at each epoch is independent of the horizon, so
     # a shorter run plus a resume walks the exact same trajectory
     common = ["--data", str(dataset / "train"), "--test-data",
@@ -154,6 +154,18 @@ def test_train_deterministic_and_resume_bit_exact(dataset, tmp_path):
     assert resumed_rows[-1] == full_rows[-1]
     assert digest(tmp_path / "c" / "final.ckpt") == \
         digest(tmp_path / "a" / "final.ckpt")
+
+    # resuming to fewer epochs than final.ckpt holds is a usage error that
+    # leaves the run as it was; resuming to as many is a no-op
+    kept = {p.name: p.read_bytes() for p in (tmp_path / "c").iterdir()}
+    capsys.readouterr()
+    assert run("train", *common_short, "--out", str(tmp_path / "c"),
+               "--resume") == 1
+    err = capsys.readouterr().err
+    assert "epochs = 2" in err and "3 trained epochs" in err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "c").iterdir()} == kept
+    assert run("train", *common, "--out", str(tmp_path / "c"), "--resume") == 0
+    assert {p.name: p.read_bytes() for p in (tmp_path / "c").iterdir()} == kept
 
 
 def test_train_icasc_path_runs(dataset, tmp_path):

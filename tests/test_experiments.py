@@ -1,15 +1,16 @@
 import csv
 import math
 import os
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
+from pathlib import Path
 
 import pytest
 
-from icasc import cli, experiments
+from icasc import cli, experiments, training
 from icasc import data as dio
 from icasc.losses import IcascConfig
-from icasc.nn import save_checkpoint
-from icasc.training import EpochStats
+from icasc.nn import ConfigError, load_checkpoint, save_checkpoint
+from icasc.training import EpochStats, TrainConfig
 
 import helpers
 
@@ -79,11 +80,18 @@ def test_evaluate_model_runs_one_pass_over_the_set(tmp_path, monkeypatch,
     assert calls == [True] * math.ceil(n_samples / 32)
 
 
-def run_tiny_trend(work, **kwargs):
+TINY_TRAIN = replace(experiments.TREND_TRAIN, epochs=2)
+
+
+def run_tiny_trend(work, train=TINY_TRAIN, per_class=(8, 4), **kwargs):
     """``run_trend`` for 2 epochs on 8 training and 4 test samples per
-    class, which it reuses from ``make_datasets``."""
-    experiments.make_datasets(work, n_train=8, n_test=4)
-    return experiments.run_trend(work, epochs=2, **kwargs)
+    class."""
+    return experiments.run_trend(work, train=train, per_class=per_class,
+                                 **kwargs)
+
+
+def tree_bytes(root: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
 def test_run_trend_writes_one_row_per_seed_and_variant(tmp_path):
@@ -129,3 +137,62 @@ def test_run_trend_seeds_in_parallel_equal_seeds_run_alone(tmp_path):
     experiments.write_trend_csv(tmp_path / "alone.csv", alone)
     assert (tmp_path / "both" / "trend.csv").read_bytes() == \
         (tmp_path / "alone.csv").read_bytes()
+
+
+def test_run_trend_equals_direct_training_at_the_old_settings(tmp_path):
+    """The trend's runs give the checkpoints and logs of ``training.train``
+    with the trend's settings written out in full (batch 32, lr 0.08,
+    channels (8, 16), the cosine schedule), so a change to ``TrainConfig``'s
+    defaults cannot move the trend unseen."""
+    work = tmp_path / "w"
+    run_tiny_trend(work, seeds=(1,))
+    for name, icasc in experiments.VARIANTS.items():
+        direct = tmp_path / name
+        training.train(TrainConfig(
+            data_dir=str(work / "train"), test_dir=str(work / "test"),
+            out_dir=str(direct), epochs=2, batch_size=32, lr=0.08, seed=1,
+            channels=(8, 16), schedule="cosine", icasc=icasc))
+        for file in ("final.ckpt", "best.ckpt", "train_log.csv"):
+            assert (work / f"{name}_s1" / file).read_bytes() == \
+                (direct / file).read_bytes()
+
+
+def test_run_trend_templates_reach_every_run_and_set(tmp_path):
+    """A non-default width reaches every run's checkpoint and a non-default
+    noise the train set's bytes; a second call in the same work directory
+    with the default data writes and trains on the default sets."""
+    work = tmp_path / "w"
+    noisy = replace(experiments.TREND_DATA, noise_std=0.3)
+    run_tiny_trend(work, seeds=(0, 1), data=noisy,
+                   train=replace(TINY_TRAIN, channels=(4, 8)))
+    for seed in (0, 1):
+        for name in experiments.VARIANTS:
+            model, _ = load_checkpoint(work / f"{name}_s{seed}" / "final.ckpt")
+            assert model.config.channels == (4, 8)
+    dio.generate_synth(replace(noisy, seed=experiments.DATA_SEED_TRAIN), 8,
+                       tmp_path / "noisy")
+    assert tree_bytes(work / "train") == tree_bytes(tmp_path / "noisy")
+
+    run_tiny_trend(work, seeds=(0,))
+    fresh = tmp_path / "fresh"
+    run_tiny_trend(fresh, seeds=(0,))
+    assert tree_bytes(work / "train") != tree_bytes(tmp_path / "noisy")
+    for part in ("train", "test"):
+        assert tree_bytes(work / part) == tree_bytes(fresh / part)
+    for file in ("trend.csv", "baseline_s0/final.ckpt", "icasc_s0/final.ckpt"):
+        assert (work / file).read_bytes() == (fresh / file).read_bytes()
+
+
+@pytest.mark.parametrize("kwargs, error, match", [
+    ({"seeds": (0, 1, 0)}, ValueError, r"seeds \[0\]"),
+    ({"seeds": (-1,)}, ConfigError, "seed must be >= 0"),
+    ({"per_class": (8, 0)}, ValueError, "per_class"),
+], ids=["repeated_seed", "negative_seed", "empty_test_set"])
+def test_run_trend_rejects_bad_settings_before_writing(tmp_path, kwargs,
+                                                       error, match):
+    """Two tasks of one seed would train into the same directories at once;
+    every run's config and the set sizes are checked before any file is
+    written."""
+    with pytest.raises(error, match=match):
+        run_tiny_trend(tmp_path / "w", **kwargs)
+    assert not (tmp_path / "w").exists()
