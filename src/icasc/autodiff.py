@@ -14,6 +14,10 @@ adjoints are wanted; a rule builds no partial adjoint for the others.  So a
 gradient toward feature maps records nothing toward the weights, and a
 gradient toward the weights records nothing toward the untaped image.
 
+A binary op takes two operands of one shape, or a tensor and a size-1
+constant (an operand with no tape node).  So every taped operand has its
+op's result shape, and the binary rules return their adjoints unreduced.
+
 Deterministic subgradient conventions (needed so gradient checks are
 reproducible): ReLU derivative at exactly 0 is 0, elementwise ``minimum``
 routes ties to the first argument, and max pooling routes ties to the lowest
@@ -24,10 +28,10 @@ forward computes only the value, a running ``np.maximum`` over the window's
 four strided tap views, and records a ``pool_gather`` node without routes.
 A backward rule or ``Tape.kink_signature`` that first reads the node's
 routes (each window's flat index of its first maximum) derives them from
-the node's input and value, over blocks of whole samples small enough that
-the temporaries stay in cache, and keeps them on the node.  The adjoint of
-a ``pool_gather`` is a ``pool_scatter`` by the same indices, and that of a
-``pool_scatter`` is a ``pool_gather`` that records its indices.
+the node's input and value, in one pass over the whole value, and keeps
+them on the node.  The adjoint of a ``pool_gather`` is a ``pool_scatter``
+by the same indices, and that of a ``pool_scatter`` is a ``pool_gather``
+that records its indices.
 
 Arrays that the engine builds itself (op results, routing masks, indices,
 the float masks of the ReLU and ``minimum`` rules) are frozen in place;
@@ -273,23 +277,20 @@ def _rule(kind: str):
     return register
 
 
-def _reduce_to(g: Tensor, target_shape: tuple[int, ...]) -> Tensor:
-    """Collapse a full-shape gradient onto a size-1 operand's shape."""
-    if g.shape == target_shape:
-        return g
-    total = reduce_sum(g, None)
-    return reshape(total, target_shape)
-
-
 # --------------------------------------------------------------------------
 # elementwise ops
 # --------------------------------------------------------------------------
 
 
 def _binary_value(kind: str, a: Tensor, b: Tensor, fn) -> np.ndarray:
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
+    """``fn`` of two operands of one shape, or of a tensor and a size-1
+    constant (no tape node) of no more dimensions; any other pair, a taped
+    size-1 operand beside a larger one included, is a ShapeError."""
+    if a.shape != b.shape and not any(
+            small.size == 1 and small.node is None and small.ndim <= large.ndim
+            for small, large in ((a, b), (b, a))):
         raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not match "
-                         "(only scalar-vs-tensor mixing is supported)")
+                         "(only a size-1 constant mixes with a tensor)")
     return fn(a.data, b.data)
 
 
@@ -371,41 +372,34 @@ def log(x) -> Tensor:
 
 @_rule("add")
 def _add_rule(node, g, inputs, out, need):
-    a, b = inputs
-    return [_reduce_to(g, a.shape) if need[0] else None,
-            _reduce_to(g, b.shape) if need[1] else None]
+    return [g if need[0] else None, g if need[1] else None]
 
 
 @_rule("sub")
 def _sub_rule(node, g, inputs, out, need):
-    a, b = inputs
-    return [_reduce_to(g, a.shape) if need[0] else None,
-            _reduce_to(mul(g, -1.0), b.shape) if need[1] else None]
+    return [g if need[0] else None, mul(g, -1.0) if need[1] else None]
 
 
 @_rule("mul")
 def _mul_rule(node, g, inputs, out, need):
     a, b = inputs
-    return [_reduce_to(mul(g, b), a.shape) if need[0] else None,
-            _reduce_to(mul(g, a), b.shape) if need[1] else None]
+    return [mul(g, b) if need[0] else None, mul(g, a) if need[1] else None]
 
 
 @_rule("div")
 def _div_rule(node, g, inputs, out, need):
     a, b = inputs
     eps = node.meta["eps"]
-    da = _reduce_to(div(g, b, eps=eps), a.shape) if need[0] else None
-    db = _reduce_to(mul(div(mul(g, out), b, eps=eps), -1.0), b.shape) \
-        if need[1] else None
+    da = div(g, b, eps=eps) if need[0] else None
+    db = mul(div(mul(g, out), b, eps=eps), -1.0) if need[1] else None
     return [da, db]
 
 
 @_rule("minimum")
 def _minimum_rule(node, g, inputs, out, need):
-    a, b = inputs
     first = node.meta["mask_first"].astype(np.float64)
-    ga = _reduce_to(mul(g, _own(first)), a.shape) if need[0] else None
-    gb = _reduce_to(mul(g, _own(1.0 - first)), b.shape) if need[1] else None
+    ga = mul(g, _own(first)) if need[0] else None
+    gb = mul(g, _own(1.0 - first)) if need[1] else None
     return [ga, gb]
 
 
@@ -772,12 +766,6 @@ def _conv2d_dw_rule(node, g_hat, inputs, out, need):
 # pooling
 # --------------------------------------------------------------------------
 
-# Pooled elements per block of whole samples in the route pass: the block's
-# value and its bool and uint8 temporaries then stay in a core's L2 across
-# the passes over the taps.
-_POOL_BLOCK = 16 * 1024
-
-
 def _pool_taps(x: np.ndarray):
     """``(offsets, views)`` of the 2x2 window's taps ``(a, b)`` in tap order:
     the offset is ``a*w + b`` and the view is the input at that tap of every
@@ -855,24 +843,17 @@ def _pool_indices(node: TapeNode) -> np.ndarray:
 
     A ``maxpool2d`` node records no routes: each 2x2 window's route is its
     first tap that equals the value, or its first NaN tap, as a flat index
-    into its input plane.  The pass runs over blocks of whole samples, each
-    with at most ``_POOL_BLOCK`` pooled elements (or one sample, if a sample
-    is larger), and writes each block's rows of one index array.
+    into its input plane.  One ``_first_tap`` pass over the whole value
+    picks each window's tap, and its offset becomes the window's route.
     """
     indices = node.meta.get("indices")
     if indices is not None:
         return indices
     (_, x), = node.inputs
     value = node.value
-    n, c, oh, ow = value.shape
+    oh, ow = value.shape[2:]
     offsets, taps = _pool_taps(x)
-    indices = np.empty(value.shape, dtype=np.int64)
-    block = max(1, _POOL_BLOCK // max(c * oh * ow, 1))
-    for lo in range(0, n, block):
-        rows = slice(lo, lo + block)
-        # tap places are in range; mode "raise" would buffer ``out``
-        np.take(offsets, _first_tap([tap[rows] for tap in taps], value[rows]),
-                out=indices[rows], mode="clip")
+    indices = np.take(offsets, _first_tap(taps, value))
     indices += (np.arange(oh) * (2 * x.shape[3]))[:, None] + np.arange(ow) * 2
     indices.flags.writeable = False
     node.meta["indices"] = indices

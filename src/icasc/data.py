@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -404,7 +405,12 @@ def _render(spec: SynthSpec, class_id: int, index: int) -> np.ndarray:
 
 
 def generate_synth(spec: SynthSpec, n_per_class: int, out_dir) -> int:
-    """Write the dataset; deterministic bytes given (spec, seed)."""
+    """Write the dataset; deterministic bytes given (spec, seed).
+
+    Each ``c<class>_<index>.pgm`` already in ``out_dir`` that the new
+    ``labels.csv`` does not list, left by an earlier, larger set, is
+    removed; no other file is touched.
+    """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -415,4 +421,9 @@ def generate_synth(spec: SynthSpec, n_per_class: int, out_dir) -> int:
             write_pgm(root / fname, _render(spec, class_id, index))
             rows.append((sid, fname, class_id))
     write_csv(root / "labels.csv", ("id", "filename", "label"), rows)
+    listed = {fname for _, fname, _ in rows}
+    for path in root.glob("c*_*.pgm"):
+        if (path.name not in listed
+                and re.fullmatch(r"c\d+_\d+\.pgm", path.name)):
+            path.unlink()
     return len(rows)

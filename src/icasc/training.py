@@ -55,6 +55,13 @@ class TrainConfig:
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"schedule must be one of {SCHEDULES}, "
                               f"got '{self.schedule}'")
+        if self.milestones and self.schedule == "cosine":
+            raise ConfigError("milestones apply to the step schedule only, "
+                              "not to cosine")
+        if any(m < 1 for m in self.milestones) or any(
+                b <= a for a, b in zip(self.milestones, self.milestones[1:])):
+            raise ConfigError("milestones must be strictly increasing epochs "
+                              f">= 1, got {self.milestones}")
 
     def to_kv(self) -> str:
         lines = [

@@ -79,31 +79,19 @@ def test_scalar_tensor_mixing():
     out = ad.sub(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor(1.0))
     assert np.array_equal(out.data, [[0.0, 1.0], [2.0, 3.0]])
 
-    # a taped size-1 operand's adjoint is the full-shape one summed
-    # (``_reduce_to``), as either operand of each binary op
-    rng = np.random.default_rng(5)
-    params = {"m": rng.uniform(0.5, 2.0, (2, 3)), "s": np.array(1.25)}
-    weights = Tensor(rng.standard_normal((2, 3)))
+    # only a constant size-1 operand mixes with a tensor: a taped one, on
+    # either side of each binary op, is a ShapeError
     ops = {"add": ad.add, "sub": ad.sub, "mul": ad.mul,
            "div": lambda a, b: ad.div(a, b, eps=1e-8), "minimum": ad.minimum}
+    scalar, tensor = Tape().leaf(np.array(1.25)), Tensor(np.ones((2, 3)))
+    # a size-1 constant of more dimensions would give the taped operand's
+    # adjoint the result's (1, 1) shape
+    wider = Tensor(np.ones((1, 1)))
     for name, op in ops.items():
-        for order in (("m", "s"), ("s", "m")):
-            def loss(p, op=op, order=order):
-                t = Tape()
-                leaves = {k: t.leaf(v) for k, v in p.items()}
-                out = op(*(leaves[k] for k in order))
-                return t, leaves, ad.reduce_sum(ad.mul(out, weights))
-
-            def value(p, loss=loss):
-                t, _, total = loss(p)
-                return total.item(), t.kink_signature()
-
-            _, leaves, total = loss(params)
-            g = backward(total, list(leaves.values()))
-            grads = {k: g[leaf.node].data for k, leaf in leaves.items()}
-            assert grads["s"].shape == (), (name, order)
-            result = check_gradient(value, params, grads, rng, checks=3)
-            assert result.outcome == gradcheck.OK, (name, order, result)
+        for operands in ((scalar, tensor), (tensor, scalar), (scalar, wider),
+                         (wider, scalar)):
+            with pytest.raises(ShapeError, match=name):
+                op(*operands)
 
 
 def test_divide_adds_epsilon():
@@ -461,21 +449,19 @@ _POOL_SPECIALS = [_f64(0x7FF8000000000001), _f64(0xFFF8000000000123),
                   -0.0, 0.0, -0.0, 0.0, np.inf, -np.inf]
 
 
-_BLOCKED_POOL_SHAPES = pytest.mark.parametrize("shape", [
-    (32, 8, 32, 32),     # several full blocks
-    (33, 8, 32, 32),     # a partial last block
-    (2, 8, 128, 128),    # one sample larger than a block
-], ids=["full_blocks", "partial_block", "sample_over_block"])
+_SPECIAL_POOL_SHAPES = pytest.mark.parametrize("shape", [
+    (32, 8, 32, 32),
+    (33, 8, 32, 32),
+    (2, 8, 128, 128),
+], ids=["n32_c8_32x32", "n33_c8_32x32", "n2_c8_128x128"])
 
 
 def _special_pool_input(shape):
     """Small integers (ties), with ``_POOL_SPECIALS`` spread over the first,
-    a middle and the last sample, so over the first, a middle and the last
-    route block: each of those samples also gets a 2x2 corner of ties
-    between signed zeros and one all-signalling-NaN window."""
+    a middle and the last sample: each of those samples also gets a 2x2
+    corner of ties between signed zeros and one all-signalling-NaN
+    window."""
     n = shape[0]
-    block = max(1, ad._POOL_BLOCK // (shape[1] * (shape[2] // 2) ** 2))
-    assert -(-n // block) >= 2   # the route pass runs over more than one block
     rng = np.random.default_rng(sum(shape) + 2)
     x = rng.integers(-2, 3, size=shape).astype(np.float64)
     for i in (0, n // 2, n - 1):
@@ -487,11 +473,10 @@ def _special_pool_input(shape):
     return x
 
 
-@_BLOCKED_POOL_SHAPES
-def test_blocked_maxpool_matches_argmax_oracle(shape):
-    """The route pass runs over blocks of whole samples; every block, the
-    partial last one included, gives the argmax oracle's routes, and the
-    value pass its value bytes."""
+@_SPECIAL_POOL_SHAPES
+def test_maxpool_routes_match_argmax_oracle(shape):
+    """The one route pass over the whole value gives the argmax oracle's
+    routes, and the value pass its value bytes."""
     x = _special_pool_input(shape)
     tape = Tape()
     out = ad.maxpool2d(tape.leaf(x))
@@ -501,7 +486,7 @@ def test_blocked_maxpool_matches_argmax_oracle(shape):
     assert got.dtype == indices.dtype and np.array_equal(got, indices)
 
 
-@_BLOCKED_POOL_SHAPES
+@_SPECIAL_POOL_SHAPES
 def test_untaped_maxpool_value_matches_argmax_oracle(shape):
     """An untaped pool never derives routes, so its value pass alone must
     give the routed element's bytes: the first of a signed-zero tie and

@@ -247,6 +247,25 @@ def test_bad_optimizer_setting_is_usage_error(dataset, tmp_path, capsys,
     assert not (out / "final.ckpt").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--milestones", "1"],
+    ["--schedule", "cosine", "--milestones", "1,2"],
+    ["--schedule", "step", "--milestones", "2,1"],
+    ["--schedule", "step", "--milestones", "1,1"],
+    ["--schedule", "step", "--milestones", "0,2"],
+], ids=["cosine_default", "cosine", "decreasing", "repeated", "epoch_0"])
+def test_bad_milestones_are_usage_error(dataset, tmp_path, capsys, args):
+    """Milestones beside the cosine schedule, which reads none, or not
+    strictly increasing epochs >= 1, exit 1 before ``--out`` exists."""
+    out = tmp_path / "o"
+    rc = run("train", "--data", str(dataset / "train"), "--out", str(out),
+             "--epochs", "3", "--batch-size", "8", "--channels", "4,8", *args)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and "milestones" in err
+    assert not out.exists()
+
+
 def test_config_file_mechanism_and_flag_precedence(dataset, tmp_path):
     cfg_file = tmp_path / "loss.cfg"
     cfg_file.write_text("mechanism = grad-cam\ntheta = 0.6\n", encoding="utf-8")

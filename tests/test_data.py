@@ -157,6 +157,40 @@ def test_synth_counts(tmp_path):
     assert sorted({s.label for s in ds.samples}) == [0, 1, 2, 3]
 
 
+def test_synth_over_more_per_class_leaves_only_the_new_set(tmp_path):
+    """8 then 4 per class into one directory leaves the 16 listed images,
+    the bytes of a fresh write."""
+    out = tmp_path / "d"
+    generate_synth(SynthSpec(seed=3), 8, out)
+    assert generate_synth(SynthSpec(seed=3), 4, out) == 16
+    assert len(list(out.glob("*.pgm"))) == 16
+    generate_synth(SynthSpec(seed=3), 4, tmp_path / "fresh")
+    assert dir_digest(out) == dir_digest(tmp_path / "fresh")
+
+
+def test_synth_over_more_classes_leaves_only_the_new_classes(tmp_path):
+    out = tmp_path / "d"
+    generate_synth(SynthSpec(n_classes=4, seed=3), 3, out)
+    generate_synth(SynthSpec(n_classes=2, seed=3), 3, out)
+    assert sorted(p.name for p in out.glob("*.pgm")) == [
+        f"c{c}_{i:04d}.pgm" for c in (0, 1) for i in range(3)]
+    assert load_dataset(out).n_classes == 2
+
+
+def test_synth_keeps_files_that_are_not_its_images(tmp_path):
+    out = tmp_path / "d"
+    foreign = ["notes.txt", "x.pgm", "c0_extra.pgm", "c5_0001.ppm",
+               "c5_0001.pgm.bak"]
+    out.mkdir()
+    for name in foreign:
+        (out / name).write_bytes(name.encode())
+    generate_synth(SynthSpec(seed=3), 8, out)
+    generate_synth(SynthSpec(seed=3), 2, out)
+    for name in foreign:
+        assert (out / name).read_bytes() == name.encode()
+    assert len(list(out.glob("c*_*.pgm"))) == 8 + 1   # c0_extra.pgm
+
+
 def test_synth_confusable_pair_differs_only_in_motif_boxes(tmp_path):
     spec = SynthSpec(n_classes=4, seed=3, noise_std=0.05)
     generate_synth(spec, 8, tmp_path / "d")
