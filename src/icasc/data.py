@@ -9,7 +9,11 @@ shares a "confounder" motif drawn identically (same noise field, same
 position) in both classes, while each class carries its own small
 discriminative motif in a spatially distinct corner.  A model that attends
 only to the confounder cannot tell the pair apart, so attention separation
-has a known correct answer: the discriminative corners.
+has a known correct answer: the discriminative corners.  A
+:class:`SynthSpec` sets the size, noise and class layout of a set; the
+jitter and the pixel values it draws with are the module constants
+``JITTER``, ``BACKGROUND``, ``CONFOUNDER_VALUE`` and ``MOTIF_VALUE``,
+shared by every set.
 """
 
 from __future__ import annotations
@@ -301,6 +305,15 @@ def batch_iter(dataset: Dataset, batch_size: int, seed: int, epoch: int = 0,
 
 MOTIF_KINDS = ("disk", "bar", "cross")
 
+# the drawing values every set shares: the largest offset, in pixels per
+# axis, of the confounder and of each motif from its mid position, and the
+# pixel values in [0, 1] of the background, the confounder disk and the
+# discriminative motifs
+JITTER = 2
+BACKGROUND = 0.1
+CONFOUNDER_VALUE = 0.65
+MOTIF_VALUE = 1.0
+
 # anchor slots for discriminative motifs, as (row, col) corner factors
 _ANCHOR_FACTORS = ((0, 0), (1, 1), (0, 1), (1, 0),
                    (0.5, 0), (0.5, 1), (0, 0.5), (1, 0.5))
@@ -313,10 +326,6 @@ class SynthSpec:
     noise_std: float = 0.05
     confusable_pair: tuple[int, int] = (0, 1)
     motif_size: int = 7            # discriminative motif bounding-box edge
-    jitter: int = 2
-    background: float = 0.1
-    confounder_value: float = 0.65
-    motif_value: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -342,7 +351,7 @@ class SynthSpec:
 
     @property
     def box_edge(self) -> int:
-        return self.motif_size + 2 * self.jitter
+        return self.motif_size + 2 * JITTER
 
     def anchor(self, class_id: int) -> tuple[int, int]:
         """Top-left corner of the class's discriminative bounding box."""
@@ -382,24 +391,24 @@ def _render(spec: SynthSpec, class_id: int, index: int) -> np.ndarray:
     own = np.random.default_rng(
         np.random.SeedSequence([spec.seed, 7 + class_id, index]))
 
-    img = spec.background + shared.normal(0.0, spec.noise_std,
-                                          size=(spec.canvas, spec.canvas))
+    img = BACKGROUND + shared.normal(0.0, spec.noise_std,
+                                     size=(spec.canvas, spec.canvas))
     if in_pair:
-        cj = shared.integers(-spec.jitter, spec.jitter + 1, size=2)
+        cj = shared.integers(-JITTER, JITTER + 1, size=2)
         _draw_disk(img, spec.canvas // 2 + cj[0], spec.canvas // 2 + cj[1],
-                   spec.canvas // 6, spec.confounder_value)
+                   spec.canvas // 6, CONFOUNDER_VALUE)
 
     r0, c0, _, _ = spec.motif_box(class_id)
     half = spec.motif_size // 2
-    jy, jx = own.integers(0, 2 * spec.jitter + 1, size=2)
+    jy, jx = own.integers(0, 2 * JITTER + 1, size=2)
     cy, cx = r0 + half + jy, c0 + half + jx
     kind = spec.motif_kind(class_id)
     if kind == "disk":
-        _draw_disk(img, cy, cx, half, spec.motif_value)
+        _draw_disk(img, cy, cx, half, MOTIF_VALUE)
     elif kind == "bar":
-        _draw_bar(img, cy, cx, half, max(1, half // 2), spec.motif_value)
+        _draw_bar(img, cy, cx, half, max(1, half // 2), MOTIF_VALUE)
     else:
-        _draw_cross(img, cy, cx, half, max(1, half // 3), spec.motif_value)
+        _draw_cross(img, cy, cx, half, max(1, half // 3), MOTIF_VALUE)
 
     return np.clip(np.round(np.clip(img, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
 

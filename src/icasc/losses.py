@@ -10,13 +10,15 @@ region masks are plain (N, H, W) arrays.
   gradient may flow through it and let the model shrink its own mask);
 * separation at each tracked layer (the objective tracks both; a report
   that prints only the last layer's asks for that one):
-  ``L_AS = 2 * sum(min(A_T, A_Conf) * mask) / (sum(A_T + A_Conf) + eps)``;
+  ``L_AS = 2 * sum(min(A_T, A_Conf) * mask) / (sum(A_T + A_Conf) + EPSILON)``;
 * cross-layer consistency on the inner-layer ground-truth attention:
-  ``L_AC = theta - sum(A_in * mask_in) / (sum(A_in) + eps)``.
+  ``L_AC = theta - sum(A_in * mask_in) / (sum(A_in) + EPSILON)``.
 
 Samples whose last-layer target attention carries almost no mass (total
-below ``skip_threshold``) contribute only the classification loss; the
-attention terms average over the remaining samples.
+below ``SKIP_THRESHOLD``) contribute only the classification loss; the
+attention terms average over the remaining samples.  ``EPSILON`` and
+``SKIP_THRESHOLD`` are constants, not settings: a large value of either
+would switch the attention terms off.
 
 :func:`icasc_objective` returns all four terms in a :class:`LossBreakdown`;
 :func:`classification_objective` is the baseline's objective, the same
@@ -36,6 +38,11 @@ from .attention import MECHANISMS, class_attention
 from .data import DataError, open_text
 from .nn import ConfigError, ForwardRecord, NumericalError, cross_entropy
 
+# the division guard of both attention ratios
+EPSILON = 1e-8
+# least last-layer target-attention mass that keeps a sample's attention terms
+SKIP_THRESHOLD = 1e-6
+
 
 @dataclass(frozen=True)
 class IcascConfig:
@@ -43,8 +50,6 @@ class IcascConfig:
     omega: float = 100.0
     sigma_factor: float = 0.55
     theta: float = 0.8
-    epsilon: float = 1e-8
-    skip_threshold: float = 1e-6
     weight_as_inner: float = 1.0
     weight_as_last: float = 1.0
     weight_ac: float = 1.0
@@ -59,8 +64,7 @@ class IcascConfig:
             raise ConfigError("sigma_factor must lie in (0, 1)")
         if not 0 < self.theta <= 1:
             raise ConfigError("theta must lie in (0, 1]")
-        for key in ("epsilon", "skip_threshold", "weight_as_inner",
-                    "weight_as_last", "weight_ac"):
+        for key in ("weight_as_inner", "weight_as_last", "weight_ac"):
             value = getattr(self, key)
             if not 0 <= value < np.inf:
                 raise ConfigError(f"{key} must be finite and >= 0, got {value!r}")
@@ -172,7 +176,7 @@ def region_mask(attention: np.ndarray, config: IcascConfig,
 
 
 def separation_per_sample(target: Tensor, confusing: Tensor,
-                          mask: np.ndarray, eps: float) -> Tensor:
+                          mask: np.ndarray) -> Tensor:
     """Eq.-style masked overlap ratio, one value per sample: (N,)."""
     if target.shape != confusing.shape or target.shape != mask.shape:
         raise ad.ShapeError(f"separation shapes differ: target {target.shape}, "
@@ -180,18 +184,18 @@ def separation_per_sample(target: Tensor, confusing: Tensor,
     overlap = ad.mul(ad.minimum(target, confusing), Tensor(mask))
     num = ad.reduce_sum(overlap, (1, 2))
     den = ad.reduce_sum(ad.add(target, confusing), (1, 2))
-    return ad.mul(ad.div(num, den, eps=eps), 2.0)
+    return ad.mul(ad.div(num, den, eps=EPSILON), 2.0)
 
 
 def consistency_per_sample(inner_target: Tensor, mask: np.ndarray,
-                           theta: float, eps: float) -> Tensor:
+                           theta: float) -> Tensor:
     """theta minus the in-mask attention fraction, per sample: (N,)."""
     if inner_target.shape != mask.shape:
         raise ad.ShapeError(f"consistency shapes differ: attention "
                             f"{inner_target.shape}, mask {mask.shape}")
     num = ad.reduce_sum(ad.mul(inner_target, Tensor(mask)), (1, 2))
     den = ad.reduce_sum(inner_target, (1, 2))
-    ratio = ad.div(num, den, eps=eps)
+    ratio = ad.div(num, den, eps=EPSILON)
     return ad.sub(theta, ratio)
 
 
@@ -204,24 +208,23 @@ def per_sample_terms(a_tgt: dict[str, Tensor], a_conf: dict[str, Tensor],
     ``a_tgt`` holds the target maps at both layers; ``a_conf`` the maps of
     the confusing classes ``conf`` at the layers whose separation is wanted.
     The region masks come from the last-layer target attention, and a
-    sample is kept when that attention carries at least ``skip_threshold``
+    sample is kept when that attention carries at least ``SKIP_THRESHOLD``
     mass.  With ``context`` those detached quantities are reused instead.
     The terms are not yet multiplied by the keep selector:
     ``({layer: L_AS}, L_AC, context)``.
     """
     if context is None:
         last = a_tgt["last"].data
-        keep = last.sum(axis=(1, 2)) >= config.skip_threshold
+        keep = last.sum(axis=(1, 2)) >= SKIP_THRESHOLD
         context = ObjectiveContext(
             conf, region_mask(last, config),
             region_mask(last, config, at_hw=a_tgt["inner"].shape[1:]),
             keep.astype(np.float64))
     masks = {"last": context.mask_last, "inner": context.mask_inner}
-    las = {layer: separation_per_sample(a_tgt[layer], maps, masks[layer],
-                                        config.epsilon)
+    las = {layer: separation_per_sample(a_tgt[layer], maps, masks[layer])
            for layer, maps in a_conf.items()}
     lac = consistency_per_sample(a_tgt["inner"], context.mask_inner,
-                                 config.theta, config.epsilon)
+                                 config.theta)
     return las, lac, context
 
 

@@ -50,8 +50,9 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr!r}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigError("weight_decay must be finite and >= 0, got "
+                              f"{self.weight_decay!r}")
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"schedule must be one of {SCHEDULES}, "
                               f"got '{self.schedule}'")
@@ -108,7 +109,6 @@ class TrainResult:
     model: Model
     log: list[EpochStats]
     best_epoch: int
-    best_acc: float
 
 
 def evaluate_accuracy(model: Model, dataset: dio.Dataset) -> float:
@@ -153,6 +153,16 @@ def train(cfg: TrainConfig) -> TrainResult:
         raise dio.DataError(f"{cfg.data_dir}: the labels name "
                             f"{train_set.n_classes} class; training needs "
                             "at least 2")
+    # n_classes is the largest id + 1: every id below it needs a sample, or
+    # a typo'd id sizes the head and a class trains with no sample
+    present = {s.label for s in train_set.samples}
+    if len(present) < train_set.n_classes:
+        missing = next(c for c in range(train_set.n_classes)
+                       if c not in present)
+        raise dio.DataError(f"{cfg.data_dir}: the labels name class ids up "
+                            f"to {train_set.n_classes - 1}, but no sample "
+                            f"has class {missing}; training needs a sample "
+                            f"of every class 0..{train_set.n_classes - 1}")
     sample = train_set.samples[0]
     _, height, width = sample.image.shape
     if height != width:
@@ -236,7 +246,7 @@ def train(cfg: TrainConfig) -> TrainResult:
         save_checkpoint(out / "final.ckpt", model, {"epoch": epoch},
                         optimizer.velocity)
 
-    return TrainResult(model, log, best_epoch, best_acc)
+    return TrainResult(model, log, best_epoch)
 
 
 def write_log(path, seed: int, log: list[EpochStats]) -> None:

@@ -202,6 +202,26 @@ def test_train_on_one_class_set_is_data_error(dataset, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("labels, missing", [
+    (("1", "1"), 0), (("0", "2"), 1), (("0", "1000"), 1),
+], ids=["only_1", "0_and_2", "typo_id"])
+def test_train_labels_missing_a_class_id_is_data_error(dataset, tmp_path,
+                                                       capsys, labels,
+                                                       missing):
+    """The largest label sets the class count, so every id below it needs
+    a sample: a set labelled only 1 has no class 0 to confuse with, and a
+    typo'd id would set the head's size."""
+    data = relabel(dataset / "train", tmp_path / "d",
+                   dict(zip(("c0_0000", "c1_0000"), labels)))
+    out = tmp_path / "o"
+    assert run("train", "--data", str(data), "--out", str(out), "--epochs",
+               "1", "--channels", "4,8") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert f"no sample has class {missing};" in err
+    assert not out.exists()
+
+
 def test_train_defaults_come_from_train_config(dataset, tmp_path):
     out = tmp_path / "defaults"
     assert run("train", "--data", str(dataset / "train"), "--out", str(out)) == 0
@@ -232,7 +252,8 @@ def test_nonpositive_training_size_is_usage_error(dataset, tmp_path, capsys,
 @pytest.mark.parametrize("flag, value", [
     ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf"),
     ("--momentum", "1"), ("--momentum", "-0.1"),
-    ("--weight-decay", "-0.001"),
+    ("--weight-decay", "-0.001"), ("--weight-decay", "inf"),
+    ("--weight-decay", "nan"),
 ])
 def test_bad_optimizer_setting_is_usage_error(dataset, tmp_path, capsys,
                                               flag, value):
@@ -244,7 +265,7 @@ def test_bad_optimizer_setting_is_usage_error(dataset, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "usage error:" in err
     assert flag[2:].replace("-", "_") in err
-    assert not (out / "final.ckpt").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -1177,11 +1198,15 @@ def test_huge_train_state_length_field_is_data_error(resumable, tmp_path, capsys
     ("omega = -1", 1, "usage error: omega"),
     ("theta = 1.5", 1, "usage error: theta"),
     ("mechanism = cam", 1, "usage error: mechanism"),
-    ("epsilon = -1", 1, "usage error: epsilon"),
-    ("skip_threshold = -1e-6", 1, "usage error: skip_threshold"),
     ("omega = inf", 1, "usage error: omega"),
-    ("epsilon = inf", 1, "usage error: epsilon"),
-    ("skip_threshold = inf", 1, "usage error: skip_threshold"),
+    # not keys at any value; the first two lines are in the run_config.txt
+    # of ICASC runs trained while they were settings
+    ("epsilon = 1e-08", 2, "loss.cfg:1"),
+    ("skip_threshold = 1e-06", 2, "loss.cfg:1"),
+    ("epsilon = -1", 2, "loss.cfg:1"),
+    ("skip_threshold = -1e-6", 2, "loss.cfg:1"),
+    ("epsilon = inf", 2, "loss.cfg:1"),
+    ("skip_threshold = inf", 2, "loss.cfg:1"),
     ("weight_as_inner = -1", 1, "usage error: weight_as_inner"),
     ("weight_as_last = inf", 1, "usage error: weight_as_last"),
     ("weight_ac = -0.5", 1, "usage error: weight_ac"),

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from icasc import autodiff as ad
 from icasc import gradcheck
 from icasc.autodiff import Tape, Tensor
-from icasc.losses import (IcascConfig, LossBreakdown, confusing_class,
-                          consistency_per_sample, icasc_objective,
-                          parse_kv_file, per_sample_terms, region_mask,
-                          separation_per_sample)
+from icasc.losses import (EPSILON, IcascConfig, LossBreakdown,
+                          confusing_class, consistency_per_sample,
+                          icasc_objective, parse_kv_file, per_sample_terms,
+                          region_mask, separation_per_sample)
 from icasc.attention import a_ch, grad_cam
 from icasc.data import DataError
 from icasc.nn import ConfigError
@@ -45,10 +45,14 @@ def test_config_validation():
         IcascConfig(theta=1.5)
     with pytest.raises(ConfigError):
         IcascConfig(mechanism="cam")
-    for key in ("omega", "epsilon", "skip_threshold"):
+    for key in ("omega", "weight_as_inner", "weight_as_last", "weight_ac"):
         for value in (np.inf, np.nan):
             with pytest.raises(ConfigError, match=key):
                 IcascConfig(**{key: value})
+    # the division guard and the skip threshold are constants, not settings
+    for key in ("epsilon", "skip_threshold"):
+        with pytest.raises(TypeError, match=key):
+            IcascConfig(**{key: 1e-8})
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -162,20 +166,20 @@ def test_mask_argmax_saturation():
 
 def test_separation_disjoint_supports():
     v = separation_per_sample(Tensor([[[1.0, 0.0]]]), Tensor([[[0.0, 1.0]]]),
-                              np.ones((1, 1, 2)), DEFAULTS.epsilon)
+                              np.ones((1, 1, 2)))
     assert v.data[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_separation_identical_maps():
     a = np.array([[[0.4, 0.6], [0.2, 0.8]]])
     v = separation_per_sample(Tensor(a), Tensor(a.copy()),
-                              np.ones((1, 2, 2)), DEFAULTS.epsilon)
+                              np.ones((1, 2, 2)))
     assert v.data[0] == pytest.approx(1.0, abs=1e-7)
 
 
 def test_separation_hand_example():
     v = separation_per_sample(Tensor([[[1.0, 0.5]]]), Tensor([[[0.5, 1.0]]]),
-                              np.ones((1, 1, 2)), DEFAULTS.epsilon)
+                              np.ones((1, 1, 2)))
     assert v.data[0] == pytest.approx(2.0 / 3.0, abs=1e-8)
 
 
@@ -183,7 +187,7 @@ def test_separation_shape_mismatch():
     with pytest.raises(ad.ShapeError):
         separation_per_sample(Tensor(np.zeros((1, 2, 2))),
                               Tensor(np.zeros((1, 2, 3))),
-                              np.zeros((1, 2, 2)), 1e-8)
+                              np.zeros((1, 2, 2)))
 
 
 # --------------------------------------------------------------------------
@@ -194,21 +198,21 @@ def test_separation_shape_mismatch():
 def test_consistency_fully_inside():
     v = consistency_per_sample(Tensor([[[0.3, 0.7]]]),
                                np.full((1, 1, 2), 1.0 - 1e-12),
-                               DEFAULTS.theta, DEFAULTS.epsilon)
+                               DEFAULTS.theta)
     assert v.data[0] == pytest.approx(0.8 - 1.0, abs=1e-6)
 
 
 def test_consistency_hand_example():
     v = consistency_per_sample(Tensor([[[0.2, 0.8]]]),
                                np.array([[[0.0, 1.0]]]),
-                               DEFAULTS.theta, DEFAULTS.epsilon)
+                               DEFAULTS.theta)
     assert v.data[0] == pytest.approx(0.0, abs=1e-7)
 
 
 def test_consistency_fully_outside():
     v = consistency_per_sample(Tensor([[[0.2, 0.8]]]),
                                np.zeros((1, 1, 2)),
-                               DEFAULTS.theta, DEFAULTS.epsilon)
+                               DEFAULTS.theta)
     assert v.data[0] == pytest.approx(0.8, abs=1e-12)
 
 
@@ -224,8 +228,8 @@ def test_bounds_random(seed):
     at = rng.random((2, 3, 3)) * rng.uniform(0.1, 5)
     ac = rng.random((2, 3, 3)) * rng.uniform(0.1, 5)
     mask = rng.random((2, 3, 3))
-    las = separation_per_sample(Tensor(at), Tensor(ac), mask, 1e-8).data
-    lac = consistency_per_sample(Tensor(at), mask, 0.8, 1e-8).data
+    las = separation_per_sample(Tensor(at), Tensor(ac), mask).data
+    lac = consistency_per_sample(Tensor(at), mask, 0.8).data
     assert np.all((las >= 0.0) & (las <= 1.0))
     assert np.all((lac >= 0.8 - 1.0) & (lac <= 0.8))
 
@@ -235,10 +239,10 @@ def test_joint_scale_invariance():
     at = rng.random((1, 4, 4))
     ac = rng.random((1, 4, 4))
     mask = rng.random((1, 4, 4))
-    base = separation_per_sample(Tensor(at), Tensor(ac), mask, 1e-8).data[0]
+    base = separation_per_sample(Tensor(at), Tensor(ac), mask).data[0]
     for c in (0.01, 3.0, 1000.0):
         scaled = separation_per_sample(Tensor(c * at), Tensor(c * ac),
-                                       mask, 1e-8).data[0]
+                                       mask).data[0]
         assert abs(scaled - base) < 1e-6
 
 
@@ -246,9 +250,9 @@ def test_consistency_scale_invariance():
     rng = np.random.default_rng(2)
     a = rng.random((1, 4, 4))
     mask = rng.random((1, 4, 4))
-    base = consistency_per_sample(Tensor(a), mask, 0.8, 1e-8).data[0]
+    base = consistency_per_sample(Tensor(a), mask, 0.8).data[0]
     for c in (0.01, 7.0, 500.0):
-        scaled = consistency_per_sample(Tensor(c * a), mask, 0.8, 1e-8).data[0]
+        scaled = consistency_per_sample(Tensor(c * a), mask, 0.8).data[0]
         assert abs(scaled - base) < 1e-6
 
 
@@ -265,7 +269,7 @@ def test_separation_monotone_under_bump_translation():
     for shift in range(0, 13):
         conf = bump(10 + shift)[None]
         values.append(separation_per_sample(Tensor(target), Tensor(conf),
-                                            mask, 1e-8).data[0])
+                                            mask).data[0])
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -337,9 +341,9 @@ def test_objective_end_to_end_hand_oracle():
         mask_la = oracles.mask_formula(at_la, cfg.omega, cfg.sigma_factor)
         up = oracles.bilinear_formula(at_la, 4, 4)
         mask_in = oracles.mask_formula(up, cfg.omega, cfg.sigma_factor)
-        l_as_la = oracles.separation_formula(at_la, ac_la, mask_la, cfg.epsilon)
-        l_as_in = oracles.separation_formula(at_in, ac_in, mask_in, cfg.epsilon)
-        l_ac = oracles.consistency_formula(at_in, mask_in, cfg.theta, cfg.epsilon)
+        l_as_la = oracles.separation_formula(at_la, ac_la, mask_la, EPSILON)
+        l_as_in = oracles.separation_formula(at_in, ac_in, mask_in, EPSILON)
+        l_ac = oracles.consistency_formula(at_in, mask_in, cfg.theta, EPSILON)
         l_c = np.log(np.exp(logits - logits.max()).sum()) + logits.max() \
             - logits[label]
         expected = l_c + l_as_in + l_as_la + l_ac
