@@ -225,9 +225,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# samples per taped forward in ``attend``: 4 recovers most of the per-op
-# overhead of batch 1, and a larger chunk's tape costs more memory than time
-_ATTEND_CHUNK = 4
+# samples per taped forward in ``attend``: 8 recovers most of the per-op
+# overhead of batch 1; a multiple of 4, which ``_attend_chunks`` needs
+_ATTEND_CHUNK = 8
+
+
+def _attend_chunks(samples: list) -> list[list]:
+    """``samples`` in chunks of ``_ATTEND_CHUNK``, except that when their
+    count is 1 more than a multiple of 4 the last sample runs alone.
+
+    NumPy computes a 1-row matmul with gemv, which rounds the head's logits
+    differently from the gemm it uses for 2 or more rows; gemm gives each
+    row the same bits at any row count.  Chunks of 4 ran that last sample
+    alone, so it keeps its bytes, and every other sample runs with others,
+    so its probabilities equal ``predict``'s: 13 samples run as 8, 4, 1.
+    """
+    lone = len(samples) % 4 == 1
+    body = samples[:-1] if lone else samples
+    return ([body[i:i + _ATTEND_CHUNK]
+             for i in range(0, len(body), _ATTEND_CHUNK)]
+            + ([samples[-1:]] if lone else []))
 
 
 def _attend_chunk(model, samples, k: int, out: Path,
@@ -242,25 +259,32 @@ def _attend_chunk(model, samples, k: int, out: Path,
     stacked rank-major against the chunk's features tiled ``k`` times, so each
     (layer, mechanism) makes one map call and one render call across all
     ranks; every op of both works per sample, so each map keeps its bytes.
-    The tape is freed when this returns.
+    Each rank's gradients go straight into both layers' stacks, and the
+    tape is freed before the map calls: at 8 samples the tape, stacks and
+    backward temporaries set ``attend``'s peak memory.
     """
     record = model.forward(np.stack([s.image for s in samples]), tape=Tape(),
                            from_inner=True)
     probs = record.probabilities
     top = np.argsort(-probs, axis=1, kind="stable")[:, :k]
-    grads = [class_gradients(record, top[:, rank], LAYERS)
-             for rank in range(k)]
+    n = len(samples)
+    stacks = {layer: np.empty((k * n,) + record.feats[layer].shape[1:])
+              for layer in LAYERS}
+    for rank in range(k):
+        for layer, grad in class_gradients(record, top[:, rank], LAYERS).items():
+            stacks[layer][rank * n:(rank + 1) * n] = grad.data
+    feats = {layer: record.feats[layer].data for layer in LAYERS}
+    del record
     size = model.config.input_size
     images = {}
     for layer in LAYERS:
-        feats = Tensor(np.tile(record.feats[layer].data, (k, 1, 1, 1)))
-        stack = Tensor(np.concatenate([g[layer].data for g in grads]))
+        pair = (Tensor(np.tile(feats[layer], (k, 1, 1, 1))),
+                Tensor(stacks.pop(layer)))
         for mech in MECHANISMS:
             images[layer, mech] = mx.render_heatmaps(
-                compute_attention(mech, feats, stack).data, (size, size), color)
+                compute_attention(mech, *pair).data, (size, size), color)
 
     ext, write = ("ppm", dio.write_ppm) if color else ("pgm", dio.write_pgm)
-    n = len(samples)
     rows = []
     for i, sample in enumerate(samples):
         rows.append([])
@@ -301,8 +325,7 @@ def cmd_attend(args) -> int:
     # a repeated id is rendered once; the manifest keeps a row set per mention
     distinct = [by_id[sid] for sid in dict.fromkeys(wanted)]
     rows = {}
-    for start in range(0, len(distinct), _ATTEND_CHUNK):
-        chunk = distinct[start:start + _ATTEND_CHUNK]
+    for chunk in _attend_chunks(distinct):
         rows.update(zip((s.id for s in chunk),
                         _attend_chunk(model, chunk, k, out, args.color)))
     manifest = [row for sid in wanted for row in rows[sid]]

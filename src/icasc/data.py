@@ -41,22 +41,29 @@ class DataError(ValueError):
 def _overwrite_netpbm(path, magic: str, pixels: np.ndarray) -> None:
     """Write a binary Netpbm file over ``path`` in place.
 
-    The file is opened without truncating it, written from the start, then
-    cut at the end of what was written, so a longer old file ends up exactly
-    as long as the new one.  Opening with truncation would empty a file that
-    has data, and on ext4 (``auto_da_alloc``, its default) closing such a
-    file starts its writeback at once: that made rewriting hundreds of small
-    files many times slower.  The write is not atomic, as it never was: a
-    crash part-way can leave the old bytes, the new ones or a mix of both
-    in the file, where a truncating open left it empty or part-written.
+    The file is opened without truncating it, the header and pixels are
+    written from the start as one bytes object with ``os.write`` (again for
+    what a short write left), then the file is cut at their length, so a
+    longer old file ends up exactly as long as the new one.  The raw fd
+    skips a file object's buffer; it is closed on every path.  Opening with
+    truncation would empty a file that has data, and on ext4
+    (``auto_da_alloc``, its default) closing such a file starts its
+    writeback at once: that made rewriting hundreds of small files many
+    times slower.  The write is not atomic, as it never was: a crash
+    part-way can leave the old bytes, the new ones or a mix of both in the
+    file, where a truncating open left it empty or part-written.
     """
     h, w = pixels.shape[:2]
+    data = f"{magic}\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
                  0o666)
-    with open(fd, "wb") as fh:
-        fh.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
-        fh.truncate()
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def write_pgm(path, gray: np.ndarray) -> None:

@@ -53,6 +53,12 @@ class TrainConfig:
         if not 0 <= self.weight_decay < np.inf:
             raise ConfigError("weight_decay must be finite and >= 0, got "
                               f"{self.weight_decay!r}")
+        if self.icasc is not None and not (self.icasc.weight_as_inner
+                                           or self.icasc.weight_as_last
+                                           or self.icasc.weight_ac):
+            # L_C alone: the baseline's run at the objective's cost
+            raise ConfigError("the attention weights are all 0, which trains "
+                              "on L_C alone; use --baseline for that")
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"schedule must be one of {SCHEDULES}, "
                               f"got '{self.schedule}'")

@@ -479,8 +479,8 @@ def test_attend_empty_samples_is_usage_error(trained, dataset, tmp_path,
 
 def test_attend_runs_one_forward_per_chunk_and_one_backward_per_rank(
         trained, dataset, tmp_path, monkeypatch):
-    """9 samples in chunks of 4 make 3 taped forwards; 2 ranks per chunk
-    make 6 backwards (9 and 18 at batch 1)."""
+    """9 samples run as 8 and 1, in 2 taped forwards; 2 ranks per chunk
+    make 4 backwards (9 and 18 at batch 1)."""
     forwards = helpers.count_forwards(monkeypatch)
     backwards = []
     class_gradients = cli.class_gradients
@@ -494,15 +494,15 @@ def test_attend_runs_one_forward_per_chunk_and_one_backward_per_rank(
     assert run("attend", "--checkpoint", str(trained), "--data",
                str(dataset / "test"), "--out", str(tmp_path / "a"),
                "--classes", "2", "--samples", ",".join(ids)) == 0
-    assert forwards == [True] * 3
-    assert backwards == [4, 4, 4, 4, 1, 1]
+    assert forwards == [True] * 2
+    assert backwards == [8, 8, 1, 1]
 
 
 def test_attend_makes_one_map_and_render_call_per_layer_and_mechanism(
         trained, dataset, tmp_path, monkeypatch):
-    """9 samples in chunks of 4 at 2 ranks: each chunk makes one map call
-    and one render call per (layer, mechanism) over all its ranks, on 8, 8
-    and 2 rows (24 calls of each, on 4, 4 and 1 rows, one rank at a time)."""
+    """9 samples as chunks of 8 and 1 at 2 ranks: each chunk makes one map
+    call and one render call per (layer, mechanism) over all its ranks, on
+    16 and 2 rows (16 calls of each, on 8 and 1 rows, one rank at a time)."""
     maps, renders = [], []
     compute_attention = cli.compute_attention
     render_heatmaps = mx.render_heatmaps
@@ -521,7 +521,79 @@ def test_attend_makes_one_map_and_render_call_per_layer_and_mechanism(
     assert run("attend", "--checkpoint", str(trained), "--data",
                str(dataset / "test"), "--out", str(tmp_path / "a"),
                "--classes", "2", "--samples", ",".join(ids)) == 0
-    assert maps == renders == [8] * 4 + [8] * 4 + [2] * 4
+    assert maps == renders == [16] * 4 + [2] * 4
+
+
+@pytest.mark.parametrize("count, plan", [
+    (1, [1]), (4, [4]), (5, [4, 1]), (8, [8]), (9, [8, 1]), (12, [8, 4]),
+    (13, [8, 4, 1]), (17, [8, 8, 1]),
+])
+def test_attend_chunk_plan(trained, dataset, tmp_path, monkeypatch, count,
+                           plan):
+    """Chunks of 8, but a count 1 more than a multiple of 4 runs its last
+    sample alone, as chunks of 4 ran it."""
+    chunks = []
+    attend_chunk = cli._attend_chunk
+
+    def spy(model, samples, *args, **kwargs):
+        chunks.append(len(samples))
+        return attend_chunk(model, samples, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_attend_chunk", spy)
+    ids = [s.id for s in dio.load_dataset(dataset / "train").samples[:count]]
+    assert run("attend", "--checkpoint", str(trained), "--data",
+               str(dataset / "train"), "--out", str(tmp_path / "a"),
+               "--classes", "2", "--samples", ",".join(ids)) == 0
+    assert chunks == plan
+
+
+@pytest.mark.parametrize("first, count, flags", [(1, 13, ("--color",)),
+                                                 (0, 9, ())],
+                         ids=["13-color", "9-gray"])
+def test_attend_writes_the_same_bytes_as_chunks_of_4(trained, dataset,
+                                                     tmp_path, monkeypatch,
+                                                     first, count, flags):
+    """Each row keeps its bits at any chunk of 2 or more rows (gemm), and a
+    lone sample runs alone in both plans.  The 13th id, c2_0001, is one
+    whose 1-row head (gemv) rounds differently on OpenBLAS x86-64, so a
+    plan that ran it with others would show here."""
+    samples = dio.load_dataset(dataset / "train").samples
+    ids = [s.id for s in samples[first:first + count]]
+    argv = ("attend", "--checkpoint", str(trained), "--data",
+            str(dataset / "train"), "--classes", "3",
+            "--samples", ",".join(ids), *flags)
+    assert run(*argv, "--out", str(tmp_path / "module")) == 0
+    monkeypatch.setattr(cli, "_ATTEND_CHUNK", 4)
+    assert run(*argv, "--out", str(tmp_path / "four")) == 0
+    names = sorted(f.name for f in (tmp_path / "module").iterdir())
+    assert sorted(f.name for f in (tmp_path / "four").iterdir()) == names
+    assert len(names) == count * 3 * 2 * 2 + 2
+    for name in names:
+        assert ((tmp_path / "module" / name).read_bytes()
+                == (tmp_path / "four" / name).read_bytes()), name
+
+
+def test_attend_probabilities_in_shared_chunks_equal_predict(
+        trained, dataset, tmp_path):
+    """A sample that runs in a chunk of 2 or more reads ``predict``'s
+    probabilities bit for bit; 13 samples run as 8, 4 and 1, and the lone
+    sample's 1-row head (gemv) may differ in the last bit."""
+    data = dataset / "train"
+    train_set = dio.load_dataset(data)
+    ids = [s.id for s in train_set.samples[:13]]
+    out = tmp_path / "a"
+    assert run("attend", "--checkpoint", str(trained), "--data", str(data),
+               "--out", str(out), "--classes", "3",
+               "--samples", ",".join(ids)) == 0
+    model, _ = load_checkpoint(trained)
+    probs, _ = mx.predict(model, train_set)
+    index = {s.id: i for i, s in enumerate(train_set.samples)}
+    rows = [line.split(",") for line in
+            (out / "manifest.csv").read_text().strip().splitlines()[1:]]
+    shared = [row for row in rows if row[0] in ids[:12]]
+    assert len(shared) == 12 * 3 * 2 * 2
+    for sid, cls, *_, prob in shared:
+        assert float(prob) == probs[index[sid], int(cls)]
 
 
 def reference_attend(checkpoint, data, wanted, k: int, color: bool, out: Path):
@@ -1227,6 +1299,37 @@ def test_bad_config_file_exits_cleanly(dataset, trained, tmp_path, capsys,
     assert rc == code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+ZERO_WEIGHTS = "weight_as_inner = 0\nweight_as_last = 0\nweight_ac = 0\n"
+
+
+def test_train_with_all_attention_weights_zero_is_usage_error(
+        dataset, tmp_path, capsys):
+    """All three weights at 0 train on L_C alone, the baseline at the
+    objective's cost under an ICASC label."""
+    cfg_file = tmp_path / "loss.cfg"
+    cfg_file.write_text(ZERO_WEIGHTS, encoding="utf-8")
+    rc = run("train", "--data", str(dataset / "train"), "--epochs", "1",
+             "--batch-size", "8", "--channels", "4,8",
+             "--out", str(tmp_path / "o"), "--config", str(cfg_file))
+    assert rc == 1
+    assert "use --baseline" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_eval_attention_takes_a_config_with_all_weights_zero(
+        trained, dataset, tmp_path):
+    """The overlap report reads no weight, so the zero-weight rule is
+    training's alone."""
+    cfg_file = tmp_path / "loss.cfg"
+    cfg_file.write_text(ZERO_WEIGHTS, encoding="utf-8")
+    out = tmp_path / "o"
+    assert run("eval", "--checkpoint", str(trained), "--data",
+               str(dataset / "test"), "--attention", "--out", str(out),
+               "--config", str(cfg_file)) == 0
+    assert "weight_ac = 0.0" in (out / "resolved_config.txt").read_text()
+    assert (out / "attention_overlap.csv").is_file()
 
 
 @pytest.mark.parametrize("flag", ["--config", "--mechanism"])

@@ -75,6 +75,54 @@ def test_netpbm_writes_never_open_with_truncation(tmp_path, monkeypatch):
     assert path.read_bytes() == b"P6\n2 2\n255\n" + bytes(12)
 
 
+def test_netpbm_write_finishes_after_short_writes(tmp_path, monkeypatch):
+    """With ``os.write`` taking at most 5 bytes a call, the write loops to
+    the end, and a write over a longer old file equals a fresh one."""
+    rng = np.random.default_rng(3)
+    gray = rng.integers(0, 256, size=(6, 7), dtype=np.uint8)
+    fresh, reused = tmp_path / "fresh.pgm", tmp_path / "reused.pgm"
+    write_pgm(fresh, gray)
+    reused.write_bytes(b"junk" * 1000)
+    calls = []
+    os_write = dio.os.write
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return os_write(fd, bytes(data[:5]))
+
+    monkeypatch.setattr(dio.os, "write", short_write)
+    write_pgm(reused, gray)
+    monkeypatch.undo()
+    assert len(calls) == -(-fresh.stat().st_size // 5)
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_netpbm_write_error_propagates_and_closes_the_fd(tmp_path, monkeypatch):
+    """A raw fd leaks without a ResourceWarning, so only a test sees it."""
+    opened, closed = [], []
+    os_open, os_close = dio.os.open, dio.os.close
+
+    def open_spy(*args, **kwargs):
+        opened.append(os_open(*args, **kwargs))
+        return opened[-1]
+
+    def close_spy(fd):
+        closed.append(fd)
+        return os_close(fd)
+
+    def failing_write(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(dio.os, "open", open_spy)
+    monkeypatch.setattr(dio.os, "close", close_spy)
+    monkeypatch.setattr(dio.os, "write", failing_write)
+    with pytest.raises(OSError, match="No space left"):
+        write_pgm(tmp_path / "x.pgm", np.zeros((2, 2), dtype=np.uint8))
+    monkeypatch.undo()
+    assert len(opened) == 1
+    assert closed == opened
+
+
 def test_read_image_header_comments(tmp_path):
     path = tmp_path / "c.pgm"
     payload = bytes(range(6))

@@ -187,7 +187,10 @@ def test_run_trend_templates_reach_every_run_and_set(tmp_path):
     ({"seeds": (0, 1, 0)}, ValueError, r"seeds \[0\]"),
     ({"seeds": (-1,)}, ConfigError, "seed must be >= 0"),
     ({"per_class": (8, 0)}, ValueError, "per_class"),
-], ids=["repeated_seed", "negative_seed", "empty_test_set"])
+    ({"variants": {"zero": IcascConfig(weight_as_inner=0.0, weight_as_last=0.0,
+                                       weight_ac=0.0)}},
+     ConfigError, "use --baseline"),
+], ids=["repeated_seed", "negative_seed", "empty_test_set", "zero_weights"])
 def test_run_trend_rejects_bad_settings_before_writing(tmp_path, kwargs,
                                                        error, match):
     """Two tasks of one seed would train into the same directories at once;
