@@ -23,15 +23,13 @@ reproducible): ReLU derivative at exactly 0 is 0, elementwise ``minimum``
 routes ties to the first argument, and max pooling routes ties to the lowest
 flat index and a window that holds NaN to its first NaN.
 
-Max pooling, over 2x2 windows at stride 2, runs in two passes.  The
-forward computes only the value, a running ``np.maximum`` over the window's
-four strided tap views, and records a ``pool_gather`` node without routes.
-A backward rule or ``Tape.kink_signature`` that first reads the node's
-routes (each window's flat index of its first maximum) derives them from
-the node's input and value, in one pass over the whole value, and keeps
-them on the node.  The adjoint of a ``pool_gather`` is a ``pool_scatter``
-by the same indices, and that of a ``pool_scatter`` is a ``pool_gather``
-that records its indices.
+Max pooling, over 2x2 windows at stride 2, runs in two passes.  The value
+pass is a running ``np.maximum`` over the window's four strided tap views.
+A taped pool then runs the route pass, one pass over the whole value for
+each window's flat index of its first maximum, and records those routes
+with its ``pool_gather`` node.  The adjoint of a ``pool_gather`` is a
+``pool_scatter`` by the same indices, and that of a ``pool_scatter`` is a
+``pool_gather`` that records its indices.
 
 Arrays that the engine builds itself (op results, routing masks, indices,
 the float masks of the ReLU and ``minimum`` rules) are frozen in place;
@@ -107,7 +105,9 @@ class TapeNode:
 
     ``inputs`` holds ``(handle, value)`` pairs; the handle is None for
     constant operands.  ``meta`` stores exactly what the derivative rule
-    needs (masks, indices, geometry), documented per op below.
+    needs (masks, indices, geometry), documented per op below.  A node is
+    complete when recorded and nothing changes it after, so nodes may
+    share a meta record, as a conv node and its adjoint nodes do.
     """
 
     kind: str
@@ -147,7 +147,7 @@ class Tape:
 
     def kink_signature(self) -> str:
         """Hash of every routing decision on the tape: the ReLU and min
-        masks recorded, the pool routes derived on first read.
+        masks and the pool routes, all recorded with their nodes.
 
         Two evaluations of the same function at nearby points have equal
         signatures iff no ReLU/min/pool routing flipped between them,
@@ -156,8 +156,6 @@ class Tape:
         """
         h = hashlib.blake2b(digest_size=16)
         for i, node in enumerate(self.nodes):
-            if node.kind == "pool_gather":
-                _pool_indices(node)
             for key in ("mask", "mask_first", "indices"):
                 if key in node.meta:
                     h.update(node.kind.encode())
@@ -327,9 +325,9 @@ def div(a, b, eps: float) -> Tensor:
 def minimum(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     value = _binary_value("minimum", a, b, np.minimum)
-    # ties route the gradient to the first argument
-    mask_first = np.broadcast_to(a.data <= b.data,
-                                 np.broadcast_shapes(a.shape, b.shape)).copy()
+    # ties route the gradient to the first argument; the comparison has the
+    # result's shape, and asarray makes a 0-d one's NumPy scalar an array
+    mask_first = np.asarray(a.data <= b.data)
     mask_first.flags.writeable = False
     return _emit("minimum", (a, b), value, {"mask_first": mask_first})
 
@@ -711,15 +709,15 @@ def _conv2d_op(x: Tensor, w: Tensor, meta, cols=None, bias=None) -> Tensor:
         cols = _patches(x.data, meta)
     value = _conv_forward(cols, w.data)
     if bias is None:
-        return _emit("conv2d", (x, w), value, dict(meta))
+        return _emit("conv2d", (x, w), value, meta)
     value += bias.data[:, None, None]
-    return _emit("conv2d", (x, w, bias), value, dict(meta))
+    return _emit("conv2d", (x, w, bias), value, meta)
 
 
 def _conv2d_dx_op(g, w, meta) -> Tensor:
     g, w = _lift(g), _lift(w)
     value = _conv_dx(g.data, w.data, meta["x_shape"])
-    return _emit("conv2d_dx", (g, w), value, dict(meta))
+    return _emit("conv2d_dx", (g, w), value, meta)
 
 
 def _conv2d_dw_op(x, g, meta, cols=None) -> Tensor:
@@ -727,7 +725,7 @@ def _conv2d_dw_op(x, g, meta, cols=None) -> Tensor:
     if cols is None:
         cols = _patches(x.data, meta)
     return _emit("conv2d_dw", (x, g), _conv_dw(cols, g.data, meta["w_shape"]),
-                 dict(meta))
+                 meta)
 
 
 @_rule("conv2d")
@@ -797,9 +795,8 @@ def _first_tap(taps, value: np.ndarray) -> np.ndarray:
 
 def maxpool2d(x) -> Tensor:
     """Max over each 2x2 window of NCHW at stride 2, recorded as the gather
-    of each window's maximum from the input; the gather's flat spatial
-    indices (its routes) are derived when first read, by ``_pool_indices``.
-    An odd or zero height or width is a ShapeError.
+    of each window's maximum from the input.  An odd or zero height or width
+    is a ShapeError.
 
     The value pass runs ``np.maximum`` over the four strided tap views in
     tap order.  That gives each window's maximum, and NaN for a window
@@ -809,6 +806,11 @@ def maxpool2d(x) -> Tensor:
     first zero or first NaN tap.  The value is then the routed input
     element bit for bit, signed zero and NaN payload included: the first
     maximum, or the first NaN, exactly as ``argmax`` over the window picks.
+
+    A taped input also gets its routes, recorded with the node: each
+    window's first tap that equals the value, or its first NaN tap (one
+    ``_first_tap`` pass), as a flat index into its input plane.  An untaped
+    pool computes none.
     """
     x = _lift(x)
     if x.ndim != 4:
@@ -834,30 +836,13 @@ def maxpool2d(x) -> Tensor:
                            value.ravel()[special])
         value.view(np.int64).ravel()[special] = np.take(
             x.data.view(np.int64), base + offsets[first])
-    return _emit("pool_gather", (x,), value, {"in_shape": x.shape})
-
-
-def _pool_indices(node: TapeNode) -> np.ndarray:
-    """The routes of a ``pool_gather`` node, derived from its input and
-    value on first read and then kept in ``node.meta``.
-
-    A ``maxpool2d`` node records no routes: each 2x2 window's route is its
-    first tap that equals the value, or its first NaN tap, as a flat index
-    into its input plane.  One ``_first_tap`` pass over the whole value
-    picks each window's tap, and its offset becomes the window's route.
-    """
-    indices = node.meta.get("indices")
-    if indices is not None:
-        return indices
-    (_, x), = node.inputs
-    value = node.value
-    oh, ow = value.shape[2:]
-    offsets, taps = _pool_taps(x)
-    indices = np.take(offsets, _first_tap(taps, value))
-    indices += (np.arange(oh) * (2 * x.shape[3]))[:, None] + np.arange(ow) * 2
-    indices.flags.writeable = False
-    node.meta["indices"] = indices
-    return indices
+    meta = {"in_shape": x.shape}
+    if _tape_of(x) is not None:
+        indices = np.take(offsets, _first_tap(taps, value))
+        indices += (np.arange(oh) * (2 * w))[:, None] + np.arange(ow) * 2
+        indices.flags.writeable = False
+        meta["indices"] = indices
+    return _emit("pool_gather", (x,), value, meta)
 
 
 def _plane_flat(indices: np.ndarray, in_shape) -> np.ndarray:
@@ -891,7 +876,7 @@ def _pool_scatter_rule(node, g_hat, inputs, out, need):
 
 @_rule("pool_gather")
 def _pool_gather_rule(node, g_hat, inputs, out, need):
-    return [_pool_scatter_op(g_hat, _pool_indices(node), node.meta["in_shape"])]
+    return [_pool_scatter_op(g_hat, node.meta["indices"], node.meta["in_shape"])]
 
 
 # --------------------------------------------------------------------------

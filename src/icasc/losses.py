@@ -80,7 +80,8 @@ _FLOAT_KEYS = tuple(f.name for f in fields(IcascConfig) if f.name != "mechanism"
 
 def parse_kv_file(path) -> dict:
     """Parse a ``key = value`` text file into IcascConfig kwargs; a line
-    that does not parse raises DataError naming file:line."""
+    that does not parse, or that sets a key a second time, raises
+    DataError naming file:line."""
     kv: dict = {}
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -91,6 +92,8 @@ def parse_kv_file(path) -> dict:
             if "=" not in line:
                 raise DataError(f"{where}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in kv:
+                raise DataError(f"{where}: repeated key '{key}'")
             if key == "mechanism":
                 kv[key] = value
             elif key in _FLOAT_KEYS:

@@ -30,8 +30,29 @@ def leaf(tape, data):
 
 
 def test_minimum_elementwise():
+    """Also a taped (2, 3) tensor beside a constant scalar, on either side,
+    and two 0-d operands: the tie mask has the result's shape, ties route
+    to the first argument, and the tensor's adjoint is unreduced."""
     out = ad.minimum(Tensor([1.0, 0.5]), Tensor([0.5, 1.0]))
     assert np.array_equal(out.data, [0.5, 0.5])
+
+    x = np.array([[0.5, 1.25, 2.0], [1.25, -1.0, 3.0]])
+    # 1.25 ties the scalar: its gradient goes to whichever comes first
+    cases = [(True, [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
+             (False, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+             (True, 1.0)]
+    for tensor_first, want_grad in cases:
+        tape = Tape()
+        t = tape.leaf(x if np.ndim(want_grad) else np.array(1.25))
+        operands = (t, Tensor(1.25)) if tensor_first else (Tensor(1.25), t)
+        out = ad.minimum(*operands)
+        mask = tape.nodes[out.node].meta["mask_first"]
+        assert np.array_equal(out.data, np.minimum(t.data, 1.25))
+        assert mask.shape == t.shape
+        want_mask = t.data <= 1.25 if tensor_first else 1.25 <= t.data
+        assert np.array_equal(mask, want_mask)
+        grad = backward(ad.reduce_sum(out), [t])[t.node].data
+        assert grad.shape == t.shape and np.array_equal(grad, want_grad)
 
 
 def test_relu_values():
@@ -438,7 +459,7 @@ def test_maxpool_value_and_route_match_argmax_oracle(n, c, oh, ow, values,
     tape = Tape()
     out = ad.maxpool2d(tape.leaf(x))
     value, indices = oracles.maxpool_argmax(x, 2, 2)
-    got = ad._pool_indices(tape.nodes[out.node])
+    got = tape.nodes[out.node].meta["indices"]
     assert out.data.tobytes() == value.tobytes()
     assert got.dtype == indices.dtype and np.array_equal(got, indices)
 
@@ -481,7 +502,7 @@ def test_maxpool_routes_match_argmax_oracle(shape):
     tape = Tape()
     out = ad.maxpool2d(tape.leaf(x))
     value, indices = oracles.maxpool_argmax(x, 2, 2)
-    got = ad._pool_indices(tape.nodes[out.node])
+    got = tape.nodes[out.node].meta["indices"]
     assert out.data.tobytes() == value.tobytes()
     assert got.dtype == indices.dtype and np.array_equal(got, indices)
 
@@ -500,36 +521,21 @@ def test_untaped_maxpool_value_matches_argmax_oracle(shape):
 
 def _model_pools(n=3):
     """A taped two-block forward, its labels and its two pool nodes, block 0
-    first (the forward records no other ``pool_gather``)."""
+    first (the forward records no other ``pool_gather``); each pool node
+    holds its routes from the forward on."""
     model = helpers.tiny_model(channels=(4, 8), size=8)
     images = np.random.default_rng(3).random((n, 1, 8, 8))
     record = model.forward(images, tape=Tape())
     pools = [node for node in record.logits.tape.nodes
              if node.kind == "pool_gather"]
-    assert len(pools) == 2 and not any("indices" in p.meta for p in pools)
+    assert len(pools) == 2 and all("indices" in p.meta for p in pools)
     return record, np.arange(n) % 3, pools
 
 
-def test_first_order_class_gradients_route_only_the_last_pool():
-    """The gradient toward the tracked layers stops at block 0's output, so
-    only block 1's pool derives its routes."""
-    record, labels, (pool0, pool1) = _model_pools()
-    class_gradients(record, labels, ("inner", "last"))
-    assert "indices" in pool1.meta and "indices" not in pool0.meta
-
-
-def test_training_step_final_backward_routes_both_pools():
-    record, labels, (pool0, pool1) = _model_pools()
-    bd = icasc_objective(record, labels, IcascConfig())
-    assert "indices" not in pool0.meta
-    backward(bd.total_tensor, list(record.param_leaves.values()))
-    assert "indices" in pool0.meta and "indices" in pool1.meta
-
-
 def test_kink_signature_same_before_and_after_backward():
-    """Read before any backward, the signature derives the pool routes
-    itself; it equals the signature read after a backward, on the same tape
-    and on a tape whose backward derived the routes."""
+    """The pool routes are recorded with their nodes, so a signature read
+    before any backward equals one read after a backward, on the same tape
+    and on a fresh tape of the same forward."""
     signatures = []
     for signature_first in (True, False):
         record, labels, _ = _model_pools()
@@ -540,6 +546,46 @@ def test_kink_signature_same_before_and_after_backward():
                  list(record.param_leaves.values()))
         signatures.append(tape.kink_signature())
     assert len(set(signatures)) == 1
+
+
+def test_backward_changes_no_recorded_node():
+    """Nodes are write-once: the final backward of a training step leaves
+    every node's meta as the forward and the objective recorded it, the
+    same dict with the same keys and the same value objects."""
+    record, labels, _ = _model_pools()
+    tape = record.logits.tape
+    bd = icasc_objective(record, labels, IcascConfig())
+
+    def metas():
+        return [(id(node.meta), {k: id(v) for k, v in node.meta.items()})
+                for node in tape.nodes]
+
+    before = metas()
+    backward(bd.total_tensor, list(record.param_leaves.values()))
+    assert metas() == before
+
+
+def test_only_taped_pools_run_the_route_pass(monkeypatch):
+    """``_first_tap`` runs once per taped pool: never on an untaped
+    forward, once per block on a taped one, and only for the last block
+    on a ``from_inner`` one.  The inputs hold no +-0 or NaN window, so the
+    value pass makes no call of its own."""
+    calls = []
+    first_tap = ad._first_tap
+
+    def spy(taps, value):
+        calls.append(value.shape)
+        return first_tap(taps, value)
+
+    monkeypatch.setattr(ad, "_first_tap", spy)
+    model = helpers.tiny_model(channels=(4, 8), size=8)
+    images = np.random.default_rng(5).random((3, 1, 8, 8))
+    counts = []
+    for tape, from_inner in ((None, False), (Tape(), False), (Tape(), True)):
+        calls.clear()
+        model.forward(images, tape=tape, from_inner=from_inner)
+        counts.append(len(calls))
+    assert counts == [0, 2, 1]
 
 
 def _kink_signature(x):

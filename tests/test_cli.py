@@ -1282,6 +1282,7 @@ def test_huge_train_state_length_field_is_data_error(resumable, tmp_path, capsys
     ("weight_as_inner = -1", 1, "usage error: weight_as_inner"),
     ("weight_as_last = inf", 1, "usage error: weight_as_last"),
     ("weight_ac = -0.5", 1, "usage error: weight_ac"),
+    ("theta = 0.5\ntheta = 0.9", 2, "loss.cfg:2"),
 ])
 def test_bad_config_file_exits_cleanly(dataset, trained, tmp_path, capsys,
                                        command, line, code, message):

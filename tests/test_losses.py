@@ -70,8 +70,10 @@ def test_config_file_unknown_key(tmp_path):
         parse_kv_file(path)
 
 
-@pytest.mark.parametrize("line", ["omega 3", "omga = 3", "omega = abc"],
-                         ids=["no_equals", "unknown_key", "bad_float"])
+@pytest.mark.parametrize("line", ["omega 3", "omga = 3", "omega = abc",
+                                  "theta = 0.9"],
+                         ids=["no_equals", "unknown_key", "bad_float",
+                              "repeated_key"])
 def test_config_file_malformed_line_is_data_error_naming_line(tmp_path, line):
     path = tmp_path / "loss.cfg"
     path.write_text(f"theta = 0.7\n{line}\n", encoding="utf-8")
