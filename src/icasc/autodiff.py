@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 The engine is tape-based: every operation appends a node recording its kind,
-its operands, and whatever the derivative rule needs.  Backward rules are
+its operands, and what its derivative rules read.  Backward rules are
 themselves written in terms of the public ops, so when ``backward`` is called
 with ``create_graph=True`` the returned gradients are live tape tensors and
 can be differentiated again.  That re-entrancy is what allows loss functions
@@ -69,7 +69,6 @@ __all__ = [
     "reduce_sum",
     "reduce_mean",
     "broadcast_axes",
-    "reshape",
     "transpose2d",
     "matmul",
     "conv2d",
@@ -103,11 +102,12 @@ class UnsupportedOpError(AutodiffError, RuntimeError):
 class TapeNode:
     """One recorded operation.
 
-    ``inputs`` holds ``(handle, value)`` pairs; the handle is None for
-    constant operands.  ``meta`` stores exactly what the derivative rule
-    needs (masks, indices, geometry), documented per op below.  A node is
-    complete when recorded and nothing changes it after, so nodes may
-    share a meta record, as a conv node and its adjoint nodes do.
+    ``inputs`` holds ``(handle, value)`` pairs, the handle None for a
+    constant operand.  ``meta`` holds what its op family's rules read
+    (masks, indices, geometry; the conv record also states ``stride`` and
+    ``padding`` for the benchmark's tape census).  A node is complete when
+    recorded and nothing changes it after, so nodes may share a meta
+    record, as a conv node and its adjoint nodes do.
     """
 
     kind: str
@@ -334,13 +334,13 @@ def minimum(a, b) -> Tensor:
 
 def relu(x) -> Tensor:
     x = _lift(x)
-    mask = x.data > 0  # derivative at exactly 0 is 0
+    mask = np.asarray(x.data > 0)  # derivative at exactly 0 is 0
     mask.flags.writeable = False
     # bit-equal to np.where(mask, x, 0.0), whose scalar operand takes NumPy's
     # slow broadcast path: fmax maps a quiet NaN to 0 but may return a
     # signalling one quietened, which the second fmax maps to 0; adding +0.0
-    # turns -0.0 into +0.0
-    value = np.fmax(x.data, 0.0)
+    # turns -0.0 into +0.0.  asarray makes a 0-d input's NumPy scalars arrays
+    value = np.asarray(np.fmax(x.data, 0.0))
     np.fmax(value, 0.0, out=value)
     value += 0.0
     return _emit("relu", (x,), value, {"mask": mask})
@@ -472,18 +472,7 @@ def broadcast_axes(x, target_shape, axes) -> Tensor:
         raise ShapeError(f"broadcast_axes: have {x.shape}, need {expect} "
                          f"for target {target_shape} over axes {axes}")
     value = np.broadcast_to(np.expand_dims(x.data, axes), target_shape)
-    return _emit("broadcast_axes", (x,), value,
-                 {"axes": axes, "target_shape": target_shape})
-
-
-def reshape(x, shape) -> Tensor:
-    x = _lift(x)
-    shape = tuple(int(s) for s in np.atleast_1d(shape)) if not isinstance(shape, tuple) else shape
-    try:
-        value = x.data.reshape(shape)
-    except ValueError as e:
-        raise ShapeError(f"reshape {x.shape} -> {shape}: {e}") from None
-    return _emit("reshape", (x,), value, {"in_shape": x.shape})
+    return _emit("broadcast_axes", (x,), value, {"axes": axes})
 
 
 def transpose2d(x) -> Tensor:
@@ -509,11 +498,6 @@ def _reduce_mean_rule(node, g, inputs, out, need):
 @_rule("broadcast_axes")
 def _broadcast_axes_rule(node, g, inputs, out, need):
     return [reduce_sum(g, node.meta["axes"])]
-
-
-@_rule("reshape")
-def _reshape_rule(node, g, inputs, out, need):
-    return [reshape(g, node.meta["in_shape"])]
 
 
 @_rule("transpose2d")
@@ -858,8 +842,7 @@ def _pool_scatter_op(g, indices: np.ndarray, in_shape) -> Tensor:
     # windows that share their argmax
     out = np.bincount(_plane_flat(indices, in_shape).ravel(),
                       weights=g.data.ravel(), minlength=math.prod(in_shape))
-    return _emit("pool_scatter", (g,), out.reshape(in_shape),
-                 {"indices": indices, "in_shape": tuple(in_shape)})
+    return _emit("pool_scatter", (g,), out.reshape(in_shape), {"indices": indices})
 
 
 def _pool_gather_op(x, indices: np.ndarray) -> Tensor:

@@ -115,7 +115,8 @@ def run_trend(work_dir, variants: Mapping[str, IcascConfig | None] = VARIANTS,
     ``DATA_SEED_TRAIN`` and ``DATA_SEED_TEST``, with ``per_class`` samples
     per class (train, test), written into ``work_dir/train`` and
     ``work_dir/test`` on every call.  Every run's config is built before
-    any file is written, so a bad value or a repeated seed writes nothing.
+    any file is written, so a bad value, a repeated seed, or no seed or no
+    variant at all writes nothing.
 
     Each seed is one task in a pool of ``min(len(seeds), cpu count)``
     spawned worker processes, each with BLAS at 1 thread: two such
@@ -125,6 +126,10 @@ def run_trend(work_dir, variants: Mapping[str, IcascConfig | None] = VARIANTS,
     """
     work_dir = Path(work_dir)
     seeds = tuple(seeds)
+    if not seeds or not variants:
+        # a trend of no runs would write its sets and a header-only csv
+        raise ValueError(f"run_trend needs a seed and a variant, got seeds "
+                         f"{seeds} and variants {list(variants)}")
     repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
     if repeated:
         # two tasks of one seed would write the same run directories

@@ -15,16 +15,20 @@ def linear_record(tape: Tape, feat_arrays: dict, weights: dict) -> ForwardRecord
 
     The per-class gradient w.r.t. each feature map is then the
     corresponding weight column, independent of the feature values, which
-    makes hand evaluation trivial.
+    makes hand evaluation trivial.  Each layer's logits are F repeated
+    over the classes, times each class's weight column in F's shape,
+    summed over F's axes.
     """
     feats = {}
     logits = None
-    n = next(iter(feat_arrays.values())).shape[0]
     for layer, arr in feat_arrays.items():
         f = tape.leaf(np.asarray(arr, dtype=np.float64))
         feats[layer] = f
-        flat = ad.reshape(f, (n, arr[0].size))
-        piece = ad.matmul(flat, Tensor(weights[layer]))
+        n, k = f.shape[0], weights[layer].shape[1]
+        shape = (n, k) + f.shape[1:]
+        w = np.broadcast_to(weights[layer].T.reshape((1,) + shape[1:]), shape)
+        piece = ad.reduce_sum(ad.mul(ad.broadcast_axes(f, shape, (1,)), Tensor(w)),
+                              tuple(range(2, len(shape))))
         logits = piece if logits is None else ad.add(logits, piece)
     return ForwardRecord(logits=logits, probabilities=softmax(logits.data),
                          feats=feats,

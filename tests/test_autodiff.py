@@ -591,8 +591,9 @@ def test_only_taped_pools_run_the_route_pass(monkeypatch):
 def _kink_signature(x):
     """Of a ReLU, then a min with (1, 2, 0.5, 3), then a 2x2 max pool."""
     tape = Tape()
-    m = ad.minimum(ad.relu(tape.leaf(np.array(x))), Tensor([1.0, 2.0, 0.5, 3.0]))
-    ad.maxpool2d(ad.reshape(m, (1, 1, 2, 2)))
+    m = ad.minimum(ad.relu(tape.leaf(np.reshape(x, (1, 1, 2, 2)))),
+                   Tensor(np.reshape([1.0, 2.0, 0.5, 3.0], (1, 1, 2, 2))))
+    ad.maxpool2d(m)
     return tape.kink_signature()
 
 
@@ -691,10 +692,20 @@ def test_grad_sum_of_squares():
 
 
 def test_grad_relu_subgradient():
+    """Also on 0-d inputs, taped and untaped: the value is +0.0 at and below
+    0, where the derivative is 0."""
     tape = Tape()
     x = leaf(tape, [-1.0, 2.0])
     g = backward(ad.reduce_sum(ad.relu(x)), [x])[x.node]
     assert np.array_equal(g.data, [0.0, 1.0])
+    for v, want, slope in ((1.5, 1.5, 1.0), (-2.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                           (-0.0, 0.0, 0.0)):
+        x = leaf(Tape(), v)
+        out = ad.relu(x)
+        assert out.shape == () and out.item() == want
+        assert not np.signbit(out.data)
+        assert backward(out, [x])[x.node].data == slope
+        assert ad.relu(np.array(v)).data == want
 
 
 def test_second_derivative_cubic():
@@ -781,7 +792,7 @@ def test_first_order_backward_appends_no_node():
     backward over forward ops nor one over recorded rule ops (the second
     pass of double backprop) grows the tape."""
     tape = Tape()
-    x = leaf(tape, np.linspace(0.2, 1.7, 16))
+    x = leaf(tape, np.linspace(0.2, 1.7, 16).reshape(1, 1, 4, 4))
     unreached = leaf(tape, [1.0])
     y = _composite(tape, x)
     n = len(tape)
@@ -829,26 +840,29 @@ def test_mixed_tapes_rejected():
 # --------------------------------------------------------------------------
 
 
-# bilinear 2x2 -> 4x4 upsampling as a matrix: row i is the resized basis image e_i
-_UPSAMPLE_2_TO_4 = ad.bilinear_resize_array(np.eye(4).reshape(4, 2, 2), 4, 4).reshape(4, 16)
+# bilinear 2 -> 4 upsampling of one axis as a (4, 2) matrix: column i is
+# the resized basis vector e_i, so A @ P @ A.T resizes a 2x2 map to 4x4
+_UPSAMPLE_2_TO_4 = ad.bilinear_resize_array(np.eye(2)[:, None], 1, 4)[:, 0].T
 
 
 def _composite(tape, x, lift=Tensor):
-    """A scalar function touching every differentiable op family.
+    """A scalar function of a ``(1, 1, 4, 4)`` ``x`` touching every
+    differentiable op family.
 
     ``lift`` wraps its three weight arrays; ``tape.leaf`` makes them leaves.
     """
-    a = ad.reshape(x, (1, 1, 4, 4))
-    c = ad.conv2d(a, lift(np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3) / 9.0))
-    p = ad.maxpool2d(ad.relu(c))
-    up = ad.matmul(ad.reshape(p, (1, 4)), lift(_UPSAMPLE_2_TO_4))
-    u = ad.reshape(up, (4, 4))
-    # a sigmoid of x, written as 1 / (1 + exp(-x))
-    sig = ad.div(1.0, ad.add(ad.exp(ad.mul(ad.reshape(x, (4, 4)), -1.0)), 1.0),
+    c = ad.conv2d(x, lift(np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3) / 9.0))
+    p = ad.reduce_sum(ad.maxpool2d(ad.relu(c)), (0, 1))
+    up = lift(_UPSAMPLE_2_TO_4)
+    u = ad.matmul(ad.matmul(up, p), ad.transpose2d(up))
+    # a sigmoid of x, written as 1 / (1 + exp(0 - x))
+    sig = ad.div(1.0, ad.add(ad.exp(ad.sub(0.0, ad.reduce_sum(x, (0, 1)))), 1.0),
                  eps=0.0)
     m = ad.minimum(u, sig)
-    flat = ad.reshape(m, (1, 16))
-    h = ad.matmul(flat, lift(np.linspace(-1, 1, 32).reshape(16, 2)))
+    # two linear readouts of m: each output's weights in m's shape
+    readout = lift(np.linspace(-1, 1, 32).reshape(16, 2).T.reshape(2, 4, 4))
+    h = ad.reduce_sum(ad.mul(ad.broadcast_axes(m, (2, 4, 4), (0,)), readout),
+                      (1, 2))
     s = ad.reduce_sum(ad.exp(ad.mul(h, 0.3)))
     q = ad.div(ad.reduce_sum(ad.mul(u, u)), s, eps=1e-8)
     # a softplus of h, written as log(1 + exp(h))
@@ -859,7 +873,7 @@ def _composite(tape, x, lift=Tensor):
 @given(st.integers(0, 10_000))
 def test_finite_difference_composite(seed):
     rng = np.random.default_rng(seed)
-    x0 = rng.uniform(0.2, 1.7, size=16)  # positive, away from relu/min kinks
+    x0 = rng.uniform(0.2, 1.7, size=(1, 1, 4, 4))  # positive, away from kinks
 
     def value(p):
         t = Tape()
@@ -890,7 +904,7 @@ def test_backward_toward_a_subset_matches_backward_toward_all(seed, subset,
             leaves.append(tape.leaf(arr))
             return leaves[-1]
 
-        x = lift(np.random.default_rng(seed).uniform(0.2, 1.7, size=16))
+        x = lift(np.random.default_rng(seed).uniform(0.2, 1.7, size=(1, 1, 4, 4)))
         y = _composite(tape, x, lift=lift)
         got = backward(y, [leaves[i] for i in pick], create_graph=create_graph)
         return {i: got[leaves[i].node].data.tobytes() for i in pick}

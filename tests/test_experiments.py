@@ -190,12 +190,15 @@ def test_run_trend_templates_reach_every_run_and_set(tmp_path):
     ({"variants": {"zero": IcascConfig(weight_as_inner=0.0, weight_as_last=0.0,
                                        weight_ac=0.0)}},
      ConfigError, "use --baseline"),
-], ids=["repeated_seed", "negative_seed", "empty_test_set", "zero_weights"])
+    ({"seeds": ()}, ValueError, r"needs a seed and a variant, got seeds \(\)"),
+    ({"variants": {}}, ValueError, r"needs a seed and a variant, .* variants \[\]"),
+], ids=["repeated_seed", "negative_seed", "empty_test_set", "zero_weights",
+        "no_seed", "no_variant"])
 def test_run_trend_rejects_bad_settings_before_writing(tmp_path, kwargs,
                                                        error, match):
     """Two tasks of one seed would train into the same directories at once;
-    every run's config and the set sizes are checked before any file is
-    written."""
+    every run's config, the set sizes and the presence of a seed and a
+    variant are checked before any file is written."""
     with pytest.raises(error, match=match):
         run_tiny_trend(tmp_path / "w", **kwargs)
     assert not (tmp_path / "w").exists()
