@@ -14,6 +14,11 @@ Each map is an (N, H, W) :class:`Tensor`, one non-negative plane per
 sample.  Both are built from differentiable ops, so with ``create_graph``
 gradients the maps can sit inside a training objective (double
 backpropagation).
+
+Training and the overlap report use ``a_ch`` (:func:`class_attention`).  Its
+map is all zero only when every channel with a positive gradient is dead; a
+grad-cam map is all zero whenever its signed sum is nowhere positive, which
+already empties whole classes at initialisation.  ``attend`` renders both.
 """
 
 from __future__ import annotations
@@ -84,9 +89,9 @@ def compute_attention(mechanism: str, features: Tensor,
                      f"(expected one of {MECHANISMS})")
 
 
-def class_attention(record: ForwardRecord, selector, mechanism: str,
-                    create_graph: bool, layers=LAYERS) -> dict[str, Tensor]:
-    """Attention maps of the selected classes at the tracked ``layers``.
+def class_attention(record: ForwardRecord, selector, create_graph: bool,
+                    layers=LAYERS) -> dict[str, Tensor]:
+    """a-ch maps of the selected classes at the tracked ``layers``.
 
     One backward serves every layer; asked for ``("last",)`` alone it stops
     at the head and never reaches a conv block.  With ``create_graph`` the
@@ -94,9 +99,6 @@ def class_attention(record: ForwardRecord, selector, mechanism: str,
     without it the features are detached and the maps are plain values.
     """
     grads = class_gradients(record, selector, layers, create_graph)
-    maps = {}
-    for layer in layers:
-        feats = record.feats[layer]
-        maps[layer] = compute_attention(
-            mechanism, feats if create_graph else feats.detach(), grads[layer])
-    return maps
+    return {layer: a_ch(record.feats[layer] if create_graph
+                        else record.feats[layer].detach(), grads[layer])
+            for layer in layers}

@@ -2,15 +2,16 @@
 attention export, and KS charts.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Flag precedence is flags > config file > defaults, and every command echoes
+A ``--config`` file's values beat the defaults, and every command echoes
 its fully resolved configuration into the output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,6 @@ def build_parser() -> _Parser:
     p.add_argument("--schedule", choices=SCHEDULES, default=None)
     p.add_argument("--milestones", type=_int_tuple, default=None)
     p.add_argument("--channels", type=_int_tuple, default=None)
-    p.add_argument("--mechanism", choices=MECHANISMS, default=None)
     p.add_argument("--baseline", action="store_true")
     p.add_argument("--flip", action="store_true")
     p.add_argument("--resume", action="store_true")
@@ -89,7 +89,6 @@ def build_parser() -> _Parser:
     p.add_argument("--attention", action="store_true",
                    help="also compute the attention-overlap report")
     p.add_argument("--config", default=None)
-    p.add_argument("--mechanism", choices=MECHANISMS, default=None)
 
     p = sub.add_parser("attend", help="export attention heatmaps")
     p.add_argument("--checkpoint", required=True)
@@ -112,12 +111,7 @@ def build_parser() -> _Parser:
 
 
 def _resolved_icasc(args) -> IcascConfig:
-    cfg = IcascConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **parse_kv_file(args.config))
-    if getattr(args, "mechanism", None):
-        cfg = replace(cfg, mechanism=args.mechanism)
-    return cfg
+    return IcascConfig(**(parse_kv_file(args.config) if args.config else {}))
 
 
 def _echo(out_dir: Path, text: str, name: str = "resolved_config.txt") -> None:
@@ -148,9 +142,9 @@ _TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig))
 
 
 def cmd_train(args) -> int:
-    if args.baseline and (args.config or args.mechanism):
+    if args.baseline and args.config:
         raise UsageError("--baseline trains without the attention objective, "
-                         "so it takes no --config or --mechanism")
+                         "so it takes no --config")
     given = {key: getattr(args, key) for key in _TRAIN_FIELDS
              if getattr(args, key, None) is not None}
     cfg = TrainConfig(
@@ -181,9 +175,9 @@ def _require_confusing_class(checkpoint, n_classes: int) -> None:
 
 
 def cmd_eval(args) -> int:
-    if not args.attention and (args.config or args.mechanism):
-        raise UsageError("--config and --mechanism set the attention "
-                         "report's loss, so they need --attention")
+    if not args.attention and args.config:
+        raise UsageError("--config sets the attention report's loss, so it "
+                         "needs --attention")
     # resolved before --out exists, so a bad config file leaves no output
     icasc = _resolved_icasc(args) if args.attention else None
     model, _ = load_checkpoint(args.checkpoint)
@@ -319,6 +313,12 @@ def cmd_attend(args) -> int:
                                 + ", ".join(map(repr, missing)))
     else:
         wanted = [s.id for s in dataset.samples[:4]]
+    # each id starts its heatmaps' file names, which must stay inside --out
+    unsafe = [sid for sid in dict.fromkeys(wanted)
+              if {"/", "\0", os.sep, os.altsep} & set(sid)]
+    if unsafe:
+        raise dio.DataError("sample ids that cannot start a file name: "
+                            + ", ".join(map(repr, unsafe)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -26,7 +26,7 @@ from . import data as dio
 from . import metrics as mx
 from . import training
 from .losses import IcascConfig
-from .nn import Model
+from .nn import Model, ModelConfig
 from .training import EpochStats, TrainConfig
 
 DATA_SEED_TRAIN = 1234
@@ -146,6 +146,9 @@ def run_trend(work_dir, variants: Mapping[str, IcascConfig | None] = VARIANTS,
                              seed=seed, icasc=icasc)
                for name, icasc in variants.items()}, test_dir)
              for seed in seeds]
+    # the model every run builds from the 1-channel sets, so that a width the
+    # canvas cannot take fails here and not in a worker
+    ModelConfig(train.channels, data.canvas, 1, data.n_classes)
     dio.generate_synth(train_spec, n_train, train_dir)
     dio.generate_synth(test_spec, n_test, test_dir)
     workers = max(1, min(len(tasks), os.cpu_count() or 1))

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .attention import MECHANISMS, class_attention
+from .attention import class_attention
 from .data import DataError, open_text
 from .nn import ConfigError, ForwardRecord, NumericalError, cross_entropy
 
@@ -46,7 +46,6 @@ SKIP_THRESHOLD = 1e-6
 
 @dataclass(frozen=True)
 class IcascConfig:
-    mechanism: str = "a-ch"
     omega: float = 100.0
     sigma_factor: float = 0.55
     theta: float = 0.8
@@ -55,9 +54,6 @@ class IcascConfig:
     weight_ac: float = 1.0
 
     def __post_init__(self):
-        if self.mechanism not in MECHANISMS:
-            raise ConfigError(f"mechanism must be one of {MECHANISMS}, "
-                              f"got '{self.mechanism}'")
         if not 0 < self.omega < np.inf:
             raise ConfigError(f"omega must be finite and > 0, got {self.omega!r}")
         if not 0 < self.sigma_factor < 1:
@@ -74,8 +70,8 @@ class IcascConfig:
         return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
 
 
-# every field but the mechanism holds a float, in the config file's order
-_FLOAT_KEYS = tuple(f.name for f in fields(IcascConfig) if f.name != "mechanism")
+# the config file's keys: every field, each a float
+_KEYS = tuple(f.name for f in fields(IcascConfig))
 
 
 def parse_kv_file(path) -> dict:
@@ -94,16 +90,13 @@ def parse_kv_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key in kv:
                 raise DataError(f"{where}: repeated key '{key}'")
-            if key == "mechanism":
-                kv[key] = value
-            elif key in _FLOAT_KEYS:
-                try:
-                    kv[key] = float(value)
-                except ValueError:
-                    raise DataError(f"{where}: {key} is not a number: "
-                                    f"'{value}'") from None
-            else:
+            if key not in _KEYS:
                 raise DataError(f"{where}: unknown key '{key}'")
+            try:
+                kv[key] = float(value)
+            except ValueError:
+                raise DataError(f"{where}: {key} is not a number: "
+                                f"'{value}'") from None
     return kv
 
 
@@ -261,8 +254,8 @@ def icasc_objective(record: ForwardRecord, labels, config: IcascConfig,
     l_c = cross_entropy(record.logits, labels)
     conf = context.conf if context else confusing_class(record.probabilities,
                                                         labels)
-    a_conf = class_attention(record, conf, config.mechanism, create_graph=True)
-    a_tgt = class_attention(record, labels, config.mechanism, create_graph=True)
+    a_conf = class_attention(record, conf, create_graph=True)
+    a_tgt = class_attention(record, labels, create_graph=True)
     las, lac, ctx = per_sample_terms(a_tgt, a_conf, conf, config, context)
 
     # per-sample (L_AS_last, L_AS_inner, L_AC); the keep selector zeroes the

@@ -153,9 +153,8 @@ def _overlap_batch(model: Model, ids, images, labels, config: IcascConfig
                    ) -> tuple[list[OverlapRow], np.ndarray, dict]:
     record = model.forward(images, tape=Tape(), from_inner=True)
     conf = confusing_class(record.probabilities, labels)
-    a_tgt = class_attention(record, labels, config.mechanism, create_graph=False)
-    a_conf = class_attention(record, conf, config.mechanism, create_graph=False,
-                             layers=("last",))
+    a_tgt = class_attention(record, labels, create_graph=False)
+    a_conf = class_attention(record, conf, create_graph=False, layers=("last",))
     las, lac, ctx = per_sample_terms(a_tgt, a_conf, conf, config)
     rows = [OverlapRow(sid, float(las["last"].data[i]), float(lac.data[i]),
                        not ctx.keep[i])

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import platform
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from icasc import data as dio
 from icasc import metrics as mx
 from icasc.attention import LAYERS, MECHANISMS, class_gradients, compute_attention
 from icasc.autodiff import Tape
-from icasc.losses import IcascConfig
+from icasc.losses import IcascConfig, parse_kv_file
 from icasc.nn import Model, ModelConfig, load_checkpoint, save_checkpoint
 from icasc.training import LOG_COLUMNS, TrainConfig, read_log
 
@@ -172,7 +174,7 @@ def test_train_icasc_path_runs(dataset, tmp_path):
     out = tmp_path / "icasc_run"
     rc = run("train", "--data", str(dataset / "train"), "--out", str(out),
              "--epochs", "1", "--batch-size", "9", "--channels", "4,8",
-             "--seed", "4", "--mechanism", "grad-cam", "--lr", "0.01")
+             "--seed", "4", "--lr", "0.01")
     assert rc == 0
     log = (out / "train_log.csv").read_text()
     assert "epoch,lr,l_c,l_as_in,l_as_la,l_ac,total" in log
@@ -287,31 +289,37 @@ def test_bad_milestones_are_usage_error(dataset, tmp_path, capsys, args):
     assert not out.exists()
 
 
-def test_config_file_mechanism_and_flag_precedence(dataset, tmp_path):
+def test_config_file_beats_the_defaults(dataset, tmp_path):
+    """The echo is ``IcascConfig``'s with the file's values, and names no
+    mechanism: training takes a-ch's maps alone."""
     cfg_file = tmp_path / "loss.cfg"
-    cfg_file.write_text("mechanism = grad-cam\ntheta = 0.6\n", encoding="utf-8")
+    cfg_file.write_text("theta = 0.6\n", encoding="utf-8")
     out = tmp_path / "cfgrun"
     rc = run("train", "--data", str(dataset / "train"), "--out", str(out),
              "--epochs", "1", "--batch-size", "8", "--channels", "4,8",
-             "--config", str(cfg_file), "--mechanism", "a-ch", "--lr", "0.01")
+             "--config", str(cfg_file), "--lr", "0.01")
     assert rc == 0
     text = (out / "run_config.txt").read_text()
-    assert "mechanism = a-ch" in text      # flag beats file
-    assert "theta = 0.6" in text           # file beats default
+    assert text.endswith(IcascConfig(theta=0.6).to_text())
+    assert "mechanism" not in text
 
 
-@pytest.mark.parametrize("flag", ["--mechanism", "--config"])
+@pytest.mark.parametrize("flag, named", [
+    ("--mechanism", "unrecognized arguments: --mechanism a-ch"),
+    ("--config", "--baseline"),
+], ids=["--mechanism", "--config"])
 def test_baseline_with_an_objective_setting_is_usage_error(dataset, tmp_path,
-                                                           capsys, flag):
-    """The baseline trains on L_C alone, so it has no objective to set."""
+                                                           capsys, flag, named):
+    """The baseline trains on L_C alone, so it has no objective to set.  No
+    command sets the mechanism: training takes a-ch's maps alone."""
     cfg_file = tmp_path / "loss.cfg"
     cfg_file.write_text("theta = 0.6\n", encoding="utf-8")
-    value = {"--mechanism": "grad-cam", "--config": str(cfg_file)}[flag]
+    value = {"--mechanism": "a-ch", "--config": str(cfg_file)}[flag]
     out = tmp_path / "o"
     assert run("train", "--data", str(dataset / "train"), "--out", str(out),
                "--baseline", flag, value) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "--baseline" in err
+    assert err.startswith("usage error:") and named in err
     assert flag in err
     assert not out.exists()
 
@@ -346,8 +354,7 @@ def test_eval_writes_metrics_and_is_deterministic(trained, dataset, tmp_path):
 
 @pytest.mark.parametrize("flags, echoed", [
     ((), "topk = 3\n"),
-    (("--topk", "2", "--attention", "--mechanism", "grad-cam"),
-     "topk = 2\n" + IcascConfig(mechanism="grad-cam").to_text()),
+    (("--topk", "2", "--attention"), "topk = 2\n" + IcascConfig().to_text()),
 ], ids=["plain", "attention"])
 def test_eval_echoes_resolved_config(trained, dataset, tmp_path, flags, echoed):
     out = tmp_path / "e"
@@ -463,6 +470,32 @@ def test_attend_unknown_sample_message_quotes_each_id(trained, dataset,
     assert rc == 2
     assert capsys.readouterr().err.endswith(named)
     assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("via", ["samples_flag", "first_4"])
+@pytest.mark.parametrize("sid", ["../escaped", "sub/x", "nul\0id"],
+                         ids=["parent_dir", "sub_dir", "nul_byte"])
+def test_attend_rejects_an_id_that_cannot_start_a_file_name(
+        trained, dataset, tmp_path, capsys, sid, via):
+    """Each heatmap's file name starts with its sample id, so an id with a
+    path separator or a NUL byte is a data error, named as written, before
+    ``--out`` exists, whether ``--samples`` names it or it is among the
+    first 4."""
+    data = tmp_path / "d"
+    data.mkdir()
+    for f in (dataset / "test").glob("*.pgm"):
+        (data / f.name).write_bytes(f.read_bytes())
+    text = (dataset / "test" / "labels.csv").read_text()
+    assert text.startswith("id,filename,label\nc0_0000,")
+    (data / "labels.csv").write_text(text.replace("\nc0_0000,", f"\n{sid},", 1))
+    flags = ("--samples", sid) if via == "samples_flag" else ()
+    before = sorted(tmp_path.rglob("*"))
+    rc = run("attend", "--checkpoint", str(trained), "--data", str(data),
+             "--out", str(tmp_path / "o" / "a"), "--classes", "1", *flags)
+    assert rc == 2
+    assert capsys.readouterr().err == ("data error: sample ids that cannot "
+                                       f"start a file name: {sid!r}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_attend_empty_samples_is_usage_error(trained, dataset, tmp_path,
@@ -1269,7 +1302,6 @@ def test_huge_train_state_length_field_is_data_error(resumable, tmp_path, capsys
     ("clamp_lac = true", 2, "loss.cfg:1"), ("weight_lc = 1", 2, "loss.cfg:1"),
     ("omega = -1", 1, "usage error: omega"),
     ("theta = 1.5", 1, "usage error: theta"),
-    ("mechanism = cam", 1, "usage error: mechanism"),
     ("omega = inf", 1, "usage error: omega"),
     # not keys at any value; the first two lines are in the run_config.txt
     # of ICASC runs trained while they were settings
@@ -1279,6 +1311,9 @@ def test_huge_train_state_length_field_is_data_error(resumable, tmp_path, capsys
     ("skip_threshold = -1e-6", 2, "loss.cfg:1"),
     ("epsilon = inf", 2, "loss.cfg:1"),
     ("skip_threshold = inf", 2, "loss.cfg:1"),
+    # nor is the mechanism, which is a-ch's alone; the line is in the
+    # run_config.txt of ICASC runs trained while it was a setting
+    ("mechanism = a-ch", 2, "loss.cfg:1"),
     ("weight_as_inner = -1", 1, "usage error: weight_as_inner"),
     ("weight_as_last = inf", 1, "usage error: weight_as_last"),
     ("weight_ac = -0.5", 1, "usage error: weight_ac"),
@@ -1333,20 +1368,24 @@ def test_eval_attention_takes_a_config_with_all_weights_zero(
     assert (out / "attention_overlap.csv").is_file()
 
 
-@pytest.mark.parametrize("flag", ["--config", "--mechanism"])
+@pytest.mark.parametrize("flag, named", [
+    ("--config", "--attention"),
+    ("--mechanism", "unrecognized arguments: --mechanism a-ch"),
+], ids=["--config", "--mechanism"])
 def test_eval_loss_setting_without_attention_is_usage_error(trained, dataset,
                                                             tmp_path, capsys,
-                                                            flag):
+                                                            flag, named):
     """Only the attention report reads the loss settings; the file here
-    does not even parse."""
+    does not even parse.  No command sets the mechanism: the report takes
+    a-ch's maps alone."""
     cfg_file = tmp_path / "loss.cfg"
     cfg_file.write_text("omega 3\n", encoding="utf-8")
-    value = {"--mechanism": "grad-cam", "--config": str(cfg_file)}[flag]
+    value = {"--mechanism": "a-ch", "--config": str(cfg_file)}[flag]
     out = tmp_path / "o"
     assert run("eval", "--checkpoint", str(trained), "--data",
                str(dataset / "test"), "--out", str(out), flag, value) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "--attention" in err
+    assert err.startswith("usage error:") and named in err
     assert flag in err
     assert not out.exists()
 
@@ -1499,3 +1538,22 @@ def test_cli_process_reuses_freed_heap_pages(tmp_path):
 def test_usage_error_exit_code():
     assert run("train") == 1          # missing required flags
     assert run("frobnicate") == 1     # unknown command
+
+
+def test_the_readme_examples_run_as_written(tmp_path):
+    """Every ``icasc`` command of the README's CLI block parses, and its
+    config block holds the defaults, so neither can drift from the
+    program."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    (cli_block,) = [b for b in blocks if b.startswith("icasc ")]
+    commands = cli_block.replace("\\\n", " ").splitlines()
+    assert len(commands) == 6 and all(c.startswith("icasc ") for c in commands)
+    for command in commands:
+        cli.build_parser().parse_args(shlex.split(command)[1:])
+    (config_block,) = [b for b in blocks
+                       if re.fullmatch(r"(\w+ = .*\n|\s*#.*\n)+", b)]
+    cfg_file = tmp_path / "loss.cfg"
+    cfg_file.write_text(config_block, encoding="utf-8")
+    assert IcascConfig(**parse_kv_file(cfg_file)) == IcascConfig()

@@ -192,13 +192,23 @@ def test_run_trend_templates_reach_every_run_and_set(tmp_path):
      ConfigError, "use --baseline"),
     ({"seeds": ()}, ValueError, r"needs a seed and a variant, got seeds \(\)"),
     ({"variants": {}}, ValueError, r"needs a seed and a variant, .* variants \[\]"),
+    ({"train": replace(TINY_TRAIN, channels=(8,))}, ConfigError,
+     "at least 2 blocks"),
+    ({"train": replace(TINY_TRAIN, channels=(8, 16, 32, 64, 128))},
+     ConfigError, "after all poolings is 1"),
+    ({"train": replace(TINY_TRAIN, channels=(0, 8))}, ConfigError,
+     "must be >= 1"),
+    ({"data": replace(experiments.TREND_DATA, canvas=34)}, ConfigError,
+     "spatial size 17"),
 ], ids=["repeated_seed", "negative_seed", "empty_test_set", "zero_weights",
-        "no_seed", "no_variant"])
+        "no_seed", "no_variant", "one_block", "too_deep", "zero_width",
+        "odd_canvas"])
 def test_run_trend_rejects_bad_settings_before_writing(tmp_path, kwargs,
                                                        error, match):
     """Two tasks of one seed would train into the same directories at once;
-    every run's config, the set sizes and the presence of a seed and a
-    variant are checked before any file is written."""
+    every run's config, the model its width and canvas make, the set sizes
+    and the presence of a seed and a variant are checked before any file is
+    written."""
     with pytest.raises(error, match=match):
         run_tiny_trend(tmp_path / "w", **kwargs)
     assert not (tmp_path / "w").exists()

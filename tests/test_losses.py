@@ -43,21 +43,19 @@ def test_config_validation():
         IcascConfig(sigma_factor=1.0)
     with pytest.raises(ConfigError):
         IcascConfig(theta=1.5)
-    with pytest.raises(ConfigError):
-        IcascConfig(mechanism="cam")
     for key in ("omega", "weight_as_inner", "weight_as_last", "weight_ac"):
         for value in (np.inf, np.nan):
             with pytest.raises(ConfigError, match=key):
                 IcascConfig(**{key: value})
-    # the division guard and the skip threshold are constants, not settings
-    for key in ("epsilon", "skip_threshold"):
+    # the division guard and the skip threshold are constants, not settings,
+    # and the mechanism is a-ch's alone
+    for key in ("epsilon", "skip_threshold", "mechanism"):
         with pytest.raises(TypeError, match=key):
             IcascConfig(**{key: 1e-8})
 
 
 def test_config_file_roundtrip(tmp_path):
-    cfg = IcascConfig(mechanism="grad-cam", omega=50.0, theta=0.7,
-                      weight_ac=0.5)
+    cfg = IcascConfig(omega=50.0, theta=0.7, weight_ac=0.5)
     path = tmp_path / "loss.cfg"
     path.write_text(cfg.to_text() + "# trailing comment\n", encoding="utf-8")
     assert IcascConfig(**parse_kv_file(path)) == cfg
@@ -318,43 +316,41 @@ def test_objective_end_to_end_hand_oracle():
     w_inner = rng.standard_normal((c * 16, 2))
     label = 0
 
-    for mechanism in ("a-ch", "grad-cam"):
-        cfg = IcascConfig(mechanism=mechanism)
-        tape = Tape()
-        record = helpers.linear_record(
-            tape, {"inner": f_inner, "last": f_last},
-            {"inner": w_inner, "last": w_last})
-        bd = icasc_objective(record, np.array([label]), cfg)
+    cfg = DEFAULTS
+    tape = Tape()
+    record = helpers.linear_record(
+        tape, {"inner": f_inner, "last": f_last},
+        {"inner": w_inner, "last": w_last})
+    bd = icasc_objective(record, np.array([label]), cfg)
 
-        # independent script: every quantity from raw arrays
-        logits = (f_inner.reshape(1, -1) @ w_inner
-                  + f_last.reshape(1, -1) @ w_last)[0]
-        probs = np.exp(logits - logits.max())
-        probs /= probs.sum()
-        conf = int(np.argmax(np.where(np.arange(2) == label, -np.inf, probs)))
-        mech = {"a-ch": oracles.a_ch_formula,
-                "grad-cam": oracles.grad_cam_formula}[mechanism]
-        g_last = {k: w_last[:, k].reshape(c, 2, 2) for k in range(2)}
-        g_inner = {k: w_inner[:, k].reshape(c, 4, 4) for k in range(2)}
-        at_la = mech(f_last[0], g_last[label])
-        ac_la = mech(f_last[0], g_last[conf])
-        at_in = mech(f_inner[0], g_inner[label])
-        ac_in = mech(f_inner[0], g_inner[conf])
-        mask_la = oracles.mask_formula(at_la, cfg.omega, cfg.sigma_factor)
-        up = oracles.bilinear_formula(at_la, 4, 4)
-        mask_in = oracles.mask_formula(up, cfg.omega, cfg.sigma_factor)
-        l_as_la = oracles.separation_formula(at_la, ac_la, mask_la, EPSILON)
-        l_as_in = oracles.separation_formula(at_in, ac_in, mask_in, EPSILON)
-        l_ac = oracles.consistency_formula(at_in, mask_in, cfg.theta, EPSILON)
-        l_c = np.log(np.exp(logits - logits.max()).sum()) + logits.max() \
-            - logits[label]
-        expected = l_c + l_as_in + l_as_la + l_ac
+    # independent script: every quantity from raw arrays
+    logits = (f_inner.reshape(1, -1) @ w_inner
+              + f_last.reshape(1, -1) @ w_last)[0]
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    conf = int(np.argmax(np.where(np.arange(2) == label, -np.inf, probs)))
+    a_ch = oracles.a_ch_formula
+    g_last = {k: w_last[:, k].reshape(c, 2, 2) for k in range(2)}
+    g_inner = {k: w_inner[:, k].reshape(c, 4, 4) for k in range(2)}
+    at_la = a_ch(f_last[0], g_last[label])
+    ac_la = a_ch(f_last[0], g_last[conf])
+    at_in = a_ch(f_inner[0], g_inner[label])
+    ac_in = a_ch(f_inner[0], g_inner[conf])
+    mask_la = oracles.mask_formula(at_la, cfg.omega, cfg.sigma_factor)
+    up = oracles.bilinear_formula(at_la, 4, 4)
+    mask_in = oracles.mask_formula(up, cfg.omega, cfg.sigma_factor)
+    l_as_la = oracles.separation_formula(at_la, ac_la, mask_la, EPSILON)
+    l_as_in = oracles.separation_formula(at_in, ac_in, mask_in, EPSILON)
+    l_ac = oracles.consistency_formula(at_in, mask_in, cfg.theta, EPSILON)
+    l_c = np.log(np.exp(logits - logits.max()).sum()) + logits.max() \
+        - logits[label]
+    expected = l_c + l_as_in + l_as_la + l_ac
 
-        assert abs(bd.l_c - l_c) < 1e-10
-        assert abs(bd.l_as_last - l_as_la) < 1e-10
-        assert abs(bd.l_as_inner - l_as_in) < 1e-10
-        assert abs(bd.l_ac - l_ac) < 1e-10
-        assert abs(bd.total - expected) < 1e-10
+    assert abs(bd.l_c - l_c) < 1e-10
+    assert abs(bd.l_as_last - l_as_la) < 1e-10
+    assert abs(bd.l_as_inner - l_as_in) < 1e-10
+    assert abs(bd.l_ac - l_ac) < 1e-10
+    assert abs(bd.total - expected) < 1e-10
 
 
 def test_objective_weights_scale_terms():

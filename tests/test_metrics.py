@@ -5,7 +5,7 @@ from icasc import autodiff as ad
 from icasc import cli
 from icasc import data as dio
 from icasc import metrics as mx
-from icasc.attention import MECHANISMS, class_attention
+from icasc.attention import class_attention
 from icasc.autodiff import Tape
 from icasc.losses import (IcascConfig, confusing_class, icasc_objective,
                           per_sample_terms)
@@ -178,8 +178,8 @@ def _overlap_rows_from_both_layers(model, ds, cfg):
                                               shuffle=False):
         record = model.forward(images, tape=Tape())
         conf = confusing_class(record.probabilities, labels)
-        a_tgt = class_attention(record, labels, cfg.mechanism, create_graph=False)
-        a_conf = class_attention(record, conf, cfg.mechanism, create_graph=False)
+        a_tgt = class_attention(record, labels, create_graph=False)
+        a_conf = class_attention(record, conf, create_graph=False)
         las, lac, ctx = per_sample_terms(a_tgt, a_conf, conf, cfg)
         rows += [(sid, float(las["last"].data[i]), float(lac.data[i]),
                   not ctx.keep[i]) for i, sid in enumerate(ids)]
@@ -187,9 +187,7 @@ def _overlap_rows_from_both_layers(model, ds, cfg):
     return rows, np.concatenate(probs)
 
 
-@pytest.mark.parametrize("mechanism", MECHANISMS)
-def test_overlap_report_runs_one_inner_backward_per_batch(tmp_path, monkeypatch,
-                                                          mechanism):
+def test_overlap_report_runs_one_inner_backward_per_batch(tmp_path, monkeypatch):
     """The report takes the confusing class's map at the last layer only, so
     each batch makes one ``conv2d_dx`` (the target's backward through the
     inner block), and every row and mean equals the one built from both
@@ -199,7 +197,7 @@ def test_overlap_report_runs_one_inner_backward_per_batch(tmp_path, monkeypatch,
     ds = synth_dataset(tmp_path, per_class=12)
     model = helpers.tiny_model(4, channels=(4, 8), size=16, n_classes=3)
     model.params["head.w"][:, 0] = 0.0
-    cfg = IcascConfig(mechanism=mechanism)
+    cfg = IcascConfig()
     batches = []
     conv_dx = ad._conv_dx
 

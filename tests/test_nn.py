@@ -203,8 +203,7 @@ def test_forward_from_inner_tapes_only_what_follows_the_inner_features():
         model.forward(images, from_inner=True)
 
 
-@pytest.mark.parametrize("mechanism", ["a-ch", "grad-cam"])
-def test_pool_then_relu_matches_relu_then_pool(mechanism):
+def test_pool_then_relu_matches_relu_then_pool():
     """Max commutes with ReLU: the values are byte-equal and every parameter
     gradient of the objective is equal.  Negative biases give windows with
     no positive pre-activation; under a negative upstream gradient the old
@@ -216,7 +215,7 @@ def test_pool_then_relu_matches_relu_then_pool(mechanism):
         model.params[name] = rng.normal(-0.3, 0.3, model.params[name].shape)
     images = rng.normal(0.0, 1.0, (6, 1, 16, 16))
     labels = np.array([0, 1, 2, 0, 1, 2])
-    config = IcascConfig(mechanism=mechanism)
+    config = IcascConfig()
 
     tape = Tape()
     new = model.forward(images, tape=tape)

@@ -1,18 +1,22 @@
 """Guards on the op registry: every kind the engine can record has a
 derivative rule, so any tape it builds can be differentiated again; and the
 engine keeps only the kinds and meta keys that the program records and
-reads."""
+reads.  A census of the settable values pins every command's flags and the
+fields of the four configs, so a new one shows up as a diff to this file."""
 
+import argparse
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from icasc import autodiff as ad
-from icasc import metrics, training
-from icasc.attention import MECHANISMS
+from icasc import cli, metrics, training
+from icasc.data import SynthSpec
 from icasc.losses import IcascConfig
-from icasc.nn import SgdOptimizer
+from icasc.nn import ModelConfig, SgdOptimizer
+from icasc.training import TrainConfig
 
 import helpers
 
@@ -94,9 +98,9 @@ class _ReadLog(dict):
 
 
 def test_the_engine_keeps_only_what_the_program_records_and_reads(monkeypatch):
-    """Tiny program paths: an ICASC step with its final backward per
-    mechanism, a baseline step and an overlap-report batch, then each
-    tape's kink signature.
+    """Tiny program paths: an ICASC step with its final backward, a
+    baseline step and an overlap-report batch, then each tape's kink
+    signature.
 
     They record every rule kind but ``conv2d_dw``, the closure rule that
     keeps a ``create_graph`` backward toward conv weights exact, which the
@@ -119,7 +123,7 @@ def test_the_engine_keeps_only_what_the_program_records_and_reads(monkeypatch):
     model = helpers.tiny_model(channels=(4, 8), size=8)
     images = np.random.default_rng(0).random((4, 1, 8, 8))
     labels = np.arange(4) % 3
-    for icasc in [IcascConfig(mechanism=m) for m in MECHANISMS] + [None]:
+    for icasc in (IcascConfig(), None):
         training._train_step(model, SgdOptimizer(0.9, 0.0), images, labels,
                              icasc, 0.01)
     metrics._overlap_batch(model, np.arange(4), images, labels, IcascConfig())
@@ -138,3 +142,44 @@ def test_the_engine_keeps_only_what_the_program_records_and_reads(monkeypatch):
     assert {(family, key) for family, keys in recorded.items()
             for key in keys - read[family]} == {("conv2d", "stride"),
                                                 ("conv2d", "padding")}
+
+
+def command_flags() -> dict[str, list[str]]:
+    """Each command's flags, in ``build_parser``'s order, ``--help`` left out."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return {name: [flag for action in sub._actions
+                   for flag in action.option_strings
+                   if flag not in ("-h", "--help")]
+            for name, sub in commands.choices.items()}
+
+
+def test_the_settable_values_are_the_ones_listed():
+    """40 flags across 5 commands and 32 config fields."""
+    assert command_flags() == {
+        "synth": ["--classes", "--per-class", "--seed", "--canvas",
+                  "--noise-std", "--motif-size", "--pair", "--out"],
+        "train": ["--data", "--test-data", "--out", "--config", "--seed",
+                  "--epochs", "--batch-size", "--lr", "--momentum",
+                  "--weight-decay", "--schedule", "--milestones",
+                  "--channels", "--baseline", "--flip", "--resume"],
+        "eval": ["--checkpoint", "--data", "--out", "--topk", "--attention",
+                 "--config"],
+        "attend": ["--checkpoint", "--data", "--out", "--samples",
+                   "--classes", "--color"],
+        "ks": ["--checkpoint", "--data", "--out", "--grid"],
+    }
+    assert {cls.__name__: [f.name for f in fields(cls)]
+            for cls in (IcascConfig, TrainConfig, ModelConfig, SynthSpec)} == {
+        "IcascConfig": ["omega", "sigma_factor", "theta", "weight_as_inner",
+                        "weight_as_last", "weight_ac"],
+        "TrainConfig": ["data_dir", "out_dir", "test_dir", "epochs",
+                        "batch_size", "lr", "momentum", "weight_decay",
+                        "schedule", "milestones", "seed", "channels", "flip",
+                        "resume", "icasc"],
+        "ModelConfig": ["channels", "input_size", "input_channels",
+                        "n_classes", "kernel_size"],
+        "SynthSpec": ["n_classes", "canvas", "noise_std", "confusable_pair",
+                      "motif_size", "seed"],
+    }
