@@ -694,7 +694,11 @@ def _conv2d_op(x: Tensor, w: Tensor, meta, cols=None, bias=None) -> Tensor:
     value = _conv_forward(cols, w.data)
     if bias is None:
         return _emit("conv2d", (x, w), value, meta)
-    value += bias.data[:, None, None]
+    n, cout, h, wd = value.shape
+    # one contiguous (Cout*H*W) plane per sample row: faster than broadcasting
+    # the (Cout, 1, 1) bias, and each element still gets one + bias[c]
+    flat = value.reshape(n, cout * h * wd)
+    flat += np.repeat(bias.data, h * wd)
     return _emit("conv2d", (x, w, bias), value, meta)
 
 
@@ -782,9 +786,11 @@ def maxpool2d(x) -> Tensor:
     of each window's maximum from the input.  An odd or zero height or width
     is a ShapeError.
 
-    The value pass runs ``np.maximum`` over the four strided tap views in
-    tap order.  That gives each window's maximum, and NaN for a window
-    holding NaN, but not always its bits: SIMD max may pick either
+    The value pass views the input as (N, C, H/2, 2W), so each window's two
+    rows are one contiguous row pair: ``np.maximum`` of the pair's halves,
+    then of each window's two columns.  The maximum of non-NaN values does
+    not depend on that order, so this gives each window's maximum, and NaN
+    for a window holding NaN, but not always its bits: SIMD max may pick either
     zero of a ``-0.0``/``0.0`` tie and may quieten a signalling NaN.  So
     each window whose maximum is zero or NaN takes the exact bits of its
     first zero or first NaN tap.  The value is then the routed input
@@ -805,9 +811,9 @@ def maxpool2d(x) -> Tensor:
                          "2x2 windows")
     oh, ow = h // 2, w // 2
     offsets, taps = _pool_taps(x.data)
-    value = taps[0].copy()
-    for tap in taps[1:]:
-        np.maximum(value, tap, out=value)
+    pairs = x.data.reshape(n, c, oh, 2 * w)
+    rows = np.maximum(pairs[..., :w], pairs[..., w:])
+    value = np.maximum(rows[..., 0::2], rows[..., 1::2])
     # windows whose maximum is +-0 or NaN, the only ones whose bits SIMD max
     # may not have kept
     zero_or_nan = value == 0

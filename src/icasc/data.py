@@ -18,6 +18,7 @@ shared by every set.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import os
@@ -92,54 +93,55 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     _overwrite_netpbm(path, "P6", rgb)
 
 
-def _read_header_tokens(fh, count: int, path) -> list[int]:
-    """Read whitespace-separated header ints, skipping # comments."""
-    tokens: list[int] = []
-    while len(tokens) < count:
-        ch = fh.read(1)
-        if not ch:
+# one header token: the whitespace and '#' comment lines before it, then a
+# run of non-whitespace that does not start a comment
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
+
+
+def _read_pixels(path) -> np.ndarray:
+    """Read PGM/PPM into a uint8 (C, H, W) view of the file's bytes, which
+    come from one ``os.read`` of the file's size on a raw fd."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    try:
+        size = os.fstat(fd).st_size
+        data = os.read(fd, size)
+        while len(data) < size and (more := os.read(fd, size - len(data))):
+            data += more
+    except OSError as e:    # named, as open() names it: a directory reads here
+        e.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    magic, pos, tokens = data[:2], 2, []
+    if magic not in (b"P5", b"P6"):
+        raise DataError(f"{path}: unsupported image magic {magic!r}")
+    while len(tokens) < 3:
+        if not (match := _HEADER_TOKEN.match(data, pos)):
             raise DataError(f"{path}: truncated Netpbm header")
-        if ch.isspace():
-            continue
-        if ch == b"#":
-            while ch not in (b"\n", b""):
-                ch = fh.read(1)
-            continue
-        tok = ch
-        while True:
-            ch = fh.read(1)
-            if not ch or ch.isspace():
-                break
-            tok += ch
-        if not tok.isdigit():
-            raise DataError(f"{path}: non-numeric Netpbm header token {tok!r}")
-        tokens.append(int(tok))
-    return tokens
+        if not match[1].isdigit():
+            raise DataError(f"{path}: non-numeric Netpbm header token {match[1]!r}")
+        tokens.append(int(match[1]))
+        pos = min(match.end() + 1, len(data))   # past the byte that ends it
+    w, h, maxval = tokens
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: non-positive image size {w}x{h}")
+    if maxval != 255:
+        raise DataError(f"{path}: maxval {maxval} unsupported (need 255)")
+    channels = 1 if magic == b"P5" else 3
+    # checked against the bytes read before any pixel is viewed
+    need, left = w * h * channels, len(data) - pos
+    if need > left:
+        raise DataError(f"{path}: truncated pixel data ({need} bytes "
+                        f"declared, {left} left)")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
+    if channels == 1:
+        return pixels.reshape(1, h, w)
+    return pixels.reshape(h, w, 3).transpose(2, 0, 1)
 
 
 def read_image(path) -> np.ndarray:
     """Read PGM/PPM into float64 (C, H, W) scaled to [0, 1]."""
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-        if magic not in (b"P5", b"P6"):
-            raise DataError(f"{path}: unsupported image magic {magic!r}")
-        w, h, maxval = _read_header_tokens(fh, 3, path)
-        if w < 1 or h < 1:
-            raise DataError(f"{path}: non-positive image size {w}x{h}")
-        if maxval != 255:
-            raise DataError(f"{path}: maxval {maxval} unsupported (need 255)")
-        channels = 1 if magic == b"P5" else 3
-        # checked before the read, so a huge declared size asks for no buffer
-        need = w * h * channels
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if need > left:
-            raise DataError(f"{path}: truncated pixel data ({need} bytes "
-                            f"declared, {left} left)")
-        raw = fh.read(need)
-    arr = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-    if channels == 1:
-        return arr.reshape(1, h, w)
-    return arr.reshape(h, w, 3).transpose(2, 0, 1)
+    return _read_pixels(path) / 255.0
 
 
 # --------------------------------------------------------------------------
@@ -165,14 +167,15 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 def open_text(path) -> io.StringIO:
     """The UTF-8 text of ``path`` as a file whose lines end as written, which
-    is what ``csv`` reads; bytes that do not decode raise DataError naming
-    the file."""
+    is what ``csv`` reads; one leading byte-order mark is dropped, and bytes
+    that do not decode raise DataError naming the file and the byte."""
     raw = Path(path).read_bytes()
+    body = raw.removeprefix(codecs.BOM_UTF8)
     try:
-        return io.StringIO(raw.decode("utf-8"), newline="")
+        return io.StringIO(body.decode("utf-8"), newline="")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte "
-                        f"{e.start})") from None
+                        f"{len(raw) - len(body) + e.start})") from None
 
 
 def _cell(value) -> str:
@@ -234,7 +237,8 @@ def load_dataset(path, n_classes: int | None = None,
     labels_file = root / "labels.csv"
     if not labels_file.is_file():
         raise DataError(f"{labels_file}: labels file not found")
-    samples: list[Sample] = []
+    rows: list[tuple[str, int]] = []
+    pixels: list[np.ndarray] = []
     seen: set[str] = set()
     max_label = -1
     with open_text(labels_file) as fh:
@@ -260,20 +264,25 @@ def load_dataset(path, n_classes: int | None = None,
             label = int(text)
             img_path = root / row["filename"]
             try:
-                image = read_image(img_path)
+                image = _read_pixels(img_path)
             except (OSError, DataError) as e:
                 raise DataError(f"sample '{sid}': {e}") from None
-            if samples and image.shape != samples[0].image.shape:
+            if pixels and image.shape != pixels[0].shape:
                 raise DataError(f"sample '{sid}': image shape {image.shape} "
-                                f"differs from {samples[0].image.shape} of "
-                                f"sample '{samples[0].id}'")
+                                f"differs from {pixels[0].shape} of "
+                                f"sample '{rows[0][0]}'")
             max_label = max(max_label, label)
-            samples.append(Sample(sid, image, label))
-    if not samples:
+            rows.append((sid, label))
+            pixels.append(image)
+    if not rows:
         raise DataError(f"{labels_file}: no samples listed")
-    if image_shape is not None and samples[0].image.shape != image_shape:
-        raise DataError(f"{root}: images are {samples[0].image.shape} "
+    if image_shape is not None and pixels[0].shape != image_shape:
+        raise DataError(f"{root}: images are {pixels[0].shape} "
                         f"(C, H, W), the model takes {image_shape}")
+    # one conversion for the set; each sample's image is a view of it
+    images = np.stack(pixels) / 255.0
+    samples = [Sample(sid, image, label)
+               for (sid, label), image in zip(rows, images)]
     inferred = max_label + 1
     if n_classes is None:
         n_classes = inferred

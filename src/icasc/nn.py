@@ -335,13 +335,16 @@ def _check_params(path, arrays: dict[str, np.ndarray],
                   expected: dict[str, np.ndarray],
                   what: str = "parameter") -> None:
     """Raise DataError naming the file and the parameter unless ``arrays``
-    holds exactly ``expected``'s parameter names, each with its shape."""
+    holds exactly ``expected``'s parameter names, each with its shape and
+    every value finite."""
     for name, want in expected.items():
         have = arrays.get(name)
         if have is None or have.shape != want.shape:
             found = "missing" if have is None else f"of shape {have.shape}"
             raise DataError(f"{path}: {what} '{name}' is {found}, the "
                             f"model needs shape {want.shape}")
+        if not np.isfinite(have).all():
+            raise DataError(f"{path}: {what} '{name}' holds NaN or inf")
     extra = sorted(arrays.keys() - expected.keys())
     if extra:
         raise DataError(f"{path}: {what} '{extra[0]}' is not in the model")

@@ -7,6 +7,8 @@ compute paths, so agreement is meaningful.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -243,3 +245,56 @@ def ks_brute(target, conf):
 
 def rel_err(a, b, floor=1e-8):
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+# -- Netpbm reading, a byte at a time ---------------------------------------
+
+
+def _header_tokens_bytewise(fh, count, path):
+    tokens = []
+    while len(tokens) < count:
+        ch = fh.read(1)
+        if not ch:
+            raise ValueError(f"{path}: truncated Netpbm header")
+        if ch.isspace():
+            continue
+        if ch == b"#":
+            while ch not in (b"\n", b""):
+                ch = fh.read(1)
+            continue
+        tok = ch
+        while True:
+            ch = fh.read(1)
+            if not ch or ch.isspace():
+                break
+            tok += ch
+        if not tok.isdigit():
+            raise ValueError(f"{path}: non-numeric Netpbm header token {tok!r}")
+        tokens.append(int(tok))
+    return tokens
+
+
+def read_image_bytewise(path):
+    """PGM/PPM into float64 (C, H, W) in [0, 1], reading the header one
+    byte at a time from a buffered file; a bad file raises ValueError with
+    the text the engine's reader gives."""
+    with open(path, "rb") as fh:
+        magic = fh.read(2)
+        if magic not in (b"P5", b"P6"):
+            raise ValueError(f"{path}: unsupported image magic {magic!r}")
+        w, h, maxval = _header_tokens_bytewise(fh, 3, path)
+        if w < 1 or h < 1:
+            raise ValueError(f"{path}: non-positive image size {w}x{h}")
+        if maxval != 255:
+            raise ValueError(f"{path}: maxval {maxval} unsupported (need 255)")
+        channels = 1 if magic == b"P5" else 3
+        need = w * h * channels
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need > left:
+            raise ValueError(f"{path}: truncated pixel data ({need} bytes "
+                             f"declared, {left} left)")
+        raw = fh.read(need)
+    arr = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
+    if channels == 1:
+        return arr.reshape(1, h, w)
+    return arr.reshape(h, w, 3).transpose(2, 0, 1)

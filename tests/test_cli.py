@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import platform
 import re
 import shlex
+import shutil
 import struct
 import subprocess
 import sys
@@ -1137,6 +1139,27 @@ def test_checkpoint_params_disagreeing_with_config_is_data_error(
     assert ckpt.name in err and name in err
 
 
+@pytest.mark.parametrize("command", [("eval",), ("eval", "--attention"),
+                                     ("ks",), ("attend",)],
+                         ids=["eval", "eval_attention", "ks", "attend"])
+def test_checkpoint_with_a_nan_parameter_is_data_error(trained, dataset,
+                                                       tmp_path, capsys,
+                                                       command):
+    """A NaN weight used to load: each command exited 0 with made-up
+    numbers (an accuracy, a KS of 0 at p = nan, nan manifest rows)."""
+    model, _ = load_checkpoint(trained)
+    model.params["head.w"][0, 0] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(ckpt, model)
+    out = tmp_path / "o"
+    assert run(command[0], "--checkpoint", str(ckpt), "--data",
+               str(dataset / "test"), "--out", str(out), *command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"data error: {ckpt}: parameter 'head.w' holds NaN or "
+                   "inf\n")
+    assert not out.exists()
+
+
 # The training state, the optimizer velocities, is the last section of
 # final.ckpt, the resume point.
 
@@ -1177,6 +1200,23 @@ def test_train_state_velocities_disagreeing_with_model_is_data_error(
     assert run("train", *resumable, "--epochs", "2", "--resume") == 2
     err = capsys.readouterr().err
     assert "final.ckpt" in err and name in err
+
+
+@pytest.mark.parametrize("section", ["parameter", "velocity"])
+def test_resume_from_a_non_finite_train_state_is_data_error(
+        resumable, tmp_path, capsys, section):
+    """The run stops before its first step and leaves its files as they were."""
+    run_dir = tmp_path / "r"
+    ckpt = run_dir / "final.ckpt"
+    model, header = load_checkpoint(ckpt)
+    velocity = header["velocity"]
+    (model.params if section == "parameter" else velocity)["head.b"][1] = np.inf
+    save_checkpoint(ckpt, model, {"epoch": header["epoch"]}, velocity)
+    before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
+    assert run("train", *resumable, "--epochs", "2", "--resume") == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {ckpt}: {section} 'head.b' holds NaN or inf\n"
+    assert {f.name: f.read_bytes() for f in run_dir.iterdir()} == before
 
 
 def test_resume_from_a_checkpoint_without_train_state_is_data_error(
@@ -1388,6 +1428,41 @@ def test_eval_loss_setting_without_attention_is_usage_error(trained, dataset,
     assert err.startswith("usage error:") and named in err
     assert flag in err
     assert not out.exists()
+
+
+def test_byte_order_marked_labels_and_config_read_as_without(
+        dataset, trained, tmp_path):
+    """A leading UTF-8 byte-order mark, as some editors save, is not text: the
+    header and the first key read as written."""
+    marked = tmp_path / "marked"
+    shutil.copytree(dataset / "test", marked)
+    labels = marked / "labels.csv"
+    labels.write_bytes(codecs.BOM_UTF8 + labels.read_bytes())
+    plain, cfg = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(b"theta = 0.6\n")
+    cfg.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    outs = []
+    for data, config in ((dataset / "test", plain), (marked, cfg)):
+        outs.append(tmp_path / f"e{len(outs)}")
+        assert run("eval", "--checkpoint", str(trained), "--data", str(data),
+                   "--out", str(outs[-1]), "--attention", "--config",
+                   str(config)) == 0
+    assert ((outs[0] / "attention_overlap.csv").read_bytes()
+            == (outs[1] / "attention_overlap.csv").read_bytes())
+    assert ((outs[0] / "metrics.csv").read_bytes()
+            == (outs[1] / "metrics.csv").read_bytes())
+    assert parse_kv_file(cfg) == {"theta": 0.6}
+
+
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+def test_not_utf8_offset_counts_the_byte_order_mark(tmp_path, capsys, bom):
+    """The offset is the bad byte's place in the file, mark included."""
+    cfg = tmp_path / "loss.cfg"
+    cfg.write_bytes(bom + b"theta = 0.6 # \xff\n")
+    with pytest.raises(dio.DataError) as err:
+        parse_kv_file(cfg)
+    assert str(err.value) == (f"{cfg}: not UTF-8 text (invalid start byte at "
+                              f"byte {len(bom) + 14})")
 
 
 @pytest.mark.parametrize("case", [

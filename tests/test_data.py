@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from icasc import data as dio
 from icasc.data import (DataError, SynthSpec, batch_iter, generate_synth,
                         load_dataset, read_image, write_pgm, write_ppm)
@@ -140,7 +142,7 @@ def test_read_image_truncated(tmp_path):
 
 def test_read_image_size_past_the_file_is_data_error(tmp_path):
     """The declared pixel bytes are checked against the bytes left, so a
-    size too large for an index-sized integer never reaches the read."""
+    size too large for an index-sized integer never reaches the view."""
     path = tmp_path / "huge.pgm"
     path.write_bytes(b"P6\n99999999999 99999999999\n255\n" + bytes(64))
     with pytest.raises(DataError, match=r"huge.pgm: truncated pixel data "
@@ -181,6 +183,173 @@ def test_damaged_pgm_reads_or_is_data_error(tmp_path_factory, cut, bit):
         read_image(path)
     except DataError:
         pass
+
+
+# header parts: every byte bytes.isspace() takes, comment lines with and
+# without their newline, and tokens that are digits, that are not, or that
+# have a '#' glued on
+_SPACE = st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c"])
+_COMMENT = st.builds(lambda text, end: b"#" + text + end,
+                     st.binary(max_size=6).map(lambda b: b.replace(b"\n", b"")),
+                     st.sampled_from([b"\n", b"\n", b""]))
+_GAP = st.lists(st.one_of(_SPACE, _COMMENT), min_size=1, max_size=3).map(
+    b"".join)
+_ODD = [b"0", b"254", b"0255", b"x", b"4x", b"+3", b"3#", b"3#x", b"\xd9\xa3",
+        b"0x1"]
+_SIZE = st.sampled_from([b"1", b"2", b"3", b"4"] * 3 + _ODD)
+_MAXVAL = st.sampled_from([b"255"] * 8 + _ODD)
+
+
+@settings(max_examples=100, deadline=None)
+@given(magic=st.sampled_from([b"P5", b"P6"] * 3 + [b"P3", b"P", b""]),
+       parts=st.tuples(st.tuples(_GAP | st.just(b""), _SIZE),
+                       st.tuples(_GAP, _SIZE), st.tuples(_GAP, _MAXVAL)),
+       end=st.sampled_from([b"\n", b" ", b"\r\n", b"", b"#\n"]),
+       pixels=st.one_of(st.binary(max_size=60),
+                        st.binary(min_size=48, max_size=52)))
+def test_reader_agrees_with_the_bytewise_reader(tmp_path_factory, magic, parts,
+                                                end, pixels):
+    """Same array bytes and shape, or the same error text, as the reader that
+    took the header one byte at a time, on the file cut at every byte."""
+    whole = magic + b"".join(gap + token for gap, token in parts) + end + pixels
+    path = tmp_path_factory.getbasetemp() / "agree.pgm"
+
+    def outcome(reader, error):
+        try:
+            image = reader(path)
+        except error as e:
+            return str(e)
+        return image.shape, image.dtype, np.ascontiguousarray(image).tobytes()
+
+    for cut in range(len(whole) + 1):
+        path.write_bytes(whole[:cut])
+        assert outcome(read_image, DataError) == outcome(
+            oracles.read_image_bytewise, ValueError), cut
+
+
+def _sample_set(root: Path, images: dict) -> Path:
+    """A set of ``images`` (id -> uint8 (H, W) or (H, W, 3)), labelled 0."""
+    root.mkdir()
+    rows = ["id,filename,label"]
+    for sid, pixels in images.items():
+        gray = pixels.ndim == 2
+        name = f"{sid}.{'pgm' if gray else 'ppm'}"
+        (write_pgm if gray else write_ppm)(root / name, pixels)
+        rows.append(f"{sid},{name},0")
+    (root / "labels.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("images, message", [
+    ({"first": np.zeros((16, 16), np.uint8), "odd": np.zeros((8, 8), np.uint8)},
+     "sample 'odd': image shape (1, 8, 8) differs from (1, 16, 16) of sample "
+     "'first'"),
+    ({"grey": np.zeros((16, 16), np.uint8),
+      "rgb": np.zeros((16, 16, 3), np.uint8)},
+     "sample 'rgb': image shape (3, 16, 16) differs from (1, 16, 16) of "
+     "sample 'grey'")], ids=["size", "channels"])
+def test_mixed_image_shapes_name_both_ids_and_shapes(tmp_path, images, message):
+    with pytest.raises(DataError) as err:
+        load_dataset(_sample_set(tmp_path / "d", images))
+    assert str(err.value) == message
+
+
+def test_loaded_images_equal_the_reader_and_share_one_array(tmp_path):
+    rng = np.random.default_rng(4)
+    root = _sample_set(tmp_path / "d", {
+        f"s{i}": rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
+        for i in range(3)})
+    samples = load_dataset(root).samples
+    base = samples[0].image.base
+    assert base is not None and base.shape == (3, 3, 5, 7)
+    for sample in samples:
+        assert sample.image.base is base
+        expected = oracles.read_image_bytewise(root / f"{sample.id}.ppm")
+        assert sample.image.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+class _FileSpy:
+    """Counts the raw ``os`` calls on image files: opened paths, and the
+    fds read and closed."""
+
+    def __init__(self, monkeypatch):
+        self.opened, self.reads, self.closed = [], [], []
+        os_open, os_read, os_close = dio.os.open, dio.os.read, dio.os.close
+
+        def open_spy(path, *args, **kwargs):
+            fd = os_open(path, *args, **kwargs)
+            self.opened.append((Path(path).name, fd))
+            return fd
+
+        def read_spy(fd, n):
+            self.reads.append(fd)
+            return os_read(fd, n)
+
+        def close_spy(fd):
+            self.closed.append(fd)
+            return os_close(fd)
+
+        monkeypatch.setattr(dio.os, "open", open_spy)
+        monkeypatch.setattr(dio.os, "read", read_spy)
+        monkeypatch.setattr(dio.os, "close", close_spy)
+
+
+def test_load_dataset_opens_and_reads_each_image_once(tmp_path, monkeypatch):
+    generate_synth(SynthSpec(n_classes=2, canvas=12, motif_size=1), 3,
+                   tmp_path / "d")
+    spy = _FileSpy(monkeypatch)
+    samples = load_dataset(tmp_path / "d").samples
+    monkeypatch.undo()
+    assert sorted(name for name, _ in spy.opened) == sorted(
+        f"{s.id}.pgm" for s in samples)
+    fds = [fd for _, fd in spy.opened]
+    assert spy.reads == fds and spy.closed == fds
+
+
+def test_reader_reads_on_after_a_short_read(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "x.ppm"
+    write_ppm(path, rng.integers(0, 256, size=(4, 6, 3), dtype=np.uint8))
+    sizes = []
+    os_read = dio.os.read
+
+    def short_read(fd, n):
+        sizes.append(n)
+        return os_read(fd, min(n, 5))
+
+    monkeypatch.setattr(dio.os, "read", short_read)
+    image = read_image(path)
+    monkeypatch.undo()
+    assert len(sizes) == -(-path.stat().st_size // 5)
+    assert image.tobytes() == read_image(path).tobytes()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"P3\n1 1\n255\n0", "unsupported image magic"),
+    (b"P5\n4 # no newline", "truncated Netpbm header"),
+    (b"P5\n4 4x\n255\n" + bytes(16), "non-numeric Netpbm header token"),
+    (b"P5\n0 4\n255\n", "non-positive image size"),
+    (b"P5\n4 4\n65535\n" + bytes(32), "maxval 65535 unsupported"),
+    (b"P5\n4 4\n255\n" + bytes(15),
+     r"truncated pixel data \(16 bytes declared, 15 left\)")],
+    ids=["magic", "header", "token", "size", "maxval", "pixels"])
+def test_every_reader_error_closes_its_fd(tmp_path, monkeypatch, content,
+                                          message):
+    """A raw fd leaks without a ResourceWarning, so only a test sees it."""
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(content)
+    spy = _FileSpy(monkeypatch)
+    with pytest.raises(DataError, match=message):
+        read_image(path)
+    monkeypatch.undo()
+    assert len(spy.opened) == 1 and spy.closed == [spy.opened[0][1]]
+
+
+def test_an_image_path_that_is_a_directory_names_it(tmp_path):
+    """The read fails, not the open: the error names the path as open() did."""
+    with pytest.raises(IsADirectoryError) as err:
+        read_image(tmp_path)
+    assert str(err.value) == f"[Errno 21] Is a directory: '{tmp_path}'"
 
 
 # --------------------------------------------------------------------------

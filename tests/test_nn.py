@@ -450,6 +450,22 @@ def test_checkpoint_rejects_garbage(tmp_path):
         nn.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("section", ["parameter", "velocity"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_checkpoint_with_a_non_finite_value_is_data_error(tmp_path, section,
+                                                          bad):
+    model = tiny_model(11)
+    velocity = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    arrays = model.params if section == "parameter" else velocity
+    arrays["block0.w"].flat[3] = bad
+    path = tmp_path / "m.ckpt"
+    nn.save_checkpoint(path, model, {"epoch": 0}, velocity)
+    with pytest.raises(dio.DataError, match=rf"m.ckpt: {section} 'block0.w' "
+                                            "holds NaN or inf"):
+        nn.load_checkpoint(path)
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
     """The bytes of a trained final.ckpt, velocities included, and a path
